@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .coeffs import structure_constant
-from .gc_polytope import FaceUnion, Polytope, UnsupportedShapeError, Vertex
+from .gc_polytope import Polytope, UnsupportedShapeError, Vertex
 from .pluecker import delta_schubert_bottom, delta_uv
 from .weyl import ParabolicShape, Permutation, bruhat_leq, length
 
@@ -62,36 +62,17 @@ class EvaluationFailure:
         return False
 
 
-class _DeltaCache:
-    """Per-polytope cache of divisor facet unions."""
-
-    def __init__(self, poly: Polytope):
-        self.poly = poly
-        self._uv: dict[tuple, FaceUnion] = {}
-        self._w: dict[tuple, FaceUnion] = {}
-
-    def uv(self, u: Permutation, v: Permutation) -> FaceUnion:
-        key = (u.window, v.window)
-        if key not in self._uv:
-            self._uv[key] = delta_uv(self.poly, u, v)
-        return self._uv[key]
-
-    def bottom(self, w: Permutation) -> FaceUnion:
-        key = w.window
-        if key not in self._w:
-            self._w[key] = delta_schubert_bottom(self.poly, w)
-        return self._w[key]
-
-
 def evaluate(
     poly: Polytope,
     vs: list[Permutation],
     w: Permutation,
     us: list[Permutation],
-    cache: _DeltaCache | None = None,
 ) -> Certificate | EvaluationFailure:
     """Compute S = cap_i Delta(u_i, v_i) cap Delta(w_0, pi(w_0 w)) and turn
-    it into a certificate when it is a set of flag-variety vertices."""
+    it into a certificate when it is a set of flag-variety vertices.
+
+    Each Delta is built once per polytope and kept in its ``delta_cache``.
+    """
     shape = poly.shape
     if len(us) != len(vs):
         raise ValueError(f"need one translation per factor: {len(us)} vs {len(vs)}")
@@ -101,8 +82,16 @@ def evaluate(
     if sum(length(v) for v in vs) != length(w):
         raise ValueError("lengths of the factors must add up to the length of w")
 
-    cache = cache or _DeltaCache(poly)
-    pieces = [cache.bottom(w)] + [cache.uv(u, v) for u, v in zip(us, vs)]
+    cache = poly.delta_cache
+    bottom_key = (None, w.window)  # apart from the (u, v) keys of the factors
+    if bottom_key not in cache:
+        cache[bottom_key] = delta_schubert_bottom(poly, w)
+    pieces = [cache[bottom_key]]
+    for u, v in zip(us, vs):
+        key = (u.window, v.window)
+        if key not in cache:
+            cache[key] = delta_uv(poly, u, v)
+        pieces.append(cache[key])
     pieces.sort(key=lambda fu: len(fu.faces))
     inter = pieces[0]
     for piece in pieces[1:]:
@@ -252,19 +241,17 @@ def search(
     budget: int = 3000,
     tiers: tuple[int, ...] = (1, 2, 3),
     cursor: int = 0,
-    cache: _DeltaCache | None = None,
 ) -> SearchResult:
     """Try translation tuples in deterministic order until a certificate
     appears or the budget runs out.  Factors that fail the Bruhat test
     against w are settled by a single untranslated evaluation, whose shadow
     comes out empty."""
     stats = SearchStats()
-    cache = cache or _DeltaCache(poly)
     idt = Permutation.identity(poly.n)
 
     def attempt(us) -> Certificate | None:
         stats.tried += 1
-        res = evaluate(poly, vs, w, list(us), cache=cache)
+        res = evaluate(poly, vs, w, list(us))
         if isinstance(res, Certificate):
             if res.status == "mismatch":
                 raise AssertionError(
@@ -332,24 +319,15 @@ class SweepReport:
         }
 
 
-def sweep_complete_flag(
-    n: int, budget: int = 2000, verify_oracle: bool = True, threads: int = 1
-) -> SweepReport:
+def sweep_complete_flag(n: int, budget: int = 2000, verify_oracle: bool = True) -> SweepReport:
     """Partition the degree-compatible triples of S_n into constant classes
     and resolve each one: the merged zero class by the oracle, the rest by
-    certificate search over the class members, split tuples included.
-
-    With threads > 1 the per-class searches run on a pool; results are
-    merged back in class order, so the report never depends on scheduling.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+    certificate search over the class members, split tuples included."""
     from .coeffs import build_modified_partition
     from .ladder import LadderDiagram
 
     shape = ParabolicShape.complete(n)
     poly = Polytope(LadderDiagram(shape))
-    cache = _DeltaCache(poly)
     classes = build_modified_partition(n)
 
     def resolve(cls) -> ClassReport:
@@ -378,7 +356,7 @@ def sweep_complete_flag(
         ) + sorted(cls.extended, key=lambda t: (length(t[-1]), len(t), t))
         for member in candidates:
             *us_part, w = member
-            res = search(poly, list(us_part), w, budget=budget, cache=cache)
+            res = search(poly, list(us_part), w, budget=budget)
             if res.ok:
                 witness = res.certificate
                 break
@@ -389,12 +367,7 @@ def sweep_complete_flag(
             witness,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(resolve, classes))
-    else:
-        reports = [resolve(cls) for cls in classes]
-    return SweepReport(shape, tuple(reports))
+    return SweepReport(shape, tuple(resolve(cls) for cls in classes))
 
 
 @dataclass(frozen=True)
@@ -454,7 +427,6 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
 
     parts = _box_partitions(2, n - 2)
     polys: dict[int, Polytope] = {}
-    caches: dict[int, _DeltaCache] = {}
     entries = []
     for lam, mu, eta in itertools.product(parts, repeat=3):
         if sum(eta) != sum(lam) + sum(mu):
@@ -472,10 +444,9 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
         m2, lam2, mu2, eta2 = red
         if m2 not in polys:
             polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
-            caches[m2] = _DeltaCache(polys[m2])
         vs = [grassmannian_perm(lam2, m2, n), grassmannian_perm(mu2, m2, n)]
         w = grassmannian_perm(eta2, m2, n)
-        res = search(polys[m2], vs, w, budget=budget, tiers=tiers, cache=caches[m2])
+        res = search(polys[m2], vs, w, budget=budget, tiers=tiers)
         if not res.ok:
             entries.append({"triple": (lam, mu, eta), "status": "unresolved", "N": oracle})
             continue
@@ -494,7 +465,6 @@ def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
 
     shape = ParabolicShape((1,), n)
     poly = Polytope(LadderDiagram(shape))
-    cache = _DeltaCache(poly)
     entries = []
     for a in range(n):
         for b in range(n):
@@ -503,7 +473,7 @@ def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
                 continue
             vs = [grassmannian_perm((a,), 1, n), grassmannian_perm((b,), 1, n)]
             w = grassmannian_perm((c,), 1, n)
-            res = search(poly, vs, w, budget=budget, tiers=(2, 1), cache=cache)
+            res = search(poly, vs, w, budget=budget, tiers=(2, 1))
             status = "unresolved"
             if res.ok:
                 status = "certified" if res.certificate.count else "zero"
@@ -512,14 +482,14 @@ def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
     return Gr2Report(n, tuple(entries))
 
 
-def sweep_conjecture(shape: ParabolicShape, budget: int = 2000, threads: int = 1):
+def sweep_conjecture(shape: ParabolicShape, budget: int = 2000):
     """Resolve every constant class of the shape, certified or zero.
 
     Complete flags go through the modified-partition classes; Gr(1, n) and
     Gr(2, n) through their reduction calculi.  Other shapes are not covered.
     """
     if shape.is_complete():
-        return sweep_complete_flag(shape.n, budget=budget, threads=threads)
+        return sweep_complete_flag(shape.n, budget=budget)
     if shape.is_grassmannian() and shape.cuts[0] == 1:
         return sweep_gr1(shape.n, budget=budget)
     if shape.is_grassmannian() and shape.cuts[0] == 2:
@@ -534,10 +504,17 @@ def sweep_conjecture(shape: ParabolicShape, budget: int = 2000, threads: int = 1
 
 def store_append(path: str, cert: Certificate, lam_blocks: int | None = None):
     """Append a certificate to a JSONL store, writing the schema header on
-    first use."""
+    first use.  A store holds one shape: a certificate of another shape is
+    refused with a ValueError."""
     import os
 
     header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
+    if not header_needed:
+        header, _ = store_read(path)
+        if header["shape"] != str(cert.shape):
+            raise ValueError(
+                f"store {path} holds shape {header['shape']}, not {cert.shape}"
+            )
     with open(path, "a", encoding="utf-8") as fh:
         if header_needed:
             fh.write(json.dumps({
@@ -550,6 +527,10 @@ def store_append(path: str, cert: Certificate, lam_blocks: int | None = None):
 
 
 def store_read(path: str) -> tuple[dict, list[dict]]:
+    """The header and the certificate rows of a store; a file without a
+    schema-1 header raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("schema") != 1:
+        raise ValueError(f"{path} is not a schema-1 certificate store")
     return lines[0], lines[1:]

@@ -10,9 +10,7 @@ assertion; 2 bad input; 3 an unsupported shape.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 import click
 
@@ -40,15 +38,6 @@ from .weyl import (
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
-
-
-@dataclass
-class RunConfig:
-    """Group-level run parameters shared by the subcommands."""
-
-    threads: int = 1
-    budget: int = 2000
-    outputs: dict = field(default_factory=dict)
 
 
 def _shape(text: str) -> ParabolicShape:
@@ -79,16 +68,8 @@ def _emit(data, fmt: str):
 
 @click.group()
 @click.version_option(__version__)
-@click.option(
-    "--threads",
-    type=int,
-    default=lambda: int(os.environ.get("GCSCHUB_THREADS", "1")),
-    show_default="GCSCHUB_THREADS or 1",
-    help="Worker pool size for sweeps; results are order-independent.",
-)
-@click.pass_context
-def main(ctx, threads):
-    ctx.obj = RunConfig(threads=max(1, threads))
+def main():
+    pass
 
 
 @main.command()
@@ -109,8 +90,11 @@ def constant(shape_text, u_texts, v_text, w_text, mu, nu, eta, fmt):
             raise click.UsageError("--mu/--nu/--eta need a Grassmannian shape and all three values")
         m = shape.cuts[0]
         pads = lambda t: tuple(parse_partition(t)) + (0,) * (m - len(parse_partition(t)))
-        us = [grassmannian_perm(pads(mu), m, n), grassmannian_perm(pads(nu), m, n)]
-        w = grassmannian_perm(pads(eta), m, n)
+        try:
+            us = [grassmannian_perm(pads(mu), m, n), grassmannian_perm(pads(nu), m, n)]
+            w = grassmannian_perm(pads(eta), m, n)
+        except ValueError as exc:  # unparsable or outside the m x (n-m) box
+            raise click.UsageError(str(exc))
     else:
         if not u_texts or v_text is None or w_text is None:
             raise click.UsageError("give --u/--v/--w or --mu/--nu/--eta")
@@ -148,7 +132,10 @@ def _run_certificate(shape, v_texts, w_text, u_texts, budget, do_search, store):
         # precondition violations: bad coset representatives, length mismatch
         raise click.UsageError(str(exc))
     if store and cert is not None:
-        store_append(store, cert)
+        try:
+            store_append(store, cert)
+        except ValueError as exc:  # not a store, or one holding another shape
+            raise click.UsageError(str(exc))
     return cert, None
 
 
@@ -194,12 +181,11 @@ def search_cmd(shape_text, v_texts, w_text, budget, store, fmt):
 @click.option("--out", default=None, help="Write the JSON summary here as well.")
 @click.option("--detail", default=None, help="Write a per-class TSV detail table here.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
-@click.pass_obj
-def sweep(config, shape_text, budget, out, detail, fmt):
+def sweep(shape_text, budget, out, detail, fmt):
     """Resolve every constant class of the shape: certified or zero."""
     shape = _shape(shape_text)
     try:
-        report = sweep_conjecture(shape, budget=budget, threads=config.threads)
+        report = sweep_conjecture(shape, budget=budget)
     except UnsupportedShapeError as exc:
         _emit({"status": "unsupported_shape", "detail": str(exc)}, fmt)
         sys.exit(EXIT_UNSUPPORTED)
@@ -306,8 +292,10 @@ def kogan(shape_text, target, dual, positions, fmt):
         _emit({"status": "unsupported_shape", "detail": "Kogan faces need a complete flag"}, fmt)
         sys.exit(EXIT_UNSUPPORTED)
     if positions:
-        pos = [int(p) for p in positions.split(",")]
-        face = face_from_positions(diagram, pos, dual)
+        try:
+            face = face_from_positions(diagram, [int(p) for p in positions.split(",")], dual)
+        except ValueError as exc:  # not integers, or outside the reference word
+            raise click.UsageError(str(exc))
         _emit(face.to_json(), fmt)
         return
     if not target:

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .weyl import (
     Permutation,
+    UnsupportedShapeError,
     bruhat_leq,
     length,
     longest_element,
@@ -423,9 +424,10 @@ def build_modified_partition(n: int, bound: int = 4) -> list[TripleClass]:
     """Partition the degree-compatible triples of S_n into constant classes:
     seed with the Bruhat-incompatible zero set, close under the four moves,
     then merge every class that witnesses a vanishing move into the zero
-    class, and attach the commuting-split tuples."""
+    class, and attach the commuting-split tuples.  Shapes with n above
+    ``bound`` raise UnsupportedShapeError."""
     if n > bound:
-        raise ValueError(f"n={n} exceeds the configured bound {bound}")
+        raise UnsupportedShapeError(f"n={n} exceeds the configured bound {bound}")
     triples = all_triples(n)
     index = {t: i for i, t in enumerate(triples)}
     uf = list(range(len(triples) + 1))

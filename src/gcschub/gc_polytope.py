@@ -8,6 +8,12 @@ merged into blocks, blocks pinned to constants whenever the order
 constraints squeeze them.  Saturation makes feasibility, dimension and
 containment exact for these systems, and the vertex-rank oracle double
 checks that in the tests.
+
+A face is identified by the set of adjacent-pair inequalities it makes
+tight, kept as a bitmask: containment is a subset test on masks, and the
+intersection of two faces is the saturation of the union of their masks.
+The polytope memoises that saturation per union mask, and also owns the
+cache of divisor facet unions that certificate evaluation fills.
 """
 
 from __future__ import annotations
@@ -24,11 +30,7 @@ from .ladder import (
     path_of_partition,
     validate_lambda,
 )
-
-
-class UnsupportedShapeError(ValueError):
-    """Raised when an operation is only characterized for Grassmannians or
-    complete flags and another shape is requested."""
+from .weyl import UnsupportedShapeError  # noqa: F401 (re-exported)
 
 
 class _UnionFind:
@@ -57,11 +59,14 @@ class Face:
 
     ``key`` assigns every box either -l (pinned to block value a_l) or a
     positive block number given by first occurrence; ``None`` marks the
-    empty face.  Faces compare and hash by key alone.
+    empty face.  Bit i of ``mask`` is set when the inequality
+    ``poly._pairs[i]`` is tight on the face; the empty face has mask -1.
+    Faces compare, hash and sort by key alone.
     """
 
     poly: "Polytope"
     key: tuple[int, ...] | None
+    mask: int
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Face) and self.key == other.key
@@ -99,22 +104,9 @@ class Face:
         return [tuple(g) for _, g in sorted(groups.items())]
 
     def contains(self, other: "Face") -> bool:
-        """Point-set containment: other is a subset of self."""
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        # every equality of self must hold identically on other
-        classes: dict[int, set[int]] = {}
-        for mine, theirs in zip(self.key, other.key):
-            classes.setdefault(mine, set()).add(theirs)
-        for mine, theirs in classes.items():
-            if mine < 0:
-                if theirs != {mine}:
-                    return False
-            elif len(theirs) != 1:
-                return False
-        return True
+        """Point-set containment: other is a subset of self, that is every
+        inequality tight on self is tight on other."""
+        return self.mask & ~other.mask == 0
 
     def vertex(self) -> "Vertex":
         if self.dim != 0:
@@ -168,7 +160,8 @@ class Vertex:
         return frozenset(out)
 
     def as_face(self) -> Face:
-        return Face(self.poly, tuple(-v for v in self.values))
+        key = tuple(-v for v in self.values)
+        return Face(self.poly, key, self.poly.tight_mask(key))
 
     def pattern(self, lam: tuple[int, ...]) -> Pattern:
         """Numeric Gelfand-Cetlin pattern at this vertex."""
@@ -201,8 +194,16 @@ class Polytope:
         for lo, hi in diagram.adjacent_pairs():
             self._pairs.append((self._node(lo), self._node(hi)))
         self._pairs = sorted(set(self._pairs))
+        # values of the pseudo-nodes: in key + _const_values, entry i is the
+        # value of node i
+        self._const_values = tuple(-l for l in range(1, self.num_values + 1))
+        self._empty = Face(self, None, -1)
         self._vertices: list[Vertex] | None = None
         self._facet_cache: dict[EdgeKey, Face] = {}
+        # union of two tight masks -> tight mask of the saturated intersection
+        self._meet: dict[int, int] = {}
+        # divisor facet unions by translation data, filled by certify.evaluate
+        self.delta_cache: dict[tuple, FaceUnion] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -223,7 +224,7 @@ class Polytope:
         return self._saturate([], {})
 
     def empty_face(self) -> Face:
-        return Face(self, None)
+        return self._empty
 
     def facet_face(self, edge: EdgeKey) -> Face:
         if edge not in self._facet_cache:
@@ -256,10 +257,64 @@ class Polytope:
                 pins[nodes[0]] = values[0]
             else:
                 merges.append((nodes[0], nodes[1]))
-        return self._saturate(merges, pins)
+        return self._checked(self._saturate(merges, pins))
 
     def face_from_pins(self, pin_cells: dict[Cell, int]) -> Face:
-        return self._saturate([], {self.box_index[c]: v for c, v in pin_cells.items()})
+        return self._checked(
+            self._saturate([], {self.box_index[c]: v for c, v in pin_cells.items()})
+        )
+
+    def _checked(self, face: Face) -> Face:
+        """An equality system given from outside must cut out a face of the
+        polytope, the set of points where its tight inequalities hold with
+        equality; pinning a box strictly inside its range does not."""
+        if self._face_of_mask(face.mask).key != face.key:
+            raise ValueError(f"equality system {face.key} is not a face of the polytope")
+        return face
+
+    # -- tight masks -----------------------------------------------------------
+
+    def tight_mask(self, key: tuple[int, ...] | None) -> int:
+        """Bit i set when the inequality ``_pairs[i]`` holds with equality
+        everywhere on the face with this saturated key; -1 for the empty
+        face."""
+        if key is None:
+            return -1
+        values = key + self._const_values
+        mask = 0
+        bit = 1
+        for lo, hi in self._pairs:
+            if values[lo] == values[hi]:
+                mask |= bit
+            bit <<= 1
+        return mask
+
+    def _face_of_mask(self, mask: int) -> Face:
+        """The face whose tight set is the saturated mask: its equalities are
+        exactly the tight pairs, so no closure is needed."""
+        if mask == -1:
+            return self._empty
+        nb = len(self.boxes)
+        parent = list(range(nb + self.num_values))
+        bit = 1
+        for lo, hi in self._pairs:
+            if mask & bit:
+                while parent[lo] != lo:
+                    lo = parent[lo]
+                while parent[hi] != hi:
+                    hi = parent[hi]
+                if lo < hi:
+                    parent[hi] = lo
+                elif hi < lo:
+                    parent[lo] = hi
+            bit <<= 1
+        pin = {}
+        for l in range(1, self.num_values + 1):
+            root = nb + l - 1
+            while parent[root] != root:
+                root = parent[root]
+            pin[root] = l
+        return Face(self, _canonical_key(parent, nb, pin), mask)
 
     # -- saturation ------------------------------------------------------------
 
@@ -286,12 +341,13 @@ class Polytope:
                     return self.empty_face()
             pin = root_pin
 
+            root_of = [uf.find(i) for i in range(size)]
             edges = {
-                (uf.find(lo), uf.find(hi))
+                (root_of[lo], root_of[hi])
                 for lo, hi in self._pairs
-                if uf.find(lo) != uf.find(hi)
+                if root_of[lo] != root_of[hi]
             }
-            roots = sorted({uf.find(i) for i in range(size)})
+            roots = sorted(set(root_of))
             index = {r: i for i, r in enumerate(roots)}
             m = len(roots)
             succ = [0] * m
@@ -350,36 +406,28 @@ class Polytope:
             if not squeezed:
                 break
 
-        key: list[int] = []
-        block_no: dict[int, int] = {}
-        for i in range(nb):
-            root = uf.find(i)
-            if root in pin:
-                key.append(-pin[root])
-            else:
-                key.append(block_no.setdefault(root, len(block_no) + 1))
-        return Face(self, tuple(key))
+        key = _canonical_key(uf.parent, nb, pin)
+        return Face(self, key, self.tight_mask(key))
 
     # -- face operations --------------------------------------------------------
 
     def intersect(self, f: Face, g: Face) -> Face:
-        if f.is_empty or g.is_empty:
-            return self.empty_face()
-        merges = []
-        pins: dict[int, int] = {}
-        for key in (f.key, g.key):
-            groups: dict[int, list[int]] = {}
-            for idx, v in enumerate(key):
-                if v < 0:
-                    prev = pins.get(idx)
-                    if prev is not None and prev != -v:
-                        return self.empty_face()
-                    pins[idx] = -v
-                else:
-                    groups.setdefault(v, []).append(idx)
-            for members in groups.values():
-                merges.extend(zip(members, members[1:]))
-        return self._saturate(merges, pins)
+        """The face where the tight inequalities of f and of g all hold.
+        Each distinct union of tight masks is saturated once."""
+        if f.poly is not self or g.poly is not self:
+            raise ValueError("faces belong to a different polytope")
+        fm, gm = f.mask, g.mask
+        if fm & ~gm == 0:  # g lies in f; this covers an empty g
+            return g
+        if gm & ~fm == 0:
+            return f
+        union = fm | gm
+        meet = self._meet.get(union)
+        if meet is not None:
+            return self._face_of_mask(meet)
+        face = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1], {})
+        self._meet[union] = face.mask
+        return face
 
     # -- vertices -----------------------------------------------------------------
 
@@ -567,6 +615,26 @@ class Polytope:
         return out
 
 
+def _canonical_key(parent: list[int], nb: int, pin: dict[int, int]) -> tuple[int, ...]:
+    """Key of a union-find forest on the nodes whose roots are the least
+    index of their class: -l for a box whose root is pinned to a_l, block
+    numbers by first occurrence for the other boxes."""
+    key = [0] * nb
+    blocks = 0
+    for i in range(nb):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        if root != i:
+            key[i] = key[root]
+        elif i in pin:
+            key[i] = -pin[i]
+        else:
+            blocks += 1
+            key[i] = blocks
+    return tuple(key)
+
+
 def _rank(rows: list[list[Fraction]]) -> int:
     rows = [r[:] for r in rows]
     rank = 0
@@ -583,27 +651,6 @@ def _rank(rows: list[list[Fraction]]) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
         rank += 1
     return rank
-
-
-# -- module-level operations matching the public surface -------------------------
-
-
-def polytope(diagram: LadderDiagram, lam: tuple[int, ...] | None = None) -> Polytope:
-    """Construct the polytope; a numeric lam, when given, is only validated."""
-    poly = Polytope(diagram)
-    if lam is not None:
-        validate_lambda(diagram.shape, lam)
-    return poly
-
-
-def intersect_faces(f: Face, g: Face) -> Face:
-    if f.poly is not g.poly:
-        raise ValueError("faces belong to different polytopes")
-    return f.poly.intersect(f, g)
-
-
-def face_dimension(f: Face) -> int:
-    return f.dim
 
 
 @dataclass(frozen=True)
@@ -633,16 +680,9 @@ class FaceUnion:
     def max_dim(self) -> int:
         return max((f.dim for f in self.faces), default=-1)
 
-    def intersect_with_facets(self, facets: list[Face]) -> "FaceUnion":
-        new = []
-        for f in self.faces:
-            for g in facets:
-                h = self.poly.intersect(f, g)
-                if not h.is_empty:
-                    new.append(h)
-        return FaceUnion(self.poly, _antichain(new))
-
     def intersect(self, other: "FaceUnion") -> "FaceUnion":
+        """Pointwise intersection of two unions; ``other`` need not be an
+        antichain, so a divisor's facets can be passed as they are."""
         new = []
         for f in self.faces:
             for g in other.faces:
@@ -668,9 +708,11 @@ class FaceUnion:
 
 
 def _antichain(faces) -> tuple[Face, ...]:
-    """Drop contained faces; distinct saturated keys never coincide as point
-    sets, so strict containment is exactly `contains` between unequal keys."""
-    uniq = sorted({f for f in faces if not f.is_empty})
-    return tuple(
-        f for f in uniq if not any(g != f and g.contains(f) for g in uniq)
-    )
+    """The maximal faces, sorted by key.  A face lies strictly in another
+    only when its mask has more tight bits, so it is enough to scan by bit
+    count and test each face against the maximal faces kept so far."""
+    kept: list[Face] = []
+    for f in sorted({f for f in faces if not f.is_empty}, key=lambda f: f.mask.bit_count()):
+        if not any(g.contains(f) for g in kept):
+            kept.append(f)
+    return tuple(sorted(kept))

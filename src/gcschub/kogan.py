@@ -102,6 +102,9 @@ def reference_word(n: int, dual: bool) -> tuple[int, ...]:
 def face_from_positions(diagram: LadderDiagram, positions, dual: bool) -> KoganFace:
     """Kogan face from 1-based positions into the reference word of w_0."""
     grid = word_positions(diagram.n, dual)
+    bad = [p for p in positions if not 1 <= p <= len(grid)]
+    if bad:
+        raise ValueError(f"positions must be within 1..{len(grid)}: {bad}")
     edges = [grid[p - 1] for p in positions]
     return read_word(diagram, edges, dual)
 

@@ -121,7 +121,7 @@ def fold_paths(poly: Polytope, paths) -> FaceUnion:
     for div in divisors:
         if not div.facets:
             return FaceUnion.empty(poly)
-        union = union.intersect_with_facets(list(div.facets))
+        union = union.intersect(FaceUnion(poly, div.facets))
         if union.is_empty:
             return union
     return union

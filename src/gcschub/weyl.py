@@ -83,6 +83,11 @@ class Permutation:
         return f"Permutation({','.join(map(str, self.window))})"
 
 
+class UnsupportedShapeError(ValueError):
+    """Raised when an operation is only characterized for Grassmannians or
+    complete flags and another shape is requested."""
+
+
 @dataclass(frozen=True)
 class ParabolicShape:
     """Strictly increasing cuts 0 < n_1 < ... < n_k < n defining a block

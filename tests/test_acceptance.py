@@ -16,7 +16,7 @@ from gcschub.coeffs import (
     split_by_star,
     structure_constant,
 )
-from gcschub.gc_polytope import Polytope, intersect_faces
+from gcschub.gc_polytope import Polytope
 from gcschub.kogan import enumerate_reduced, face_from_positions
 from gcschub.ladder import (
     LadderDiagram,
@@ -115,7 +115,7 @@ def test_criterion_1_gr36_flagship():
 
 
 def test_criterion_2_fl4_sweep():
-    from gcschub.certify import _DeltaCache, search
+    from gcschub.certify import search
 
     start = time.monotonic()
     rep = sweep_complete_flag(4, verify_oracle=True)
@@ -129,23 +129,21 @@ def test_criterion_2_fl4_sweep():
     # beyond the class resolution: every single triple certifies through its
     # own symmetry orbit with one moving translation slot
     poly = make(1, 2, 3, 4)
-    cache = _DeltaCache(poly)
 
     def resolve_triple(t):
         for member in sorted(apply_identities(t)):
             res = search(poly, [member[0], member[1]], member[2],
-                         budget=200, tiers=(1,), cache=cache)
+                         budget=200, tiers=(1,))
             if res.ok:
                 return res
             split = split_by_star(member)
             if len(split) > 3:
                 res = search(poly, list(split[:-1]), split[-1],
-                             budget=200, tiers=(1,), cache=cache)
+                             budget=200, tiers=(1,))
                 if res.ok:
                     return res
         # a handful of triples need a genuine translation pair
-        return search(poly, [t[0], t[1]], t[2], budget=600, tiers=(3,),
-                      cache=cache).certificate
+        return search(poly, [t[0], t[1]], t[2], budget=600, tiers=(3,)).certificate
 
     for t in all_triples(4):
         assert resolve_triple(t) is not None, t
@@ -330,7 +328,7 @@ def test_criterion_9_property_suite():
             new = []
             for f in frontier:
                 for e in poly.diagram.effective_edges:
-                    g = intersect_faces(f, poly.facet_face(e))
+                    g = poly.intersect(f, poly.facet_face(e))
                     if not g.is_empty and g not in seen:
                         seen.add(g)
                         new.append(g)

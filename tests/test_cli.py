@@ -191,3 +191,35 @@ class TestVerticesCmd:
     def test_regular_only(self, run):
         res = run("vertices", "--shape", "1,2,3", "--regular-only")
         assert len(res.output.strip().splitlines()) == 7  # header + 6
+
+
+# each input must end in its documented exit code with a message, never a
+# traceback: 2 for bad input, 3 for an unsupported shape
+BAD_INPUTS = [
+    (("sweep", "--shape", "1,2,3,4,5"), 3),
+    (("constant", "--shape", "2,4", "--mu", "(3,0)", "--nu", "(1,0)", "--eta", "(2,2)"), 2),
+    (("constant", "--shape", "2,4", "--mu", "(x)", "--nu", "(1,0)", "--eta", "(2,2)"), 2),
+    (("kogan", "--shape", "1,2,3", "--positions", "1,99"), 2),
+    (("kogan", "--shape", "1,2,3", "--positions", "0"), 2),
+    (("kogan", "--shape", "1,2,3", "--positions", "1,x"), 2),
+]
+
+
+class TestExitCodes:
+    @staticmethod
+    def assert_clean_exit(res, code):
+        assert res.exit_code == code, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args,code", BAD_INPUTS)
+    def test_bad_input(self, run, args, code):
+        self.assert_clean_exit(run(*args), code)
+
+    def test_store_of_another_shape(self, run, tmp_path):
+        store = tmp_path / "store.jsonl"
+        store.write_text(json.dumps({"schema": 1, "shape": "1,3"}) + "\n")
+        res = run("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
+                  "--w", "2,3,1,4", "--u", "1,3,2,4", "--u", "id", "--store", str(store))
+        self.assert_clean_exit(res, 2)
+        assert len(store.read_text().splitlines()) == 1

@@ -1,0 +1,184 @@
+"""Differential tests of the tight-mask fast paths against the slow
+references they replaced: key-walking containment, vertex-set containment
+and a fresh key-based saturation of every intersection."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcschub.gc_polytope import Polytope
+from gcschub.kogan import degeneration_union
+from gcschub.ladder import LadderDiagram
+from gcschub.weyl import ParabolicShape, Permutation
+
+
+def make(*cuts_n):
+    return Polytope(LadderDiagram(ParabolicShape(cuts_n[:-1], cuts_n[-1])))
+
+
+def key_contains(f, g) -> bool:
+    """Reference containment on keys: every equality of f holds on g."""
+    if g.is_empty:
+        return True
+    if f.is_empty:
+        return False
+    classes: dict[int, set[int]] = {}
+    for mine, theirs in zip(f.key, g.key):
+        classes.setdefault(mine, set()).add(theirs)
+    for mine, theirs in classes.items():
+        if mine < 0:
+            if theirs != {mine}:
+                return False
+        elif len(theirs) != 1:
+            return False
+    return True
+
+
+def fresh_intersect(poly, f, g):
+    """Reference intersection: saturate the equalities read off both keys,
+    with no memo and no containment shortcut."""
+    if f.is_empty or g.is_empty:
+        return poly.empty_face()
+    merges = []
+    pins: dict[int, int] = {}
+    for key in (f.key, g.key):
+        groups: dict[int, list[int]] = {}
+        for idx, v in enumerate(key):
+            if v < 0:
+                if pins.setdefault(idx, -v) != -v:
+                    return poly.empty_face()
+            else:
+                groups.setdefault(v, []).append(idx)
+        for members in groups.values():
+            merges.extend(zip(members, members[1:]))
+    return poly._saturate(merges, pins)
+
+
+def vertex_set(poly, f) -> frozenset:
+    """Vertices of the face, found by key-walking containment."""
+    return frozenset(v for v in poly.vertices() if key_contains(f, v.as_face()))
+
+
+def reachable_faces(poly):
+    """Every nonempty face reachable from the whole polytope by facet
+    intersections."""
+    seen = {poly.whole_face()}
+    frontier = [poly.whole_face()]
+    while frontier:
+        new = []
+        for f in frontier:
+            for e in poly.diagram.effective_edges:
+                g = poly.intersect(f, poly.facet_face(e))
+                if not g.is_empty and g not in seen:
+                    seen.add(g)
+                    new.append(g)
+        frontier = new
+    return sorted(seen)
+
+
+def check_faces(poly, faces):
+    """Per face: the mask is the tight set of the key, and the face rebuilds
+    from its mask; across faces, distinct keys have distinct masks."""
+    for f in faces:
+        assert f.mask == poly.tight_mask(f.key), f
+        assert poly._face_of_mask(f.mask).key == f.key, f
+    assert len({f.mask for f in faces}) == len(set(faces))
+
+
+def check_containment(poly, faces):
+    """Mask, key-walking and vertex-set containment agree on all pairs."""
+    verts = {f: vertex_set(poly, f) for f in faces}
+    pairs = 0
+    for f, g in itertools.product(faces, repeat=2):
+        by_mask = f.contains(g)
+        assert by_mask == key_contains(f, g), (f, g)
+        assert by_mask == (verts[g] <= verts[f]), (f, g)
+        pairs += 1
+    return pairs
+
+
+def check_intersections(poly, pairs):
+    """The memoised intersection, on a miss and on the following hit, equals
+    a fresh saturation and carries the mask of its key."""
+    for f, g in pairs:
+        expected = fresh_intersect(poly, f, g)
+        for got in (poly.intersect(f, g), poly.intersect(g, f)):
+            assert got == expected, (f, g)
+            assert got.mask == poly.tight_mask(expected.key), (f, g)
+
+
+def gr25_named_faces(poly):
+    parts = [(a, b) for a in range(4) for b in range(a + 1)]
+    named = [poly.named_face_F(mu) for mu in parts]
+    named += [poly.named_face_Fvee(mu) for mu in parts]
+    named += [poly.delta_k_face(k) for k in (1, 2, 3)]
+    return named
+
+
+def fl4_kogan_faces(poly):
+    faces = set()
+    for window in itertools.permutations(range(1, 5)):
+        for opposite in (True, False):
+            faces.update(degeneration_union(poly, Permutation(window), opposite).faces)
+    return sorted(faces)
+
+
+class TestExhaustive:
+    def test_gr25_all_pairs(self):
+        poly = make(2, 5)
+        faces = reachable_faces(poly) + [poly.empty_face()]
+        named = gr25_named_faces(poly)
+        assert set(named) - {poly.empty_face()} <= set(faces)
+        faces = sorted(set(faces) | set(named))
+        check_faces(poly, faces)
+        assert check_containment(poly, faces) == len(faces) ** 2
+        check_intersections(poly, itertools.combinations_with_replacement(faces, 2))
+
+    def test_fl4(self):
+        poly = make(1, 2, 3, 4)
+        faces = reachable_faces(poly) + [poly.empty_face()]
+        kogan = fl4_kogan_faces(poly)
+        assert kogan and set(kogan) <= set(faces)
+        check_faces(poly, faces)
+        assert check_containment(poly, faces) == len(faces) ** 2
+        check_intersections(poly, itertools.combinations_with_replacement(faces, 2))
+
+    def test_vertex_faces(self):
+        # vertices become faces without saturation; their masks must agree
+        for poly in (make(2, 5), make(1, 2, 3, 4)):
+            faces = [v.as_face() for v in poly.vertices()]
+            check_faces(poly, faces)
+            assert all(f.dim == 0 for f in faces)
+
+
+FL5 = make(1, 2, 3, 4, 5)
+FL5_EDGES = FL5.diagram.effective_edges
+
+
+def fl5_face(edges):
+    face = FL5.whole_face()
+    for e in edges:
+        face = FL5.intersect(face, FL5.facet_face(e))
+    return face
+
+
+fl5_faces = st.lists(st.sampled_from(FL5_EDGES), max_size=8).map(fl5_face)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(fl5_faces, min_size=2, max_size=5))
+def test_fl5_sample(faces):
+    check_faces(FL5, faces)
+    check_containment(FL5, faces)
+    check_intersections(FL5, itertools.combinations(faces, 2))
+
+
+def test_non_face_equality_system_rejected():
+    # the middle entry of Fl3 ranges over [a_3, a_1]: pinning it to a_2 is
+    # an equality system, but not a face, so no mask can identify it
+    fl3 = make(1, 2, 3)
+    with pytest.raises(ValueError):
+        fl3.face_from_pins({(1, 1): 2})
+    assert not fl3.face_from_pins({(1, 1): 1}).is_empty

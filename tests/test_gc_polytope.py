@@ -4,11 +4,8 @@ from gcschub.gc_polytope import (
     FaceUnion,
     Polytope,
     UnsupportedShapeError,
-    face_dimension,
-    intersect_faces,
-    polytope,
 )
-from gcschub.ladder import LadderDiagram
+from gcschub.ladder import LadderDiagram, validate_lambda
 from gcschub.weyl import ParabolicShape
 
 
@@ -29,11 +26,11 @@ class TestPolytopeBasics:
         assert make(1, 2).dim == 1
 
     def test_lambda_validation(self):
-        polytope(LadderDiagram(ParabolicShape((2,), 4)), (1, 1, 0, 0))
+        validate_lambda(ParabolicShape((2,), 4), (1, 1, 0, 0))
         with pytest.raises(ValueError):
-            polytope(LadderDiagram(ParabolicShape((2,), 4)), (1, 0, 0, 0))
+            validate_lambda(ParabolicShape((2,), 4), (1, 0, 0, 0))
         with pytest.raises(ValueError):
-            polytope(LadderDiagram(ParabolicShape((2,), 4)), (1, 1, 1, 1))
+            validate_lambda(ParabolicShape((2,), 4), (1, 1, 1, 1))
 
     def test_facet_count_is_effective_edge_count(self):
         for poly in (GR24, GR25, FL3, FL4):
@@ -116,23 +113,23 @@ class TestCoordinatePoints:
 class TestFaceArithmetic:
     def test_intersect_with_whole(self):
         f = GR24.named_face_F((1, 0))
-        assert intersect_faces(f, GR24.whole_face()) == f
+        assert GR24.intersect(f, GR24.whole_face()) == f
 
     def test_contradictory_pins_empty(self):
         a = GR24.face_from_pins({(1, 1): 1})
         b = GR24.face_from_pins({(1, 1): 2})
-        assert intersect_faces(a, b).is_empty
-        assert face_dimension(intersect_faces(a, b)) == -1
+        assert GR24.intersect(a, b).is_empty
+        assert GR24.intersect(a, b).dim == -1
 
     def test_richardson_segment_and_chevalley_point(self):
         # the face pair differs by one box: a one-dimensional face, which a
         # single divisor facet on the path of (1,0) cuts down to a vertex
-        f = intersect_faces(GR24.named_face_F((1, 0)), GR24.named_face_Fvee((1, 1)))
+        f = GR24.intersect(GR24.named_face_F((1, 0)), GR24.named_face_Fvee((1, 1)))
         assert f.dim == 1
         from gcschub.ladder import path_of_partition
 
         fin = [
-            intersect_faces(f, GR24.facet_face(e))
+            GR24.intersect(f, GR24.facet_face(e))
             for e in GR24.diagram.effective_edges_on(path_of_partition((1, 0), 2, 4))
         ]
         nonempty = [g for g in fin if not g.is_empty]
@@ -148,7 +145,7 @@ class TestFaceArithmetic:
                 nxt = []
                 for f in frontier:
                     for e in edges:
-                        g = intersect_faces(f, poly.facet_face(e))
+                        g = poly.intersect(f, poly.facet_face(e))
                         if not g.is_empty and g not in seen:
                             seen.add(g)
                             nxt.append(g)
@@ -165,7 +162,7 @@ class TestFaceArithmetic:
         for eid in ids:
             kind = eid[0]
             a, b = eid[2:-1].split(",")
-            regen = intersect_faces(regen, GR24.facet_face((kind, int(a), int(b))))
+            regen = GR24.intersect(regen, GR24.facet_face((kind, int(a), int(b))))
         assert regen == f
 
 
@@ -188,7 +185,7 @@ class TestNamedFaces:
         parts = [(a, b) for a in range(4) for b in range(a + 1)]
         for mu in parts:
             for eta in parts:
-                f = intersect_faces(GR25.named_face_F(mu), GR25.named_face_Fvee(eta))
+                f = GR25.intersect(GR25.named_face_F(mu), GR25.named_face_Fvee(eta))
                 if all(x <= y for x, y in zip(mu, eta)):
                     assert f.dim == sum(eta) - sum(mu)
                 else:
@@ -206,7 +203,7 @@ class TestNamedFaces:
 class TestFaceUnion:
     def test_antichain_reduction(self):
         big = GR24.named_face_F((1, 0))
-        small = intersect_faces(big, GR24.named_face_Fvee((2, 1)))
+        small = GR24.intersect(big, GR24.named_face_Fvee((2, 1)))
         fu = FaceUnion.of(GR24, [small, big, big])
         assert fu.faces == (big,)
 

@@ -166,7 +166,7 @@ class TestDeltaUV:
 
             union = FaceUnion.whole(P25)
             for p in shuffled:
-                union = union.intersect_with_facets(list(divisor_facets(P25, p).facets))
+                union = union.intersect(FaceUnion(P25, divisor_facets(P25, p).facets))
             assert union.faces == reference.faces
 
 
