@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .coeffs import structure_constant
-from .gc_polytope import Polytope, UnsupportedShapeError, Vertex
+from .gc_polytope import Polytope, Vertex
 from .pluecker import delta_schubert_bottom, delta_uv
-from .weyl import ParabolicShape, Permutation, bruhat_leq, length
+from .weyl import ParabolicShape, Permutation, UnsupportedShapeError, bruhat_leq, length
 
 log = logging.getLogger("gcschub")
 

@@ -16,6 +16,7 @@ import click
 
 from . import __version__
 from .certify import (
+    Certificate,
     EvaluationFailure,
     SweepReport,
     evaluate,
@@ -24,12 +25,13 @@ from .certify import (
     sweep_conjecture,
 )
 from .coeffs import structure_constant
-from .gc_polytope import Polytope, UnsupportedShapeError  # noqa: F401 (re-exported)
+from .gc_polytope import Polytope
 from .kogan import enumerate_reduced, face_from_positions
 from .ladder import LadderDiagram, decompose_weight, validate_lambda
 from .weyl import (
     ParabolicShape,
     Permutation,
+    UnsupportedShapeError,
     grassmannian_perm,
     parse_partition,
     parse_permutation,
@@ -100,43 +102,38 @@ def constant(shape_text, u_texts, v_text, w_text, mu, nu, eta, fmt):
             raise click.UsageError("give --u/--v/--w or --mu/--nu/--eta")
         us = [_perm(t, n) for t in u_texts] + [_perm(v_text, n)]
         w = _perm(w_text, n)
+        for x in us + [w]:
+            if not shape.in_min_coset_reps(x):
+                raise click.UsageError(f"{x} is not a minimal coset representative for {shape}")
     value = structure_constant(us, w)
     _emit({"N": value, "provenance": "oracle"}, fmt)
 
 
-def _run_certificate(shape, v_texts, w_text, u_texts, budget, do_search, store):
-    n = shape.n
-    try:
-        vs = [parse_permutation(t, n) for t in v_texts]
-        w = parse_permutation(w_text, n)
-        us = [parse_permutation(t, n) for t in u_texts]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _certificate_command(shape_text, v_texts, w_text, store, fmt, run):
+    """Parse the factors, run ``run(poly, vs, w)``, store and emit its
+    certificate, and exit.  ``run`` returns a Certificate, or a failure
+    payload whose status names what went wrong."""
+    shape = _shape(shape_text)
+    vs = [_perm(t, shape.n) for t in v_texts]
+    w = _perm(w_text, shape.n)
     poly = Polytope(LadderDiagram(shape))
     try:
-        if do_search:
-            result = search(poly, vs, w, budget=budget)
-            cert = result.certificate
-            if cert is None:
-                return None, {"status": "exhausted", "tried": result.stats.tried,
-                              "cursor": result.stats.cursor,
-                              "failures": result.stats.failures}
-        else:
-            res = evaluate(poly, vs, w, us)
-            if isinstance(res, EvaluationFailure):
-                return None, {"status": res.kind, "detail": res.detail}
-            cert = res
+        outcome = run(poly, vs, w)
     except UnsupportedShapeError as exc:
-        return None, {"status": "unsupported_shape", "detail": str(exc)}
+        outcome = {"status": "unsupported_shape", "detail": str(exc)}
     except ValueError as exc:
         # precondition violations: bad coset representatives, length mismatch
         raise click.UsageError(str(exc))
-    if store and cert is not None:
+    if not isinstance(outcome, Certificate):
+        _emit(outcome, fmt)
+        sys.exit(EXIT_UNSUPPORTED if outcome["status"] == "unsupported_shape" else EXIT_ASSERTION)
+    if store:
         try:
-            store_append(store, cert)
+            store_append(store, outcome)
         except ValueError as exc:  # not a store, or one holding another shape
             raise click.UsageError(str(exc))
-    return cert, None
+    _emit(outcome.to_json(), fmt)
+    sys.exit(0 if outcome.ok else EXIT_ASSERTION)
 
 
 @main.command()
@@ -148,13 +145,14 @@ def _run_certificate(shape, v_texts, w_text, u_texts, budget, do_search, store):
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
 def certify(shape_text, v_texts, w_text, u_texts, store, fmt):
     """Evaluate one translation tuple into a certificate."""
-    shape = _shape(shape_text)
-    cert, failure = _run_certificate(shape, v_texts, w_text, u_texts, 0, False, store)
-    if failure is not None:
-        _emit(failure, fmt)
-        sys.exit(EXIT_UNSUPPORTED if failure["status"] == "unsupported_shape" else EXIT_ASSERTION)
-    _emit(cert.to_json(), fmt)
-    sys.exit(0 if cert.ok else EXIT_ASSERTION)
+
+    def run(poly, vs, w):
+        res = evaluate(poly, vs, w, [_perm(t, poly.n) for t in u_texts])
+        if isinstance(res, EvaluationFailure):
+            return {"status": res.kind, "detail": res.detail}
+        return res
+
+    _certificate_command(shape_text, v_texts, w_text, store, fmt, run)
 
 
 @main.command("search")
@@ -166,13 +164,16 @@ def certify(shape_text, v_texts, w_text, u_texts, store, fmt):
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
 def search_cmd(shape_text, v_texts, w_text, budget, store, fmt):
     """Search translation tuples for a certificate."""
-    shape = _shape(shape_text)
-    cert, failure = _run_certificate(shape, v_texts, w_text, (), budget, True, store)
-    if failure is not None:
-        _emit(failure, fmt)
-        sys.exit(EXIT_UNSUPPORTED if failure["status"] == "unsupported_shape" else EXIT_ASSERTION)
-    _emit(cert.to_json(), fmt)
-    sys.exit(0 if cert.ok else EXIT_ASSERTION)
+
+    def run(poly, vs, w):
+        result = search(poly, vs, w, budget=budget)
+        if result.certificate is None:
+            stats = result.stats
+            return {"status": "exhausted", "tried": stats.tried,
+                    "cursor": stats.cursor, "failures": stats.failures}
+        return result.certificate
+
+    _certificate_command(shape_text, v_texts, w_text, store, fmt, run)
 
 
 @main.command()
@@ -261,6 +262,8 @@ def faces(shape_text, mu, dual, delta_k, fmt):
     except UnsupportedShapeError as exc:
         _emit({"status": "unsupported_shape", "detail": str(exc)}, fmt)
         sys.exit(EXIT_UNSUPPORTED)
+    except ValueError as exc:  # unparsable partition, or a face outside the range
+        raise click.UsageError(str(exc))
     _emit({"face": name, "dim": face.dim, "edges": face.edge_ids()}, fmt)
 
 
@@ -342,8 +345,8 @@ def anticanonical(shape_text, fmt):
 def lattice_points(shape_text, lam, do_decompose, fmt):
     """Count lattice points; optionally list each point's path decomposition."""
     shape = _shape(shape_text)
-    lam_t = parse_partition(lam)
     try:
+        lam_t = parse_partition(lam)
         validate_lambda(shape, lam_t)
     except ValueError as exc:
         raise click.UsageError(str(exc))

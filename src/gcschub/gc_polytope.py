@@ -3,9 +3,12 @@
 The polytope is stored combinatorially: block values are kept symbolic as
 indices 1..k+1 with a_1 > a_2 > ... > a_{k+1}, since every strictly
 decreasing numeric instantiation yields the same face structure.  A face is
-an equality system on the boxes, kept in saturated canonical form: boxes
-merged into blocks, blocks pinned to constants whenever the order
-constraints squeeze them.  Saturation makes feasibility, dimension and
+an equality system on the nodes, which are the boxes plus one value node
+per block value a_l, given as a set of node merges: pinning a box to a_l
+merges it with the value node of a_l.  The system is kept in saturated
+canonical form: boxes merged into blocks, and a block merged into a value
+node whenever the order constraints squeeze it; two value nodes in one class
+make the system infeasible.  Saturation makes feasibility, dimension and
 containment exact for these systems, and the vertex-rank oracle double
 checks that in the tests.
 
@@ -13,7 +16,9 @@ A face is identified by the set of adjacent-pair inequalities it makes
 tight, kept as a bitmask: containment is a subset test on masks, and the
 intersection of two faces is the saturation of the union of their masks.
 The polytope memoises that saturation per union mask, and also owns the
-cache of divisor facet unions that certificate evaluation fills.
+cache of divisor facet unions that certificate evaluation fills.  A
+candidate point is a vertex when the face of its tight mask is
+0-dimensional.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ class _UnionFind:
 class Face:
     """Saturated equality system on the boxes of a polytope.
 
-    ``key`` assigns every box either -l (pinned to block value a_l) or a
-    positive block number given by first occurrence; ``None`` marks the
-    empty face.  Bit i of ``mask`` is set when the inequality
+    ``key`` assigns every box either -l (merged with the value node of
+    a_l) or a positive block number given by first occurrence; ``None``
+    marks the empty face.  Bit i of ``mask`` is set when the inequality
     ``poly._pairs[i]`` is tight on the face; the empty face has mask -1.
     Faces compare, hash and sort by key alone.
     """
@@ -86,22 +91,6 @@ class Face:
         if self.key is None:
             return -1
         return len({v for v in self.key if v > 0})
-
-    def pinned(self) -> dict[Cell, int]:
-        """Box -> block-value index for the pinned boxes."""
-        return {
-            cell: -v
-            for cell, v in zip(self.poly.boxes, self.key)
-            if v < 0
-        }
-
-    def blocks(self) -> list[tuple[Cell, ...]]:
-        """Unpinned blocks as tuples of boxes."""
-        groups: dict[int, list[Cell]] = {}
-        for cell, v in zip(self.poly.boxes, self.key):
-            if v > 0:
-                groups.setdefault(v, []).append(cell)
-        return [tuple(g) for _, g in sorted(groups.items())]
 
     def contains(self, other: "Face") -> bool:
         """Point-set containment: other is a subset of self, that is every
@@ -188,13 +177,13 @@ class Polytope:
         self.boxes: tuple[Cell, ...] = diagram.boxes
         self.box_index = {cell: i for i, cell in enumerate(self.boxes)}
         self.num_values = self.shape.k + 1
-        # order constraints (lo, hi) with cells resolved to box index or
-        # pinned pseudo-nodes; pseudo-node for value l is len(boxes)+l-1.
+        # order constraints (lo, hi) with cells resolved to nodes: a box is
+        # its index, a forced cell the value node len(boxes)+l-1 of its a_l.
         self._pairs: list[tuple[int, int]] = []
         for lo, hi in diagram.adjacent_pairs():
             self._pairs.append((self._node(lo), self._node(hi)))
         self._pairs = sorted(set(self._pairs))
-        # values of the pseudo-nodes: in key + _const_values, entry i is the
+        # values of the value nodes: in key + _const_values, entry i is the
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
         self._empty = Face(self, None, -1)
@@ -221,7 +210,7 @@ class Polytope:
     # -- face construction ---------------------------------------------------
 
     def whole_face(self) -> Face:
-        return self._saturate([], {})
+        return self._saturate([])
 
     def empty_face(self) -> Face:
         return self._empty
@@ -234,34 +223,15 @@ class Polytope:
         return self._facet_cache[edge]
 
     def face_from_atoms(self, atoms) -> Face:
-        """Build the face from (cellA, cellB) equality atoms; forced cells
-        turn into constant pins."""
-        merges: list[tuple[int, int]] = []
-        pins: dict[int, int] = {}
-        for a, b in atoms:
-            nodes = []
-            values = []
-            for cell in (a, b):
-                if cell in self.box_index:
-                    nodes.append(self.box_index[cell])
-                else:
-                    values.append(self.diagram.forced_value(cell))
-            if len(values) == 2:
-                if values[0] != values[1]:
-                    return self.empty_face()
-                continue
-            if len(values) == 1:
-                prev = pins.get(nodes[0])
-                if prev is not None and prev != values[0]:
-                    return self.empty_face()
-                pins[nodes[0]] = values[0]
-            else:
-                merges.append((nodes[0], nodes[1]))
-        return self._checked(self._saturate(merges, pins))
+        """Build the face from (cellA, cellB) equality atoms; a forced cell
+        is its value node."""
+        return self._checked(self._saturate([(self._node(a), self._node(b)) for a, b in atoms]))
 
     def face_from_pins(self, pin_cells: dict[Cell, int]) -> Face:
+        """Build the face pinning each box to its block value a_l."""
+        nb = len(self.boxes)
         return self._checked(
-            self._saturate([], {self.box_index[c]: v for c, v in pin_cells.items()})
+            self._saturate([(self.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
         )
 
     def _checked(self, face: Face) -> Face:
@@ -308,40 +278,27 @@ class Polytope:
                 elif hi < lo:
                     parent[lo] = hi
             bit <<= 1
-        pin = {}
-        for l in range(1, self.num_values + 1):
-            root = nb + l - 1
-            while parent[root] != root:
-                root = parent[root]
-            pin[root] = l
-        return Face(self, _canonical_key(parent, nb, pin), mask)
+        return Face(self, _canonical_key(parent, nb), mask)
 
     # -- saturation ------------------------------------------------------------
 
-    def _saturate(self, merges, pins) -> Face:
-        """Close an equality system: merge strongly connected blocks, pin
-        squeezed blocks, detect infeasibility.  Returns the canonical face."""
+    def _saturate(self, merges) -> Face:
+        """Close an equality system given as node merges: merge strongly
+        connected blocks, merge squeezed blocks into their value node, and
+        detect infeasibility, two value nodes in one class.  Returns the
+        canonical face."""
         nb = len(self.boxes)
         size = nb + self.num_values
         uf = _UnionFind(size)
         for a, b in merges:
             uf.union(a, b)
-        pin: dict[int, int] = dict(pins)
 
         while True:
-            # re-key pins on current roots; constant pseudo-nodes carry pins
-            root_pin: dict[int, int] = {}
-            for l in range(1, self.num_values + 1):
-                root = uf.find(nb + l - 1)
-                if root_pin.setdefault(root, l) != l:
-                    return self.empty_face()
-            for node, val in pin.items():
-                root = uf.find(node)
-                if root_pin.setdefault(root, val) != val:
-                    return self.empty_face()
-            pin = root_pin
-
             root_of = [uf.find(i) for i in range(size)]
+            # class root -> l for the class holding the value node of a_l
+            pin = {root_of[nb + l - 1]: l for l in range(1, self.num_values + 1)}
+            if len(pin) != self.num_values:
+                return self.empty_face()
             edges = {
                 (root_of[lo], root_of[hi])
                 for lo, hi in self._pairs
@@ -401,12 +358,13 @@ class Polytope:
                 if lo_bound[i] > hi_bound[i]:
                     return self.empty_face()
                 if lo_bound[i] == hi_bound[i] and r not in pin:
-                    pin[r] = -lo_bound[i]
+                    l = -lo_bound[i]
+                    uf.union(r, nb + l - 1)
                     squeezed = True
             if not squeezed:
                 break
 
-        key = _canonical_key(uf.parent, nb, pin)
+        key = _canonical_key(uf.parent, nb)
         return Face(self, key, self.tight_mask(key))
 
     # -- face operations --------------------------------------------------------
@@ -425,7 +383,7 @@ class Polytope:
         meet = self._meet.get(union)
         if meet is not None:
             return self._face_of_mask(meet)
-        face = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1], {})
+        face = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])
         self._meet[union] = face.mask
         return face
 
@@ -459,32 +417,14 @@ class Polytope:
             del values[(c, r)]
 
         rec(0)
-        verts = [Vertex(self, vals) for vals in found if self._is_extreme(vals)]
+        # a candidate is a vertex when its tight inequalities cut out a point
+        verts = [
+            Vertex(self, vals)
+            for vals in found
+            if self._face_of_mask(self.tight_mask(tuple(-v for v in vals))).dim == 0
+        ]
         self._vertices = sorted(verts)
         return self._vertices
-
-    def _is_extreme(self, values: tuple[int, ...]) -> bool:
-        """Every equal-value component of boxes must touch a forced cell;
-        otherwise the component can drift and the point is not a vertex."""
-
-        def val(cell: Cell) -> int:
-            idx = self.box_index.get(cell)
-            return values[idx] if idx is not None else self.diagram.forced_value(cell)
-
-        uf = _UnionFind(len(self.boxes))
-        anchored = [False] * len(self.boxes)
-        for lo, hi in self.diagram.adjacent_pairs():
-            if val(lo) != val(hi):
-                continue
-            lo_idx, hi_idx = self.box_index.get(lo), self.box_index.get(hi)
-            if lo_idx is not None and hi_idx is not None:
-                uf.union(lo_idx, hi_idx)
-            elif lo_idx is not None:
-                anchored[lo_idx] = True
-            elif hi_idx is not None:
-                anchored[hi_idx] = True
-        roots_ok = {uf.find(i) for i, a in enumerate(anchored) if a}
-        return all(uf.find(i) in roots_ok for i in range(len(self.boxes)))
 
     def vertices_of_face(self, face: Face) -> list[Vertex]:
         if face.is_empty:
@@ -615,10 +555,16 @@ class Polytope:
         return out
 
 
-def _canonical_key(parent: list[int], nb: int, pin: dict[int, int]) -> tuple[int, ...]:
-    """Key of a union-find forest on the nodes whose roots are the least
-    index of their class: -l for a box whose root is pinned to a_l, block
-    numbers by first occurrence for the other boxes."""
+def _canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:
+    """Key of a union-find forest on the boxes and the value nodes after
+    them, whose roots are the least index of their class: -l for a box in
+    the class of the value node of a_l, block numbers by first occurrence
+    for the other boxes."""
+    pin: dict[int, int] = {}
+    for l, root in enumerate(range(nb, len(parent)), start=1):
+        while parent[root] != root:
+            root = parent[root]
+        pin[root] = l
     key = [0] * nb
     blocks = 0
     for i in range(nb):
@@ -699,9 +645,6 @@ class FaceUnion:
 
     def contains_face(self, g: Face) -> bool:
         return any(f.contains(g) for f in self.faces)
-
-    def equals_pointwise(self, other: "FaceUnion") -> bool:
-        return self.faces == other.faces
 
     def to_json(self) -> list[list[str]]:
         return [f.edge_ids() for f in self.faces]

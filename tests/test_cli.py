@@ -202,6 +202,11 @@ BAD_INPUTS = [
     (("kogan", "--shape", "1,2,3", "--positions", "1,99"), 2),
     (("kogan", "--shape", "1,2,3", "--positions", "0"), 2),
     (("kogan", "--shape", "1,2,3", "--positions", "1,x"), 2),
+    (("faces", "--shape", "2,5", "--delta-k", "9"), 2),
+    (("faces", "--shape", "2,5", "--mu", "(x)"), 2),
+    (("faces", "--shape", "2,5", "--mu", "(9,0)"), 2),
+    (("lattice-points", "--shape", "2,4", "--lam", "(x)"), 2),
+    (("constant", "--shape", "2,4", "--u", "2,1,3,4", "--v", "1,3,2,4", "--w", "3,1,2,4"), 2),
 ]
 
 

@@ -1,6 +1,7 @@
 """Differential tests of the tight-mask fast paths against the slow
-references they replaced: key-walking containment, vertex-set containment
-and a fresh key-based saturation of every intersection."""
+references they replaced: key-walking containment, vertex-set containment,
+a fresh key-based saturation of every intersection and the anchored
+component test for vertices."""
 
 import itertools
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import Polytope
+from gcschub.gc_polytope import Polytope, Vertex, _UnionFind
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import ParabolicShape, Permutation
@@ -38,22 +39,60 @@ def key_contains(f, g) -> bool:
 
 def fresh_intersect(poly, f, g):
     """Reference intersection: saturate the equalities read off both keys,
-    with no memo and no containment shortcut."""
+    with no memo and no containment shortcut.  A box pinned to a_l is merged
+    with the value node of a_l."""
     if f.is_empty or g.is_empty:
         return poly.empty_face()
+    nb = len(poly.boxes)
     merges = []
-    pins: dict[int, int] = {}
     for key in (f.key, g.key):
         groups: dict[int, list[int]] = {}
         for idx, v in enumerate(key):
             if v < 0:
-                if pins.setdefault(idx, -v) != -v:
-                    return poly.empty_face()
+                merges.append((idx, nb - v - 1))
             else:
                 groups.setdefault(v, []).append(idx)
         for members in groups.values():
             merges.extend(zip(members, members[1:]))
-    return poly._saturate(merges, pins)
+    return poly._saturate(merges)
+
+
+def is_extreme(poly, values) -> bool:
+    """Reference vertex test: every equal-value component of boxes must
+    touch a forced cell; otherwise the component can drift and the point is
+    not a vertex."""
+
+    def val(cell):
+        idx = poly.box_index.get(cell)
+        return values[idx] if idx is not None else poly.diagram.forced_value(cell)
+
+    uf = _UnionFind(len(poly.boxes))
+    anchored = [False] * len(poly.boxes)
+    for lo, hi in poly.diagram.adjacent_pairs():
+        if val(lo) != val(hi):
+            continue
+        lo_idx, hi_idx = poly.box_index.get(lo), poly.box_index.get(hi)
+        if lo_idx is not None and hi_idx is not None:
+            uf.union(lo_idx, hi_idx)
+        elif lo_idx is not None:
+            anchored[lo_idx] = True
+        elif hi_idx is not None:
+            anchored[hi_idx] = True
+    roots_ok = {uf.find(i) for i, a in enumerate(anchored) if a}
+    return all(uf.find(i) in roots_ok for i in range(len(poly.boxes)))
+
+
+def candidate_points(poly):
+    """Every assignment of block-value indices to the boxes that satisfies
+    the order constraints, read off the integral patterns whose top row
+    takes the value k+2-l on block l, so that a_l is the integer k+2-l."""
+    shape = poly.shape
+    top = shape.k + 2
+    lam = tuple(top - shape.block_of(c) for c in range(1, shape.n + 1))
+    return [
+        tuple(top - pattern[c + r - 2][c - 1] for (c, r) in poly.boxes)
+        for pattern in poly.lattice_points(lam)
+    ]
 
 
 def vertex_set(poly, f) -> frozenset:
@@ -182,3 +221,25 @@ def test_non_face_equality_system_rejected():
     with pytest.raises(ValueError):
         fl3.face_from_pins({(1, 1): 2})
     assert not fl3.face_from_pins({(1, 1): 1}).is_empty
+
+
+@pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
+def test_vertices_match_anchored_components(cuts_n):
+    # the tight-mask vertex filter keeps exactly the candidates the anchored
+    # component reference accepts; on a Grassmannian it accepts them all
+    poly = make(*cuts_n)
+    candidates = candidate_points(poly)
+    expected = sorted(Vertex(poly, vals) for vals in candidates if is_extreme(poly, vals))
+    assert expected
+    assert (len(expected) == len(candidates)) == poly.shape.is_grassmannian()
+    assert poly.vertices() == expected
+
+
+def test_forced_cells_of_different_values_give_empty_face():
+    # both cells are the value nodes of a_1 and a_2, which no face can merge
+    gr25 = make(2, 5)
+    forced = {c for pair in gr25.diagram.adjacent_pairs() for c in pair if c not in gr25.box_index}
+    by_value = {gr25.diagram.forced_value(c): c for c in sorted(forced)}
+    a, b = by_value[1], by_value[2]
+    assert gr25.face_from_atoms([(a, b)]).is_empty
+    assert gr25.face_from_atoms([(a, a)]) == gr25.whole_face()
