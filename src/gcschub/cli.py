@@ -159,7 +159,7 @@ def certify(shape_text, v_texts, w_text, u_texts, store, fmt):
 @click.option("--shape", "shape_text", required=True)
 @click.option("--v", "v_texts", multiple=True, required=True)
 @click.option("--w", "w_text", required=True)
-@click.option("--budget", default=3000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=3000, show_default=True)
 @click.option("--store", default=None)
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
 def search_cmd(shape_text, v_texts, w_text, budget, store, fmt):
@@ -178,7 +178,7 @@ def search_cmd(shape_text, v_texts, w_text, budget, store, fmt):
 
 @main.command()
 @click.option("--shape", "shape_text", required=True)
-@click.option("--budget", default=2000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--out", default=None, help="Write the JSON summary here as well.")
 @click.option("--detail", default=None, help="Write a per-class TSV detail table here.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
@@ -222,9 +222,8 @@ def sweep(shape_text, budget, out, detail, fmt):
 
 @main.command()
 @click.option("--shape", "shape_text", required=True)
-@click.option("--info", is_flag=True, default=True)
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv")
-def polytope(shape_text, info, fmt):
+def polytope(shape_text, fmt):
     """Dimension, facet and vertex counts of the polytope."""
     shape = _shape(shape_text)
     poly = Polytope(LadderDiagram(shape))
@@ -273,10 +272,14 @@ def faces(shape_text, mu, dual, delta_k, fmt):
 def vertices(shape_text, regular_only):
     """TSV dump of the vertices as block-symbol assignments."""
     shape = _shape(shape_text)
+    if regular_only and not shape.is_complete():
+        _emit({"status": "unsupported_shape",
+               "detail": "regular vertices are defined for complete flags"}, "tsv")
+        sys.exit(EXIT_UNSUPPORTED)
     poly = Polytope(LadderDiagram(shape))
     click.echo("\t".join(f"b{c}_{r}" for (c, r) in poly.boxes))
     for v in poly.vertices():
-        if regular_only and shape.is_complete() and not poly.is_regular(v):
+        if regular_only and not poly.is_regular(v):
             continue
         click.echo("\t".join(f"a{l}" for l in v.values))
 

@@ -6,8 +6,9 @@ decreasing numeric instantiation yields the same face structure.  A face is
 an equality system on the nodes, which are the boxes plus one value node
 per block value a_l, given as a set of node merges: pinning a box to a_l
 merges it with the value node of a_l.  The system is kept in saturated
-canonical form: boxes merged into blocks, and a block merged into a value
-node whenever the order constraints squeeze it; two value nodes in one class
+canonical form: a class is a strongly connected component of the order
+graph, the adjacent-pair constraints plus the value chain
+a_{k+1} <= ... <= a_1, on the merged nodes, and two value nodes in one class
 make the system infeasible.  Saturation makes feasibility, dimension and
 containment exact for these systems, and the vertex-rank oracle double
 checks that in the tests.
@@ -183,6 +184,10 @@ class Polytope:
         for lo, hi in diagram.adjacent_pairs():
             self._pairs.append((self._node(lo), self._node(hi)))
         self._pairs = sorted(set(self._pairs))
+        # the order graph that saturation closes: the pairs and the value
+        # chain a_{k+1} <= ... <= a_1
+        nb = len(self.boxes)
+        self._order = self._pairs + [(nb + l, nb + l - 1) for l in range(1, self.num_values)]
         # values of the value nodes: in key + _const_values, entry i is the
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
@@ -283,87 +288,48 @@ class Polytope:
     # -- saturation ------------------------------------------------------------
 
     def _saturate(self, merges) -> Face:
-        """Close an equality system given as node merges: merge strongly
-        connected blocks, merge squeezed blocks into their value node, and
-        detect infeasibility, two value nodes in one class.  Returns the
-        canonical face."""
+        """Close an equality system given as node merges.  A class is a
+        strongly connected component of the order graph on the merged
+        nodes; the system is empty when two value nodes share a class.
+        Returns the canonical face."""
         nb = len(self.boxes)
         size = nb + self.num_values
         uf = _UnionFind(size)
         for a, b in merges:
             uf.union(a, b)
-
-        while True:
-            root_of = [uf.find(i) for i in range(size)]
-            # class root -> l for the class holding the value node of a_l
-            pin = {root_of[nb + l - 1]: l for l in range(1, self.num_values + 1)}
-            if len(pin) != self.num_values:
-                return self.empty_face()
-            edges = {
-                (root_of[lo], root_of[hi])
-                for lo, hi in self._pairs
-                if root_of[lo] != root_of[hi]
-            }
-            roots = sorted(set(root_of))
-            index = {r: i for i, r in enumerate(roots)}
-            m = len(roots)
-            succ = [0] * m
-            for lo, hi in edges:
-                succ[index[lo]] |= 1 << index[hi]
-            changed = True
-            while changed:  # transitive closure; the graphs are tiny
-                changed = False
-                for i in range(m):
-                    acc = succ[i]
-                    mask = acc
-                    while mask:
-                        j = (mask & -mask).bit_length() - 1
-                        acc |= succ[j]
-                        mask &= mask - 1
-                    if acc != succ[i]:
-                        succ[i] = acc
-                        changed = True
-            merged_any = False
+        root_of = [uf.find(i) for i in range(size)]
+        roots = sorted(set(root_of))
+        index = {r: i for i, r in enumerate(roots)}
+        m = len(roots)
+        succ = [0] * m
+        for lo, hi in self._order:
+            if root_of[lo] != root_of[hi]:
+                succ[index[root_of[lo]]] |= 1 << index[root_of[hi]]
+        changed = True
+        while changed:  # transitive closure; the graphs are tiny
+            changed = False
             for i in range(m):
-                mask = succ[i]
+                acc = succ[i]
+                mask = acc
                 while mask:
                     j = (mask & -mask).bit_length() - 1
+                    acc |= succ[j]
                     mask &= mask - 1
-                    if i != j and (succ[j] >> i) & 1:
-                        merged_any |= uf.find(roots[i]) != uf.find(roots[j])
-                        uf.union(roots[i], roots[j])
-            if merged_any:
-                continue
-
-            # bound propagation on the DAG; value a_l gets proxy -l so that
-            # a_1 > ... > a_{k+1} matches ordinary integer order.
-            lo_bound = [-self.num_values] * m
-            hi_bound = [-1] * m
-            for r, val in pin.items():
-                i = index[r]
-                lo_bound[i] = hi_bound[i] = -val
-            moved = True
-            while moved:
-                moved = False
-                for a, b in edges:
-                    ia, ib = index[a], index[b]
-                    if lo_bound[ib] < lo_bound[ia]:
-                        lo_bound[ib] = lo_bound[ia]
-                        moved = True
-                    if hi_bound[ia] > hi_bound[ib]:
-                        hi_bound[ia] = hi_bound[ib]
-                        moved = True
-            squeezed = False
-            for i, r in enumerate(roots):
-                if lo_bound[i] > hi_bound[i]:
-                    return self.empty_face()
-                if lo_bound[i] == hi_bound[i] and r not in pin:
-                    l = -lo_bound[i]
-                    uf.union(r, nb + l - 1)
-                    squeezed = True
-            if not squeezed:
-                break
-
+                if acc != succ[i]:
+                    succ[i] = acc
+                    changed = True
+        # the quotient by the components has no cycle, so one pass closes
+        # the system: a block squeezed to a_l lies on a cycle through its
+        # value node, and one forced between two values joins them
+        for i in range(m):
+            mask = succ[i]
+            while mask:
+                j = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                if (succ[j] >> i) & 1:
+                    uf.union(roots[i], roots[j])
+        if len({uf.find(v) for v in range(nb, size)}) != self.num_values:
+            return self._empty
         key = _canonical_key(uf.parent, nb)
         return Face(self, key, self.tight_mask(key))
 

@@ -298,6 +298,9 @@ def parse_permutation(text: str, n: int) -> Permutation:
         return Permutation.identity(n)
     if text.startswith("s"):
         word = [int(p.lstrip("s")) for p in text.split("*")]
+        for i in word:
+            if not 1 <= i < n:
+                raise ValueError(f"s{i} is not a simple reflection of S{n}")
         return Permutation.from_word(word, n)
     if "," in text:
         window = tuple(int(p) for p in text.split(","))

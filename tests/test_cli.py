@@ -207,6 +207,15 @@ BAD_INPUTS = [
     (("faces", "--shape", "2,5", "--mu", "(9,0)"), 2),
     (("lattice-points", "--shape", "2,4", "--lam", "(x)"), 2),
     (("constant", "--shape", "2,4", "--u", "2,1,3,4", "--v", "1,3,2,4", "--w", "3,1,2,4"), 2),
+    (("constant", "--shape", "1,2,3,4", "--u", "s0", "--v", "id", "--w", "s0"), 2),
+    (("constant", "--shape", "1,2,3,4", "--u", "s-1", "--v", "id", "--w", "s3"), 2),
+    (("kogan", "--shape", "1,2,3", "--target", "s5"), 2),
+    (("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
+      "--w", "2,3,1,4", "--u", "s7", "--u", "id"), 2),
+    (("vertices", "--shape", "2,4", "--regular-only"), 3),
+    (("search", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4", "--w", "2,3,1,4",
+      "--budget", "-1"), 2),
+    (("sweep", "--shape", "1,2,3", "--budget", "0"), 2),
 ]
 
 

@@ -1,7 +1,7 @@
 """Differential tests of the tight-mask fast paths against the slow
 references they replaced: key-walking containment, vertex-set containment,
-a fresh key-based saturation of every intersection and the anchored
-component test for vertices."""
+a fresh key-based saturation of every intersection by bound propagation,
+and the anchored component test for vertices."""
 
 import itertools
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import Polytope, Vertex, _UnionFind
+from gcschub.gc_polytope import Face, Polytope, Vertex, _canonical_key, _UnionFind
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import ParabolicShape, Permutation
@@ -37,9 +37,74 @@ def key_contains(f, g) -> bool:
     return True
 
 
+def saturate_by_bounds(poly, merges):
+    """Reference saturation: repeat until nothing changes, merging strongly
+    connected blocks of the pair graph, propagating the value bounds of
+    each block along the pairs, and merging a block whose bounds meet into
+    the value node of that value.  Two value nodes in one class, or bounds
+    that cross, make the system empty."""
+    nb = len(poly.boxes)
+    size = nb + poly.num_values
+    uf = _UnionFind(size)
+    for a, b in merges:
+        uf.union(a, b)
+    while True:
+        root_of = [uf.find(i) for i in range(size)]
+        # class root -> l for the class holding the value node of a_l
+        pin = {root_of[nb + l - 1]: l for l in range(1, poly.num_values + 1)}
+        if len(pin) != poly.num_values:
+            return poly.empty_face()
+        edges = {(root_of[lo], root_of[hi]) for lo, hi in poly._pairs if root_of[lo] != root_of[hi]}
+        roots = sorted(set(root_of))
+        index = {r: i for i, r in enumerate(roots)}
+        reach = [{i} for i in range(len(roots))]
+        grown = True
+        while grown:
+            grown = False
+            for a, b in edges:
+                ia, ib = index[a], index[b]
+                if not reach[ib] <= reach[ia]:
+                    reach[ia] |= reach[ib]
+                    grown = True
+        merged_any = False
+        for i, j in itertools.combinations(range(len(roots)), 2):
+            if j in reach[i] and i in reach[j]:
+                merged_any |= uf.find(roots[i]) != uf.find(roots[j])
+                uf.union(roots[i], roots[j])
+        if merged_any:
+            continue
+        # value a_l gets proxy -l so that a_1 > ... > a_{k+1} matches the
+        # integer order
+        lo_bound = [-poly.num_values] * len(roots)
+        hi_bound = [-1] * len(roots)
+        for r, val in pin.items():
+            lo_bound[index[r]] = hi_bound[index[r]] = -val
+        moved = True
+        while moved:
+            moved = False
+            for a, b in edges:
+                ia, ib = index[a], index[b]
+                if lo_bound[ib] < lo_bound[ia]:
+                    lo_bound[ib] = lo_bound[ia]
+                    moved = True
+                if hi_bound[ia] > hi_bound[ib]:
+                    hi_bound[ia] = hi_bound[ib]
+                    moved = True
+        squeezed = False
+        for i, r in enumerate(roots):
+            if lo_bound[i] > hi_bound[i]:
+                return poly.empty_face()
+            if lo_bound[i] == hi_bound[i] and r not in pin:
+                uf.union(r, nb - lo_bound[i] - 1)
+                squeezed = True
+        if not squeezed:
+            key = _canonical_key(uf.parent, nb)
+            return Face(poly, key, poly.tight_mask(key))
+
+
 def fresh_intersect(poly, f, g):
-    """Reference intersection: saturate the equalities read off both keys,
-    with no memo and no containment shortcut.  A box pinned to a_l is merged
+    """Reference intersection: saturate the equalities read off both keys
+    by bound propagation, with no memo and no containment shortcut.  A box pinned to a_l is merged
     with the value node of a_l."""
     if f.is_empty or g.is_empty:
         return poly.empty_face()
@@ -54,7 +119,7 @@ def fresh_intersect(poly, f, g):
                 groups.setdefault(v, []).append(idx)
         for members in groups.values():
             merges.extend(zip(members, members[1:]))
-    return poly._saturate(merges)
+    return saturate_by_bounds(poly, merges)
 
 
 def is_extreme(poly, values) -> bool:
@@ -212,6 +277,49 @@ def test_fl5_sample(faces):
     check_faces(FL5, faces)
     check_containment(FL5, faces)
     check_intersections(FL5, itertools.combinations(faces, 2))
+
+
+def merge_lists(poly):
+    """Merge lists mixing box-box pairs, pins of a box to a value node and
+    merges of two value nodes, which make the system empty."""
+    nb = len(poly.boxes)
+    box = st.integers(0, nb - 1)
+    value = st.integers(nb, nb + poly.num_values - 1)
+    merge = st.one_of(
+        st.sampled_from(poly._pairs),
+        st.tuples(box, box),
+        st.tuples(box, value),
+        st.tuples(value, value),
+    )
+    return st.lists(merge, max_size=10)
+
+
+@pytest.mark.parametrize("cuts_n", [(1, 2, 3, 4, 5), (3, 7), (2, 4, 6)])
+def test_saturate_matches_bound_propagation(cuts_n):
+    poly = make(*cuts_n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(merge_lists(poly))
+    def check(merges):
+        got, expected = poly._saturate(merges), saturate_by_bounds(poly, merges)
+        assert (got.key, got.mask) == (expected.key, expected.mask), merges
+
+    check()
+
+
+@pytest.mark.parametrize("cuts_n", [(2, 5), (1, 2, 3, 4)])
+def test_saturate_all_pin_pairs(cuts_n):
+    # every pair of pins, so that squeezed blocks and crossing bounds, the
+    # two ways the reference finds an empty system, both occur
+    poly = make(*cuts_n)
+    nb = len(poly.boxes)
+    pins = [(i, nb + l) for i in range(nb) for l in range(poly.num_values)]
+    empty = 0
+    for merges in itertools.combinations_with_replacement(pins, 2):
+        got, expected = poly._saturate(merges), saturate_by_bounds(poly, merges)
+        assert (got.key, got.mask) == (expected.key, expected.mask), merges
+        empty += expected.is_empty
+    assert 0 < empty < len(pins) * (len(pins) + 1) // 2
 
 
 def test_non_face_equality_system_rejected():

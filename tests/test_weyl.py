@@ -254,6 +254,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_permutation("315", 3)
 
+    @pytest.mark.parametrize("text", ["s0", "s-1", "s4", "s1*s5"])
+    def test_letter_out_of_range(self, text):
+        # S4 has the simple reflections s1, s2, s3 only
+        with pytest.raises(ValueError):
+            parse_permutation(text, 4)
+
 
 @given(st.permutations(list(range(1, 7))))
 def test_length_reduced_word_consistency(window):
