@@ -326,9 +326,9 @@ def sweep_complete_flag(n: int, budget: int = 2000, verify_oracle: bool = True) 
     from .coeffs import build_modified_partition
     from .ladder import LadderDiagram
 
+    classes = build_modified_partition(n)
     shape = ParabolicShape.complete(n)
     poly = Polytope(LadderDiagram(shape))
-    classes = build_modified_partition(n)
 
     def resolve(cls) -> ClassReport:
         if cls.kind == "zero":

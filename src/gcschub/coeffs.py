@@ -3,9 +3,9 @@
 Two independent oracles guard against implementation error: Schubert
 polynomials with divided differences (any type-A constant) and the
 Littlewood-Richardson tableau rule (Grassmannian constants).  On top sit
-the triple symmetries, the right-multiplication recursion, the
-commuting-support splitting, and the modified partition of the triple set
-used by the certificate sweeps.
+the triple symmetries, the commuting-support splitting, and the modified
+partition of the triple set used by the certificate sweeps, built on
+integer tables of S_n.
 
 Polynomials are sparse dicts mapping exponent tuples (trailing zeros
 trimmed) to integer coefficients.  Products of S_n classes can involve basis
@@ -22,7 +22,6 @@ from functools import lru_cache
 from .weyl import (
     Permutation,
     UnsupportedShapeError,
-    bruhat_leq,
     length,
     longest_element,
     reduced_word,
@@ -44,10 +43,6 @@ def _trim_window(window: tuple[int, ...]) -> tuple[int, ...]:
     while len(window) > 1 and window[-1] == len(window):
         window = window[:-1]
     return window
-
-
-def _pad_window(window: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return window + tuple(range(len(window) + 1, n + 1))
 
 
 def code(w: Permutation) -> tuple[int, ...]:
@@ -346,36 +341,15 @@ def apply_identities(triple: Triple) -> frozenset[Triple]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class RecursionResult:
-    kind: str  # "step" | "zero" | "inapplicable"
-    triple: Triple | None = None
-
-
-def recursion_step(triple: Triple, i: int) -> RecursionResult:
-    """Right-multiplication move: when u and v both ascend at s_i, the
-    constant transfers to (u s_i, v, w s_i) if w ascends, and vanishes if w
-    descends."""
-    u, v, w = triple
-    us, vs, ws = u.right_mul_s(i), v.right_mul_s(i), w.right_mul_s(i)
-    if not (length(us) > length(u) and length(vs) > length(v)):
-        return RecursionResult("inapplicable")
-    if length(ws) > length(w):
-        return RecursionResult("step", (us, v, ws))
-    return RecursionResult("zero")
+def _star_factors(u: Permutation) -> tuple[Permutation, ...]:
+    return (u,) if u.is_identity() else star_factorize(u).factors
 
 
 def split_by_star(tup: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
     """Replace the first m+1 factors of (u_1, .., u_m, w) by their maximal
     commuting-support factorizations; the constant is unchanged."""
     *us, w = tup
-    out: list[Permutation] = []
-    for u in us:
-        if u.is_identity():
-            out.append(u)
-            continue
-        out.extend(star_factorize(u).factors)
-    return tuple(out) + (w,)
+    return tuple(f for u in us for f in _star_factors(u)) + (w,)
 
 
 # -- the modified partition -----------------------------------------------------
@@ -420,18 +394,104 @@ def all_triples(n: int) -> list[Triple]:
     return out
 
 
-def build_modified_partition(n: int, bound: int = 4) -> list[TripleClass]:
+class SnTables:
+    """Integer tables of S_n.  A permutation is named by its index in
+    lexicographic window order, which is ``Permutation`` order, so sorting
+    index tuples sorts the permutation tuples they name.
+
+    * ``length[k]``: the length of perms[k];
+    * ``ascents[k]``: bit i set when perms[k] ascends at i, that is when
+      perms[k] * s_i is longer;
+    * ``right_mul[i][k]``: perms[k] * s_i, for i = 1..n-1;
+    * ``conj[k]`` and ``w0_left[k]``: w0 * perms[k] * w0 and w0 * perms[k];
+    * ``below[k]``: bit j set when perms[j] <= perms[k] in Bruhat order,
+      compared by sorted prefixes (Bjorner-Brenti, Thm 2.6.3);
+    * ``star[k]``: the commuting-support factors of perms[k], or perms[k]
+      itself when it is the identity;
+    * ``triples``: the degree-compatible index triples (u, v, w) in the
+      order of ``all_triples(n)``: w, then length(u), then u, then v.
+    """
+
+    def __init__(self, n: int):
+        windows = list(itertools.permutations(range(1, n + 1)))
+        where = {win: k for k, win in enumerate(windows)}
+        self.n = n
+        self.perms = [Permutation(win) for win in windows]
+        self.length = [length(p) for p in self.perms]
+        self.ascents = [
+            sum(1 << i for i in range(1, n) if win[i - 1] < win[i]) for win in windows
+        ]
+        self.right_mul = [[]] + [
+            [where[win[: i - 1] + (win[i], win[i - 1]) + win[i + 1:]] for win in windows]
+            for i in range(1, n)
+        ]
+        self.conj = [where[tuple(n + 1 - x for x in reversed(win))] for win in windows]
+        self.w0_left = [where[tuple(n + 1 - x for x in win)] for win in windows]
+        prefixes = [
+            tuple(x for j in range(1, n) for x in sorted(win[:j])) for win in windows
+        ]
+        self.below = [
+            sum(1 << j for j, pj in enumerate(prefixes)
+                if self.length[j] <= self.length[k] and all(a <= b for a, b in zip(pj, pk)))
+            for k, pk in enumerate(prefixes)
+        ]
+        self.star = [tuple(where[f.window] for f in _star_factors(p)) for p in self.perms]
+
+        by_len: dict[int, list[int]] = {}
+        for k, lk in enumerate(self.length):
+            by_len.setdefault(lk, []).append(k)
+        self._rank = [0] * len(windows)
+        for ks in by_len.values():
+            for r, k in enumerate(ks):
+                self._rank[k] = r
+        # _first[w][u]: index of (u, v, w) for the first v of length l(w) - l(u)
+        self._first: list[list[int]] = []
+        self.triples: list[tuple[int, int, int]] = []
+        for w, lw in enumerate(self.length):
+            first = [-1] * len(windows)
+            for lu in range(lw + 1):
+                vs = by_len.get(lw - lu, [])
+                for u in by_len.get(lu, []):
+                    first[u] = len(self.triples)
+                    self.triples.extend((u, v, w) for v in vs)
+            self._first.append(first)
+
+    def index(self, u: int, v: int, w: int) -> int:
+        """Position of the degree-compatible triple (u, v, w) in ``triples``."""
+        return self._first[w][u] + self._rank[v]
+
+    def moves(self, u: int, v: int, w: int) -> tuple[list[int], bool]:
+        """The right-multiplication moves of (u, v, w).  Where u and v both
+        ascend at s_i, the constant moves to (u s_i, v, w s_i) if w ascends
+        too, and vanishes if w descends.  Returns the triple indices of the
+        steps in increasing i, and whether some s_i makes the constant
+        vanish."""
+        both = self.ascents[u] & self.ascents[v]
+        if not both:
+            return [], False
+        up = both & self.ascents[w]
+        steps = [
+            self.index(self.right_mul[i][u], v, self.right_mul[i][w])
+            for i in range(1, self.n) if up >> i & 1
+        ]
+        return steps, both != up
+
+
+def build_modified_partition(n: int, bound: int = 5) -> list[TripleClass]:
     """Partition the degree-compatible triples of S_n into constant classes:
-    seed with the Bruhat-incompatible zero set, close under the four moves,
-    then merge every class that witnesses a vanishing move into the zero
-    class, and attach the commuting-split tuples.  Shapes with n above
-    ``bound`` raise UnsupportedShapeError."""
+    seed with the Bruhat-incompatible zero set, close under the swap, the
+    w0-conjugation, the (u, v, w) -> (u, w0 w, w0 v) symmetry and the
+    right-multiplication steps, merge every class that witnesses a vanishing
+    move into the zero class, and attach the commuting-split tuples.  Runs
+    on the index triples of ``SnTables``; a class is listed at its first
+    member in ``all_triples`` order.  Shapes with n above ``bound`` raise
+    UnsupportedShapeError."""
     if n > bound:
         raise UnsupportedShapeError(f"n={n} exceeds the configured bound {bound}")
-    triples = all_triples(n)
-    index = {t: i for i, t in enumerate(triples)}
-    uf = list(range(len(triples) + 1))
+    tab = SnTables(n)
+    triples = tab.triples
     zero_root = len(triples)
+    uf = list(range(zero_root + 1))
 
     def find(a: int) -> int:
         while uf[a] != a:
@@ -441,45 +501,43 @@ def build_modified_partition(n: int, bound: int = 4) -> list[TripleClass]:
 
     def union(a: int, b: int):
         ra, rb = find(a), find(b)
-        if ra != rb:
-            uf[max(ra, rb)] = min(ra, rb)
+        if ra < rb:
+            uf[rb] = ra
+        elif rb < ra:
+            uf[ra] = rb
 
-    w0 = longest_element(n)
-    for t in triples:
-        u, v, w = t
-        if not (bruhat_leq(u, w) and bruhat_leq(v, w)):
-            union(index[t], zero_root)
+    index, moves, below, conj, w0_left = tab.index, tab.moves, tab.below, tab.conj, tab.w0_left
+    for t, (u, v, w) in enumerate(triples):
+        steps, vanishes = moves(u, v, w)
+        if vanishes:
+            union(t, zero_root)
+        if not (below[w] >> u & below[w] >> v & 1):
+            union(t, zero_root)
             continue
-        i0 = index[t]
-        union(i0, index[(v, u, w)])
-        union(i0, index[(w0 * u * w0, w0 * v * w0, w0 * w * w0)])
-        union(i0, index[(u, w0 * w, w0 * v)])
-        for i in range(1, n):
-            res = recursion_step(t, i)
-            if res.kind == "step":
-                union(i0, index[res.triple])
+        union(t, index(v, u, w))
+        union(t, index(conj[u], conj[v], conj[w]))
+        union(t, index(u, w0_left[w], w0_left[v]))
+        for step in steps:
+            union(t, step)
 
-    # classes witnessing a vanishing move merge into the zero class
-    for t in triples:
-        res_any = any(
-            recursion_step(t, i).kind == "zero" for i in range(1, n)
-        )
-        if res_any:
-            union(index[t], zero_root)
-
-    groups: dict[int, list[Triple]] = {}
-    for t in triples:
-        groups.setdefault(find(index[t]), []).append(t)
+    # every root is the smallest triple index of its class
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for t, triple in enumerate(triples):
+        groups.setdefault(find(t), []).append(triple)
+    zero = find(zero_root)
+    perms, star = tab.perms, tab.star
     classes = []
     for root, members in sorted(groups.items()):
-        kind = "zero" if root == find(zero_root) else "regular"
+        kind = "zero" if root == zero else "regular"
         extended = set()
         if kind == "regular":
-            for t in members:
-                split = split_by_star(t)
+            for u, v, w in members:
+                split = star[u] + star[v] + (w,)
                 if len(split) > 3:
                     extended.add(split)
-        classes.append(
-            TripleClass(kind, tuple(sorted(members)), tuple(sorted(extended)))
-        )
+        classes.append(TripleClass(
+            kind,
+            tuple((perms[u], perms[v], perms[w]) for u, v, w in sorted(members)),
+            tuple(tuple(perms[k] for k in split) for split in sorted(extended)),
+        ))
     return classes

@@ -50,10 +50,6 @@ class PositivePath:
         return ",".join(map(str, self.steps))
 
 
-def parse_path(text: str, n: int) -> PositivePath:
-    return PositivePath(tuple(int(p) for p in text.split(",")), n)
-
-
 def path_leq(p: PositivePath, q: PositivePath) -> bool:
     """p <= q iff p has at least as many horizontal steps and runs below q."""
     if p.n != q.n:
@@ -164,14 +160,6 @@ class LadderDiagram:
         if self.is_box(cell) or not self.cell_exists(cell):
             raise ValueError(f"cell {cell} is not a forced cell")
         return self.shape.block_of(cell[0])
-
-    def cell_entry(self, cell: Cell) -> tuple[int, int]:
-        """(i, j) of the triangular-array entry held by the cell."""
-        c, r = cell
-        return (c + r - 1, c)
-
-    def entry_cell(self, i: int, j: int) -> Cell:
-        return (j, i - j + 1)
 
     def adjacent_pairs(self) -> list[tuple[Cell, Cell]]:
         """(lo, hi) pairs: the lo cell's value is <= the hi cell's value."""
@@ -287,10 +275,6 @@ Pattern = tuple[tuple[int, ...], ...]
 
 def zero_pattern(n: int) -> Pattern:
     return tuple(tuple(0 for _ in range(i)) for i in range(1, n + 1))
-
-
-def pattern_entry(pattern: Pattern, i: int, j: int) -> int:
-    return pattern[i - 1][j - 1]
 
 
 def exponent_vector(p: PositivePath) -> Pattern:

@@ -118,10 +118,6 @@ class ParabolicShape:
         return len(self.cuts)
 
     @property
-    def levels(self) -> tuple[int, ...]:
-        return self.cuts
-
-    @property
     def bounds(self) -> tuple[int, ...]:
         """(n_0, n_1, ..., n_{k+1}) including 0 and n."""
         return (0,) + self.cuts + (self.n,)
@@ -143,9 +139,6 @@ class ParabolicShape:
         """Smallest cut (or n) that is >= c."""
         return self.bounds[self.block_of(c)]
 
-    def parabolic_generators(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n) if i not in set(self.cuts))
-
     def in_min_coset_reps(self, w: Permutation) -> bool:
         """True iff w increases within every block."""
         b = self.bounds
@@ -166,10 +159,14 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return Permutation(tuple(u.window[j - 1] for j in v.window))
 
 
+@lru_cache(maxsize=None)
+def _inversions(window: tuple[int, ...]) -> int:
+    return sum(1 for i, j in itertools.combinations(range(len(window)), 2) if window[i] > window[j])
+
+
 def length(w: Permutation) -> int:
     """Number of inversions; equals the length of any reduced word."""
-    win = w.window
-    return sum(1 for i, j in itertools.combinations(range(w.n), 2) if win[i] > win[j])
+    return _inversions(w.window)
 
 
 def longest_element(n: int) -> Permutation:

@@ -12,7 +12,6 @@ from gcschub.coeffs import (
     chevalley,
     gr_structure_constant,
     pieri_gr2,
-    recursion_step,
     split_by_star,
     structure_constant,
 )
@@ -35,6 +34,7 @@ from gcschub.weyl import (
     grassmannian_perm,
     longest_element,
 )
+from reference_partition import recursion_step
 
 
 def report(num, text):

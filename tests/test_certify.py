@@ -219,6 +219,12 @@ class TestFlagSweep:
         assert kinds <= {"zero", "certified"}
         assert sum(c.size for c in rep.classes) == 1115
 
+    def test_fl5_sweep(self):
+        rep = sweep_complete_flag(5)
+        assert rep.all_resolved
+        assert sorted(c.kind for c in rep.classes) == ["certified", "zero"]
+        assert sum(c.size for c in rep.classes) == 74199
+
 
 class TestEngineInvariants:
     def test_monotone_fold(self):

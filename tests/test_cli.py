@@ -196,7 +196,7 @@ class TestVerticesCmd:
 # each input must end in its documented exit code with a message, never a
 # traceback: 2 for bad input, 3 for an unsupported shape
 BAD_INPUTS = [
-    (("sweep", "--shape", "1,2,3,4,5"), 3),
+    (("sweep", "--shape", "1,2,3,4,5,6"), 3),
     (("constant", "--shape", "2,4", "--mu", "(3,0)", "--nu", "(1,0)", "--eta", "(2,2)"), 2),
     (("constant", "--shape", "2,4", "--mu", "(x)", "--nu", "(1,0)", "--eta", "(2,2)"), 2),
     (("kogan", "--shape", "1,2,3", "--positions", "1,99"), 2),

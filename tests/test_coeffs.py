@@ -5,6 +5,7 @@ import pytest
 from gcschub.coeffs import (
     all_triples,
     apply_identities,
+    SnTables,
     build_modified_partition,
     chevalley,
     code,
@@ -14,7 +15,6 @@ from gcschub.coeffs import (
     lr_coefficient,
     perm_from_code,
     pieri_gr2,
-    recursion_step,
     schubert_poly,
     special_constant,
     split_by_star,
@@ -22,10 +22,12 @@ from gcschub.coeffs import (
 )
 from gcschub.weyl import (
     Permutation,
+    bruhat_leq,
     grassmannian_perm,
     length,
     longest_element,
 )
+from reference_partition import build_modified_partition_reference, recursion_step
 
 S3 = [Permutation(p) for p in itertools.permutations(range(1, 4))]
 S4 = [Permutation(p) for p in itertools.permutations(range(1, 5))]
@@ -329,7 +331,21 @@ class TestModifiedPartition:
 
     def test_bound_guard(self):
         with pytest.raises(ValueError):
-            build_modified_partition(5)
+            build_modified_partition(6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference(self, n):
+        # kind, members, extended tuples and class order
+        assert build_modified_partition(n) == build_modified_partition_reference(n)
+
+    def test_n5_totals(self):
+        classes = build_modified_partition(5)
+        by_kind = {"regular": 0, "zero": 0}
+        for cls in classes:
+            by_kind[cls.kind] += len(cls.members)
+        assert sum(by_kind.values()) == 74199
+        assert by_kind == {"regular": 8331, "zero": 65868}
+        assert sum(len(cls.extended) for cls in classes) == 3266
 
     def test_extended_tuples_preserve_constants(self):
         classes = build_modified_partition(4)
@@ -341,3 +357,44 @@ class TestModifiedPartition:
             )
             for tup in cls.extended[:20]:
                 assert structure_constant(list(tup[:-1]), tup[-1]) == base
+
+
+class TestSnTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_triples_in_all_triples_order(self, n):
+        tab = SnTables(n)
+        p = tab.perms
+        assert [(p[u], p[v], p[w]) for u, v, w in tab.triples] == all_triples(n)
+        assert all(tab.index(*t) == k for k, t in enumerate(tab.triples))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_tables_match_permutation_operations(self, n):
+        tab = SnTables(n)
+        p = tab.perms
+        w0 = longest_element(n)
+        assert p == sorted(p)
+        for k, x in enumerate(p):
+            assert tab.length[k] == length(x)
+            for i in range(1, n):
+                assert p[tab.right_mul[i][k]] == x.right_mul_s(i)
+                assert bool(tab.ascents[k] >> i & 1) == (length(x.right_mul_s(i)) > length(x))
+            assert p[tab.conj[k]] == w0 * x * w0
+            assert p[tab.w0_left[k]] == w0 * x
+            assert tuple(p[j] for j in tab.star[k]) == split_by_star((x, x))[:-1]
+            assert [j for j in range(len(p)) if tab.below[k] >> j & 1] == [
+                j for j, y in enumerate(p) if bruhat_leq(y, x)
+            ]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_moves_match_recursion_step(self, n):
+        tab = SnTables(n)
+        p = tab.perms
+        for u, v, w in tab.triples:
+            t = (p[u], p[v], p[w])
+            results = [recursion_step(t, i) for i in range(1, n)]
+            steps, vanishes = tab.moves(u, v, w)
+            stepped = [tab.triples[k] for k in steps]
+            assert [(p[a], p[b], p[c]) for a, b, c in stepped] == [
+                res.triple for res in results if res.kind == "step"
+            ]
+            assert vanishes == any(res.kind == "zero" for res in results)

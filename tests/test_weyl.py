@@ -61,6 +61,16 @@ class TestLength:
         )
         assert length(Permutation(win)) == brute == 2
 
+    def test_cached_length_on_s6(self):
+        for win in itertools.permutations(range(1, 7)):
+            inversions = sum(
+                1 for i, j in itertools.combinations(range(6), 2) if win[i] > win[j]
+            )
+            w = Permutation(win)
+            assert length(w) == inversions == len(reduced_word(w))
+            # a second call, on an equal window, is answered by the cache
+            assert length(Permutation(win)) == inversions
+
     def test_subadditive_and_w0_complement(self):
         w0 = longest_element(4)
         for u in S4:
@@ -274,3 +284,14 @@ def test_bruhat_transitive_sample(wa, wb):
     u, w = Permutation(tuple(wa)), Permutation(tuple(wb))
     if bruhat_leq(u, w):
         assert length(u) <= length(w)
+
+
+@given(st.permutations(list(range(1, 9))))
+def test_cached_length_s8_sample(window):
+    window = tuple(window)
+    inversions = sum(
+        1 for i, j in itertools.combinations(range(8), 2) if window[i] > window[j]
+    )
+    w = Permutation(window)
+    assert length(w) == inversions == len(reduced_word(w))
+    assert length(Permutation(window)) == inversions
