@@ -224,14 +224,9 @@ def _tier2(poly: Polytope, vs):
     return uniq
 
 
-def _tier3(poly: Polytope, vs, start: int):
-    """Full tuple enumeration in canonical order, resumable at a cursor."""
-    perms = _all_perms(poly.n)
-    m1 = len(vs)
-    for idx, combo in enumerate(itertools.product(perms, repeat=m1)):
-        if idx < start:
-            continue
-        yield idx, combo
+def _tier3(poly: Polytope, vs):
+    """Full tuple enumeration in canonical order, with the tuple index."""
+    return enumerate(itertools.product(_all_perms(poly.n), repeat=len(vs)))
 
 
 def search(
@@ -240,7 +235,6 @@ def search(
     w: Permutation,
     budget: int = 3000,
     tiers: tuple[int, ...] = (1, 2, 3),
-    cursor: int = 0,
 ) -> SearchResult:
     """Try translation tuples in deterministic order until a certificate
     appears or the budget runs out.  Factors that fail the Bruhat test
@@ -268,7 +262,7 @@ def search(
         elif tier == 2:
             yield from _tier2(poly, vs)
         elif tier == 3:
-            for idx, us in _tier3(poly, vs, cursor):
+            for idx, us in _tier3(poly, vs):
                 stats.cursor = idx
                 yield us
 
@@ -319,7 +313,7 @@ class SweepReport:
         }
 
 
-def sweep_complete_flag(n: int, budget: int = 2000, verify_oracle: bool = True) -> SweepReport:
+def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
     """Partition the degree-compatible triples of S_n into constant classes
     and resolve each one: the merged zero class by the oracle, the rest by
     certificate search over the class members, split tuples included."""
@@ -332,24 +326,22 @@ def sweep_complete_flag(n: int, budget: int = 2000, verify_oracle: bool = True) 
 
     def resolve(cls) -> ClassReport:
         if cls.kind == "zero":
-            if verify_oracle:
-                for (u, v, w) in cls.members:
-                    got = structure_constant([u, v], w)
-                    if got != 0:
-                        raise AssertionError(
-                            f"zero class contains nonzero triple {(u, v, w)}: {got}"
-                        )
+            for (u, v, w) in cls.members:
+                got = structure_constant([u, v], w)
+                if got != 0:
+                    raise AssertionError(
+                        f"zero class contains nonzero triple {(u, v, w)}: {got}"
+                    )
             return ClassReport("zero", len(cls.members), cls.members[0], None)
         constant = structure_constant(
             [cls.members[0][0], cls.members[0][1]], cls.members[0][2]
         )
-        if verify_oracle:
-            for (u, v, w) in cls.members:
-                got = structure_constant([u, v], w)
-                if got != constant:
-                    raise AssertionError(
-                        f"class constant differs at {(u, v, w)}: {got} vs {constant}"
-                    )
+        for (u, v, w) in cls.members:
+            got = structure_constant([u, v], w)
+            if got != constant:
+                raise AssertionError(
+                    f"class constant differs at {(u, v, w)}: {got} vs {constant}"
+                )
         witness = None
         candidates: list[tuple] = sorted(
             cls.members, key=lambda t: (length(t[-1]), t)

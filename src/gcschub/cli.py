@@ -168,8 +168,11 @@ def search_cmd(shape_text, v_texts, w_text, budget, store, fmt):
     def run(poly, vs, w):
         result = search(poly, vs, w, budget=budget)
         if result.certificate is None:
+            # a tuple the engine cannot judge on this shape makes the whole
+            # search unsupported, not a failed assertion
             stats = result.stats
-            return {"status": "exhausted", "tried": stats.tried,
+            status = "unsupported_shape" if "unsupported_shape" in stats.failures else "exhausted"
+            return {"status": status, "tried": stats.tried,
                     "cursor": stats.cursor, "failures": stats.failures}
         return result.certificate
 
@@ -300,7 +303,7 @@ def kogan(shape_text, target, dual, positions, fmt):
     if positions:
         try:
             face = face_from_positions(diagram, [int(p) for p in positions.split(",")], dual)
-        except ValueError as exc:  # not integers, or outside the reference word
+        except ValueError as exc:  # not integers, outside the reference word, or repeated
             raise click.UsageError(str(exc))
         _emit(face.to_json(), fmt)
         return

@@ -312,13 +312,6 @@ def pieri_gr2(mu: tuple[int, int], n: int) -> tuple[int, int] | None:
     return None
 
 
-def special_constant(r: int, q: int, m: int, n: int) -> int:
-    """N for a pair of single-row classes meeting their sum: always 1."""
-    if r < 0 or q < 0 or r + q > n - m:
-        raise ValueError(f"need r + q <= n - m: r={r}, q={q}, m={m}, n={n}")
-    return 1
-
-
 Triple = tuple[Permutation, Permutation, Permutation]
 
 
@@ -367,16 +360,6 @@ class TripleClass:
     kind: str
     members: tuple[Triple, ...]
     extended: tuple[tuple[Permutation, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": len(self.members),
-            "representative": [list(p.window) for p in self.members[0]],
-            "extended": [
-                [list(p.window) for p in tup] for tup in self.extended
-            ],
-        }
 
 
 def all_triples(n: int) -> list[Triple]:

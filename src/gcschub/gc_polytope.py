@@ -13,20 +13,24 @@ make the system infeasible.  Saturation makes feasibility, dimension and
 containment exact for these systems, and the vertex-rank oracle double
 checks that in the tests.
 
-A face is identified by the set of adjacent-pair inequalities it makes
-tight, kept as a bitmask: containment is a subset test on masks, and the
-intersection of two faces is the saturation of the union of their masks.
-The polytope memoises that saturation per union mask, and also owns the
-cache of divisor facet unions that certificate evaluation fills.  A
-candidate point is a vertex when the face of its tight mask is
-0-dimensional.
+A face is its tight mask, the set of adjacent-pair inequalities it makes
+tight, kept as a bitmask, and stores nothing else: containment is a subset
+test on masks, and the intersection of two faces is the saturation of the
+union of their masks.  The saturated key is derived from the mask on
+demand, by merging the tight pairs.  The polytope memoises the saturation
+per union mask, and also owns the cache of divisor facet unions that
+certificate evaluation fills.  A candidate point is a vertex when the key
+derived from its tight mask is the point itself, and the facets through a
+face or a vertex are read off the masks: those whose mask is a subset of
+its own.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .ladder import (
     Cell,
@@ -59,37 +63,33 @@ class _UnionFind:
         return ra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Face:
-    """Saturated equality system on the boxes of a polytope.
+    """Face of a polytope, identified by its tight mask: bit i of ``mask``
+    is set when the inequality ``poly._pairs[i]`` holds with equality on
+    the face, and the empty face has mask -1.  Faces compare, hash and sort
+    by mask alone.
 
-    ``key`` assigns every box either -l (merged with the value node of
-    a_l) or a positive block number given by first occurrence; ``None``
-    marks the empty face.  Bit i of ``mask`` is set when the inequality
-    ``poly._pairs[i]`` is tight on the face; the empty face has mask -1.
-    Faces compare, hash and sort by key alone.
+    ``key`` is the saturated equality system, derived from the mask on
+    first use: every box is -l (merged with the value node of a_l) or a
+    positive block number given by first occurrence; ``None`` marks the
+    empty face.
     """
 
-    poly: "Polytope"
-    key: tuple[int, ...] | None
+    poly: "Polytope" = field(compare=False)
     mask: int
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Face) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __lt__(self, other: "Face") -> bool:
-        return (self.key is None, self.key or ()) < (other.key is None, other.key or ())
+    @cached_property
+    def key(self) -> tuple[int, ...] | None:
+        return self.poly._key_of_mask(self.mask)
 
     @property
     def is_empty(self) -> bool:
-        return self.key is None
+        return self.mask == -1
 
     @property
     def dim(self) -> int:
-        if self.key is None:
+        if self.is_empty:
             return -1
         return len({v for v in self.key if v > 0})
 
@@ -103,14 +103,16 @@ class Face:
             raise ValueError(f"face of dimension {self.dim} is not a vertex")
         return Vertex(self.poly, tuple(-v for v in self.key))
 
+    def facets(self) -> list[EdgeKey]:
+        """The effective edges whose facets contain this face: those whose
+        facet mask is a subset of this face's mask."""
+        poly = self.poly
+        return [e for e in poly.diagram.effective_edges if poly.facet_face(e).contains(self)]
+
     def edge_ids(self) -> list[str]:
         """Sorted identifiers of the effective edges whose facets contain
         this face."""
-        return sorted(
-            f"{k}({a},{b})"
-            for (k, a, b) in self.poly.diagram.effective_edges
-            if self.poly.facet_face((k, a, b)).contains(self)
-        )
+        return sorted(f"{k}({a},{b})" for (k, a, b) in self.facets())
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -142,16 +144,10 @@ class Vertex:
         return poly.diagram.forced_value(cell)
 
     def facet_set(self) -> frozenset[EdgeKey]:
-        out = []
-        for edge in self.poly.diagram.effective_edges:
-            a, b = self.poly.diagram.edge_cells(edge)
-            if self.value_of(a) == self.value_of(b):
-                out.append(edge)
-        return frozenset(out)
+        return frozenset(self.as_face().facets())
 
     def as_face(self) -> Face:
-        key = tuple(-v for v in self.values)
-        return Face(self.poly, key, self.poly.tight_mask(key))
+        return Face(self.poly, self.poly.tight_mask(tuple(-v for v in self.values)))
 
     def pattern(self, lam: tuple[int, ...]) -> Pattern:
         """Numeric Gelfand-Cetlin pattern at this vertex."""
@@ -191,7 +187,7 @@ class Polytope:
         # values of the value nodes: in key + _const_values, entry i is the
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
-        self._empty = Face(self, None, -1)
+        self._empty = Face(self, -1)
         self._vertices: list[Vertex] | None = None
         self._facet_cache: dict[EdgeKey, Face] = {}
         # union of two tight masks -> tight mask of the saturated intersection
@@ -215,7 +211,7 @@ class Polytope:
     # -- face construction ---------------------------------------------------
 
     def whole_face(self) -> Face:
-        return self._saturate([])
+        return Face(self, self._saturate([])[1])
 
     def empty_face(self) -> Face:
         return self._empty
@@ -230,22 +226,22 @@ class Polytope:
     def face_from_atoms(self, atoms) -> Face:
         """Build the face from (cellA, cellB) equality atoms; a forced cell
         is its value node."""
-        return self._checked(self._saturate([(self._node(a), self._node(b)) for a, b in atoms]))
+        return self._checked(*self._saturate([(self._node(a), self._node(b)) for a, b in atoms]))
 
     def face_from_pins(self, pin_cells: dict[Cell, int]) -> Face:
         """Build the face pinning each box to its block value a_l."""
         nb = len(self.boxes)
         return self._checked(
-            self._saturate([(self.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
+            *self._saturate([(self.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
         )
 
-    def _checked(self, face: Face) -> Face:
+    def _checked(self, key: tuple[int, ...] | None, mask: int) -> Face:
         """An equality system given from outside must cut out a face of the
         polytope, the set of points where its tight inequalities hold with
         equality; pinning a box strictly inside its range does not."""
-        if self._face_of_mask(face.mask).key != face.key:
-            raise ValueError(f"equality system {face.key} is not a face of the polytope")
-        return face
+        if self._key_of_mask(mask) != key:
+            raise ValueError(f"equality system {key} is not a face of the polytope")
+        return Face(self, mask)
 
     # -- tight masks -----------------------------------------------------------
 
@@ -264,11 +260,11 @@ class Polytope:
             bit <<= 1
         return mask
 
-    def _face_of_mask(self, mask: int) -> Face:
-        """The face whose tight set is the saturated mask: its equalities are
-        exactly the tight pairs, so no closure is needed."""
+    def _key_of_mask(self, mask: int) -> tuple[int, ...] | None:
+        """Key of the face whose tight set is the saturated mask: its
+        equalities are exactly the tight pairs, so no closure is needed."""
         if mask == -1:
-            return self._empty
+            return None
         nb = len(self.boxes)
         parent = list(range(nb + self.num_values))
         bit = 1
@@ -283,15 +279,16 @@ class Polytope:
                 elif hi < lo:
                     parent[lo] = hi
             bit <<= 1
-        return Face(self, _canonical_key(parent, nb), mask)
+        return _canonical_key(parent, nb)
 
     # -- saturation ------------------------------------------------------------
 
-    def _saturate(self, merges) -> Face:
+    def _saturate(self, merges) -> tuple[tuple[int, ...] | None, int]:
         """Close an equality system given as node merges.  A class is a
         strongly connected component of the order graph on the merged
         nodes; the system is empty when two value nodes share a class.
-        Returns the canonical face."""
+        Returns the canonical key and its tight mask, (None, -1) when
+        empty."""
         nb = len(self.boxes)
         size = nb + self.num_values
         uf = _UnionFind(size)
@@ -329,9 +326,9 @@ class Polytope:
                 if (succ[j] >> i) & 1:
                     uf.union(roots[i], roots[j])
         if len({uf.find(v) for v in range(nb, size)}) != self.num_values:
-            return self._empty
+            return None, -1
         key = _canonical_key(uf.parent, nb)
-        return Face(self, key, self.tight_mask(key))
+        return key, self.tight_mask(key)
 
     # -- face operations --------------------------------------------------------
 
@@ -347,11 +344,10 @@ class Polytope:
             return f
         union = fm | gm
         meet = self._meet.get(union)
-        if meet is not None:
-            return self._face_of_mask(meet)
-        face = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])
-        self._meet[union] = face.mask
-        return face
+        if meet is None:
+            meet = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])[1]
+            self._meet[union] = meet
+        return Face(self, meet)
 
     # -- vertices -----------------------------------------------------------------
 
@@ -387,7 +383,7 @@ class Polytope:
         verts = [
             Vertex(self, vals)
             for vals in found
-            if self._face_of_mask(self.tight_mask(tuple(-v for v in vals))).dim == 0
+            if self._key_of_mask(self.tight_mask(key := tuple(-v for v in vals))) == key
         ]
         self._vertices = sorted(verts)
         return self._vertices
@@ -612,12 +608,9 @@ class FaceUnion:
     def contains_face(self, g: Face) -> bool:
         return any(f.contains(g) for f in self.faces)
 
-    def to_json(self) -> list[list[str]]:
-        return [f.edge_ids() for f in self.faces]
-
 
 def _antichain(faces) -> tuple[Face, ...]:
-    """The maximal faces, sorted by key.  A face lies strictly in another
+    """The maximal faces, sorted by mask.  A face lies strictly in another
     only when its mask has more tight bits, so it is enough to scan by bit
     count and test each face against the maximal faces kept so far."""
     kept: list[Face] = []

@@ -105,6 +105,8 @@ def face_from_positions(diagram: LadderDiagram, positions, dual: bool) -> KoganF
     bad = [p for p in positions if not 1 <= p <= len(grid)]
     if bad:
         raise ValueError(f"positions must be within 1..{len(grid)}: {bad}")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"positions must be distinct: {list(positions)}")
     edges = [grid[p - 1] for p in positions]
     return read_word(diagram, edges, dual)
 

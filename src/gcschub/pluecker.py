@@ -53,9 +53,6 @@ class VanishingSet:
         }
         return VanishingSet.of(self.n, data)
 
-    def to_json(self) -> dict:
-        return {str(lv): [list(i) for i in idxs] for lv, idxs in self.per_level}
-
 
 @dataclass(frozen=True)
 class DivisorFacetUnion:

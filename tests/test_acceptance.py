@@ -118,7 +118,7 @@ def test_criterion_2_fl4_sweep():
     from gcschub.certify import search
 
     start = time.monotonic()
-    rep = sweep_complete_flag(4, verify_oracle=True)
+    rep = sweep_complete_flag(4)
     assert rep.all_resolved
     assert sum(c.size for c in rep.classes) == len(all_triples(4)) == 1115
     for c in rep.classes:

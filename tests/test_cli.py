@@ -216,6 +216,8 @@ BAD_INPUTS = [
     (("search", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4", "--w", "2,3,1,4",
       "--budget", "-1"), 2),
     (("sweep", "--shape", "1,2,3", "--budget", "0"), 2),
+    (("search", "--shape", "1,3,5", "--v", "12435", "--w", "12435"), 3),
+    (("kogan", "--shape", "1,2,3", "--positions", "1,1"), 2),
 ]
 
 

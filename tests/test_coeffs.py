@@ -16,7 +16,6 @@ from gcschub.coeffs import (
     perm_from_code,
     pieri_gr2,
     schubert_poly,
-    special_constant,
     split_by_star,
     structure_constant,
 )
@@ -184,11 +183,6 @@ class TestRules:
                 for eta in box_partitions(2, n - 2):
                     want = gr_structure_constant((1, 1), mu, eta, 2, n)
                     assert want == (1 if got == eta else 0)
-
-    def test_special_constant(self):
-        assert special_constant(1, 1, 2, 4) == 1
-        with pytest.raises(ValueError):
-            special_constant(2, 1, 2, 4)
 
     def test_special_matches_oracle(self):
         for (m, n) in ((2, 5), (3, 6)):

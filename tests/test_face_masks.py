@@ -1,7 +1,8 @@
 """Differential tests of the tight-mask fast paths against the slow
 references they replaced: key-walking containment, vertex-set containment,
 a fresh key-based saturation of every intersection by bound propagation,
-and the anchored component test for vertices."""
+the anchored component test for vertices, and the value-based facet test
+for vertices."""
 
 import itertools
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import Face, Polytope, Vertex, _canonical_key, _UnionFind
+from gcschub.gc_polytope import Polytope, Vertex, _canonical_key, _UnionFind
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import ParabolicShape, Permutation
@@ -42,7 +43,8 @@ def saturate_by_bounds(poly, merges):
     connected blocks of the pair graph, propagating the value bounds of
     each block along the pairs, and merging a block whose bounds meet into
     the value node of that value.  Two value nodes in one class, or bounds
-    that cross, make the system empty."""
+    that cross, make the system empty.  Returns the key and its tight mask,
+    (None, -1) when empty."""
     nb = len(poly.boxes)
     size = nb + poly.num_values
     uf = _UnionFind(size)
@@ -53,7 +55,7 @@ def saturate_by_bounds(poly, merges):
         # class root -> l for the class holding the value node of a_l
         pin = {root_of[nb + l - 1]: l for l in range(1, poly.num_values + 1)}
         if len(pin) != poly.num_values:
-            return poly.empty_face()
+            return None, -1
         edges = {(root_of[lo], root_of[hi]) for lo, hi in poly._pairs if root_of[lo] != root_of[hi]}
         roots = sorted(set(root_of))
         index = {r: i for i, r in enumerate(roots)}
@@ -93,21 +95,22 @@ def saturate_by_bounds(poly, merges):
         squeezed = False
         for i, r in enumerate(roots):
             if lo_bound[i] > hi_bound[i]:
-                return poly.empty_face()
+                return None, -1
             if lo_bound[i] == hi_bound[i] and r not in pin:
                 uf.union(r, nb - lo_bound[i] - 1)
                 squeezed = True
         if not squeezed:
             key = _canonical_key(uf.parent, nb)
-            return Face(poly, key, poly.tight_mask(key))
+            return key, poly.tight_mask(key)
 
 
 def fresh_intersect(poly, f, g):
     """Reference intersection: saturate the equalities read off both keys
-    by bound propagation, with no memo and no containment shortcut.  A box pinned to a_l is merged
-    with the value node of a_l."""
+    by bound propagation, with no memo and no containment shortcut.  A box
+    pinned to a_l is merged with the value node of a_l.  Returns the key and
+    its tight mask."""
     if f.is_empty or g.is_empty:
-        return poly.empty_face()
+        return None, -1
     nb = len(poly.boxes)
     merges = []
     for key in (f.key, g.key):
@@ -147,6 +150,18 @@ def is_extreme(poly, values) -> bool:
     return all(uf.find(i) in roots_ok for i in range(len(poly.boxes)))
 
 
+def facet_set_by_values(vertex) -> frozenset:
+    """Reference facet test: the facet of an effective edge holds the vertex
+    when the two cells of the edge carry the same value."""
+    poly = vertex.poly
+    out = []
+    for edge in poly.diagram.effective_edges:
+        a, b = poly.diagram.edge_cells(edge)
+        if vertex.value_of(a) == vertex.value_of(b):
+            out.append(edge)
+    return frozenset(out)
+
+
 def candidate_points(poly):
     """Every assignment of block-value indices to the boxes that satisfies
     the order constraints, read off the integral patterns whose top row
@@ -183,12 +198,11 @@ def reachable_faces(poly):
 
 
 def check_faces(poly, faces):
-    """Per face: the mask is the tight set of the key, and the face rebuilds
-    from its mask; across faces, distinct keys have distinct masks."""
+    """Per face: the mask is the tight set of the key derived from it;
+    across faces, distinct masks have distinct keys."""
     for f in faces:
         assert f.mask == poly.tight_mask(f.key), f
-        assert poly._face_of_mask(f.mask).key == f.key, f
-    assert len({f.mask for f in faces}) == len(set(faces))
+    assert len({f.key for f in faces}) == len(set(faces))
 
 
 def check_containment(poly, faces):
@@ -204,13 +218,21 @@ def check_containment(poly, faces):
 
 
 def check_intersections(poly, pairs):
-    """The memoised intersection, on a miss and on the following hit, equals
-    a fresh saturation and carries the mask of its key."""
+    """The memoised intersection, on a miss and on the following hit, has
+    the key and the mask of a fresh saturation."""
     for f, g in pairs:
         expected = fresh_intersect(poly, f, g)
         for got in (poly.intersect(f, g), poly.intersect(g, f)):
-            assert got == expected, (f, g)
-            assert got.mask == poly.tight_mask(expected.key), (f, g)
+            assert (got.key, got.mask) == expected, (f, g)
+
+
+def check_edge_ids(poly, faces):
+    """The edges read off the masks of a nonempty face are the edges whose
+    facets hold every vertex of the face by the value test."""
+    edges = frozenset(poly.diagram.effective_edges)
+    for f in faces:
+        on_all = edges.intersection(*(facet_set_by_values(v) for v in vertex_set(poly, f)))
+        assert f.edge_ids() == sorted(f"{k}({a},{b})" for k, a, b in on_all), f
 
 
 def gr25_named_faces(poly):
@@ -237,6 +259,7 @@ class TestExhaustive:
         assert set(named) - {poly.empty_face()} <= set(faces)
         faces = sorted(set(faces) | set(named))
         check_faces(poly, faces)
+        check_edge_ids(poly, [f for f in faces if not f.is_empty])
         assert check_containment(poly, faces) == len(faces) ** 2
         check_intersections(poly, itertools.combinations_with_replacement(faces, 2))
 
@@ -246,6 +269,7 @@ class TestExhaustive:
         kogan = fl4_kogan_faces(poly)
         assert kogan and set(kogan) <= set(faces)
         check_faces(poly, faces)
+        check_edge_ids(poly, faces[:-1])
         assert check_containment(poly, faces) == len(faces) ** 2
         check_intersections(poly, itertools.combinations_with_replacement(faces, 2))
 
@@ -301,8 +325,7 @@ def test_saturate_matches_bound_propagation(cuts_n):
     @settings(max_examples=200, deadline=None)
     @given(merge_lists(poly))
     def check(merges):
-        got, expected = poly._saturate(merges), saturate_by_bounds(poly, merges)
-        assert (got.key, got.mask) == (expected.key, expected.mask), merges
+        assert poly._saturate(merges) == saturate_by_bounds(poly, merges), merges
 
     check()
 
@@ -316,9 +339,9 @@ def test_saturate_all_pin_pairs(cuts_n):
     pins = [(i, nb + l) for i in range(nb) for l in range(poly.num_values)]
     empty = 0
     for merges in itertools.combinations_with_replacement(pins, 2):
-        got, expected = poly._saturate(merges), saturate_by_bounds(poly, merges)
-        assert (got.key, got.mask) == (expected.key, expected.mask), merges
-        empty += expected.is_empty
+        expected = saturate_by_bounds(poly, merges)
+        assert poly._saturate(merges) == expected, merges
+        empty += expected == (None, -1)
     assert 0 < empty < len(pins) * (len(pins) + 1) // 2
 
 
@@ -341,6 +364,25 @@ def test_vertices_match_anchored_components(cuts_n):
     assert expected
     assert (len(expected) == len(candidates)) == poly.shape.is_grassmannian()
     assert poly.vertices() == expected
+
+
+@pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
+def test_vertex_facets_match_values(cuts_n):
+    poly = make(*cuts_n)
+    for v in poly.vertices():
+        assert v.facet_set() == facet_set_by_values(v), v
+
+
+def test_memo_hit_derives_no_key():
+    # a hit returns the face of the stored mask; its key is derived only
+    # when asked for
+    gr25 = make(2, 5)
+    f, g = (gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2])
+    assert not f.contains(g) and not g.contains(f)
+    miss = gr25.intersect(f, g)
+    hit = gr25.intersect(g, f)
+    assert hit == miss and "key" not in vars(hit)
+    assert hit.key == miss.key
 
 
 def test_forced_cells_of_different_values_give_empty_face():
