@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .coeffs import structure_constant
-from .gc_polytope import Polytope, Vertex
+from .gc_polytope import Face, Polytope
 from .pluecker import delta_schubert_bottom, delta_uv
 from .weyl import ParabolicShape, Permutation, UnsupportedShapeError, bruhat_leq, length
 
@@ -30,7 +30,7 @@ class Certificate:
     vs: tuple[Permutation, ...]
     w: Permutation
     us: tuple[Permutation, ...]
-    vertices: tuple[Vertex, ...]
+    vertices: tuple[Face, ...]
     count: int
     oracle: int
     status: str  # "certified" | "mismatch"
@@ -494,10 +494,11 @@ def sweep_conjecture(shape: ParabolicShape, budget: int = 2000):
 # -- certificate store -------------------------------------------------------------
 
 
-def store_append(path: str, cert: Certificate, lam_blocks: int | None = None):
+def store_append(path: str, cert: Certificate):
     """Append a certificate to a JSONL store, writing the schema header on
     first use.  A store holds one shape: a certificate of another shape is
-    refused with a ValueError."""
+    refused with a ValueError.  A path that cannot be read or opened raises
+    OSError before anything is written."""
     import os
 
     header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
@@ -512,7 +513,7 @@ def store_append(path: str, cert: Certificate, lam_blocks: int | None = None):
             fh.write(json.dumps({
                 "schema": 1,
                 "shape": str(cert.shape),
-                "lambda_blocks": lam_blocks or cert.shape.k + 1,
+                "lambda_blocks": cert.shape.k + 1,
                 "version": __version__,
             }) + "\n")
         fh.write(json.dumps(cert.to_json()) + "\n")

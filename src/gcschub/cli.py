@@ -87,6 +87,8 @@ def constant(shape_text, u_texts, v_text, w_text, mu, nu, eta, fmt):
     """Print a structure constant with its provenance."""
     shape = _shape(shape_text)
     n = shape.n
+    if (mu or nu or eta) and (u_texts or v_text or w_text):
+        raise click.UsageError("give either --u/--v/--w or --mu/--nu/--eta, not both")
     if mu or nu or eta:
         if not (mu and nu and eta) or not shape.is_grassmannian():
             raise click.UsageError("--mu/--nu/--eta need a Grassmannian shape and all three values")
@@ -130,7 +132,7 @@ def _certificate_command(shape_text, v_texts, w_text, store, fmt, run):
     if store:
         try:
             store_append(store, outcome)
-        except ValueError as exc:  # not a store, or one holding another shape
+        except (OSError, ValueError) as exc:  # no such path, not a store, or another shape
             raise click.UsageError(str(exc))
     _emit(outcome.to_json(), fmt)
     sys.exit(0 if outcome.ok else EXIT_ASSERTION)
@@ -212,14 +214,17 @@ def sweep(shape_text, budget, out, detail, fmt):
     ok = report.all_resolved
     if ok:
         payload["summary"] = "all classes certified or zero"
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+        if detail:
+            with open(detail, "w", encoding="utf-8") as fh:
+                for row in rows:
+                    fh.write("\t".join(str(x) for x in row) + "\n")
+    except OSError as exc:  # a directory, or under a missing one
+        raise click.UsageError(str(exc))
     _emit(payload, fmt)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-    if detail:
-        with open(detail, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write("\t".join(str(x) for x in row) + "\n")
     sys.exit(0 if ok else EXIT_ASSERTION)
 
 
@@ -250,6 +255,8 @@ def polytope(shape_text, fmt):
 def faces(shape_text, mu, dual, delta_k, fmt):
     """Named faces: F_mu, its dual, or the Gr(2,n) shifted face."""
     shape = _shape(shape_text)
+    if delta_k is not None and (mu is not None or dual):
+        raise click.UsageError("--delta-k takes neither --mu nor --dual")
     poly = Polytope(LadderDiagram(shape))
     try:
         if delta_k is not None:
@@ -300,6 +307,8 @@ def kogan(shape_text, target, dual, positions, fmt):
     if not shape.is_complete():
         _emit({"status": "unsupported_shape", "detail": "Kogan faces need a complete flag"}, fmt)
         sys.exit(EXIT_UNSUPPORTED)
+    if positions and target:
+        raise click.UsageError("give --target or --positions, not both")
     if positions:
         try:
             face = face_from_positions(diagram, [int(p) for p in positions.split(",")], dual)

@@ -19,10 +19,10 @@ test on masks, and the intersection of two faces is the saturation of the
 union of their masks.  The saturated key is derived from the mask on
 demand, by merging the tight pairs.  The polytope memoises the saturation
 per union mask, and also owns the cache of divisor facet unions that
-certificate evaluation fills.  A candidate point is a vertex when the key
-derived from its tight mask is the point itself, and the facets through a
-face or a vertex are read off the masks: those whose mask is a subset of
-its own.
+certificate evaluation fills.  A vertex is a 0-dimensional face, the face
+of its tight mask: a candidate point is a vertex when the key derived from
+its tight mask is the point itself, and the facets through a face are read
+off the masks, those whose mask is a subset of its own.
 """
 
 from __future__ import annotations
@@ -98,10 +98,33 @@ class Face:
         inequality tight on self is tight on other."""
         return self.mask & ~other.mask == 0
 
-    def vertex(self) -> "Vertex":
-        if self.dim != 0:
+    @property
+    def values(self) -> tuple[int, ...]:
+        """Block-value index of every box, on a 0-dimensional face."""
+        key = self.key
+        if key is None or any(v > 0 for v in key):
             raise ValueError(f"face of dimension {self.dim} is not a vertex")
-        return Vertex(self.poly, tuple(-v for v in self.key))
+        return tuple(-v for v in key)
+
+    def value_of(self, cell: Cell) -> int:
+        """Block-value index of any cell the face fixes, box or forced."""
+        poly = self.poly
+        i = poly.box_index.get(cell)
+        if i is None:
+            return poly.diagram.forced_value(cell)
+        key = self.key
+        if key is None or key[i] > 0:
+            raise ValueError(f"{self} does not fix box {cell}")
+        return -key[i]
+
+    def pattern(self, lam: tuple[int, ...]) -> Pattern:
+        """Numeric Gelfand-Cetlin pattern at this vertex."""
+        validate_lambda(self.poly.shape, lam)
+        block_val = [lam[c - 1] for c in self.poly.shape.bounds[1:]]
+        return tuple(
+            tuple(block_val[self.value_of((j, i - j + 1)) - 1] for j in range(1, i + 1))
+            for i in range(1, self.poly.n + 1)
+        )
 
     def facets(self) -> list[EdgeKey]:
         """The effective edges whose facets contain this face: those whose
@@ -118,49 +141,6 @@ class Face:
         if self.is_empty:
             return "Face(empty)"
         return f"Face(dim={self.dim}, key={self.key})"
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """0-dimensional face: every box carries a block-value index."""
-
-    poly: "Polytope"
-    values: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vertex) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-    def __lt__(self, other: "Vertex") -> bool:
-        return self.values < other.values
-
-    def value_of(self, cell: Cell) -> int:
-        """Block-value index of any cell, box or forced."""
-        poly = self.poly
-        if cell in poly.box_index:
-            return self.values[poly.box_index[cell]]
-        return poly.diagram.forced_value(cell)
-
-    def facet_set(self) -> frozenset[EdgeKey]:
-        return frozenset(self.as_face().facets())
-
-    def as_face(self) -> Face:
-        return Face(self.poly, self.poly.tight_mask(tuple(-v for v in self.values)))
-
-    def pattern(self, lam: tuple[int, ...]) -> Pattern:
-        """Numeric Gelfand-Cetlin pattern at this vertex."""
-        validate_lambda(self.poly.shape, lam)
-        block_val = [lam[c - 1] for c in self.poly.shape.bounds[1:]]
-        n = self.poly.n
-        return tuple(
-            tuple(block_val[self.value_of((j, i - j + 1)) - 1] for j in range(1, i + 1))
-            for i in range(1, n + 1)
-        )
-
-    def __repr__(self) -> str:
-        return f"Vertex({self.values})"
 
 
 class Polytope:
@@ -188,7 +168,7 @@ class Polytope:
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
         self._empty = Face(self, -1)
-        self._vertices: list[Vertex] | None = None
+        self._vertices: list[Face] | None = None
         self._facet_cache: dict[EdgeKey, Face] = {}
         # union of two tight masks -> tight mask of the saturated intersection
         self._meet: dict[int, int] = {}
@@ -351,8 +331,9 @@ class Polytope:
 
     # -- vertices -----------------------------------------------------------------
 
-    def vertices(self) -> list[Vertex]:
-        """All 0-dimensional faces, enumerated once and cached."""
+    def vertices(self) -> list[Face]:
+        """All 0-dimensional faces, sorted by values, enumerated once and
+        cached."""
         if self._vertices is not None:
             return self._vertices
         # sweep columns right to left, each top to bottom, so that the two
@@ -379,19 +360,22 @@ class Polytope:
             del values[(c, r)]
 
         rec(0)
-        # a candidate is a vertex when its tight inequalities cut out a point
-        verts = [
-            Vertex(self, vals)
-            for vals in found
-            if self._key_of_mask(self.tight_mask(key := tuple(-v for v in vals))) == key
-        ]
-        self._vertices = sorted(verts)
+        # a candidate is a vertex when its tight inequalities cut out a
+        # point; the key the filter derives is kept on the face
+        self._vertices = []
+        for vals in sorted(found):
+            key = tuple(-v for v in vals)
+            mask = self.tight_mask(key)
+            if self._key_of_mask(mask) == key:
+                face = Face(self, mask)
+                object.__setattr__(face, "key", key)
+                self._vertices.append(face)
         return self._vertices
 
-    def vertices_of_face(self, face: Face) -> list[Vertex]:
+    def vertices_of_face(self, face: Face) -> list[Face]:
         if face.is_empty:
             return []
-        return [v for v in self.vertices() if face.contains(v.as_face())]
+        return [v for v in self.vertices() if face.contains(v)]
 
     def face_dimension_by_rank(self, face: Face) -> int:
         """Affine rank of the face's vertex set; the exact reference for the
@@ -408,12 +392,12 @@ class Polytope:
 
     # -- regularity and membership in the flag variety -----------------------------
 
-    def is_regular(self, v: Vertex) -> bool:
+    def is_regular(self, v: Face) -> bool:
         if not self.shape.is_complete():
             raise UnsupportedShapeError("regular vertices are defined for complete flags")
-        return len(v.facet_set()) == self.n * (self.n - 1) // 2
+        return len(v.facets()) == self.n * (self.n - 1) // 2
 
-    def in_VX(self, v: Vertex) -> bool:
+    def in_VX(self, v: Face) -> bool:
         """Whether the coordinate point of the vertex lies on the flag
         variety: always for Grassmannians; the no-constant-2x2-square
         criterion for complete flags."""
@@ -432,7 +416,7 @@ class Polytope:
                     return False
         return True
 
-    def coordinate_point(self, v: Vertex) -> dict[int, tuple[int, ...]]:
+    def coordinate_point(self, v: Face) -> dict[int, tuple[int, ...]]:
         """Per level, the unique nonvanishing coordinate index: the path
         separating values > a_{i+1} from values <= a_{i+1}."""
         out = {}
@@ -599,11 +583,10 @@ class FaceUnion:
                     new.append(h)
         return FaceUnion(self.poly, _antichain(new))
 
-    def vertices(self) -> list[Vertex]:
-        """The point set when every maximal face is 0-dimensional."""
-        if any(f.dim != 0 for f in self.faces):
-            raise ValueError("face union is not a finite set of vertices")
-        return sorted({f.vertex() for f in self.faces})
+    def vertices(self) -> list[Face]:
+        """The point set, sorted by values; a maximal face that is not
+        0-dimensional raises ValueError."""
+        return sorted(self.faces, key=lambda f: f.values)
 
     def contains_face(self, g: Face) -> bool:
         return any(f.contains(g) for f in self.faces)

@@ -54,14 +54,6 @@ class VanishingSet:
         return VanishingSet.of(self.n, data)
 
 
-@dataclass(frozen=True)
-class DivisorFacetUnion:
-    """A divisor path together with the facets of the effective edges on it."""
-
-    path: PositivePath
-    facets: tuple[Face, ...]
-
-
 def w_divisor(u: Permutation, level: int) -> PositivePath:
     """The divisor path of u X^{s_level}: horizontal steps u({1..level})."""
     if not 1 <= level <= u.n:
@@ -91,18 +83,9 @@ def vanishing_schubert(
     return VanishingSet.of(shape.n, data)
 
 
-def vanishing_translated(
-    diagram: LadderDiagram, u: Permutation, v: Permutation
-) -> VanishingSet:
-    """Vanishing set of the translated variety u X^v."""
-    return vanishing_schubert(diagram, v, opposite=True).translate(u)
-
-
-def divisor_facets(poly: Polytope, path: PositivePath) -> DivisorFacetUnion:
-    facets = tuple(
-        poly.facet_face(e) for e in poly.diagram.effective_edges_on(path)
-    )
-    return DivisorFacetUnion(path, facets)
+def divisor_facets(poly: Polytope, path: PositivePath) -> tuple[Face, ...]:
+    """The facets of the effective edges on a divisor path."""
+    return tuple(poly.facet_face(e) for e in poly.diagram.effective_edges_on(path))
 
 
 def fold_paths(poly: Polytope, paths) -> FaceUnion:
@@ -112,13 +95,13 @@ def fold_paths(poly: Polytope, paths) -> FaceUnion:
     Paths with fewer facets are folded first purely to keep intermediate
     antichains small; the result does not depend on the order.
     """
-    divisors = [divisor_facets(poly, p) for p in paths]
-    divisors.sort(key=lambda d: (len(d.facets), d.path.steps))
+    divisors = [(divisor_facets(poly, p), p.steps) for p in paths]
+    divisors.sort(key=lambda d: (len(d[0]), d[1]))
     union = FaceUnion.whole(poly)
-    for div in divisors:
-        if not div.facets:
+    for facets, _ in divisors:
+        if not facets:
             return FaceUnion.empty(poly)
-        union = union.intersect(FaceUnion(poly, div.facets))
+        union = union.intersect(FaceUnion(poly, facets))
         if union.is_empty:
             return union
     return union
@@ -127,7 +110,7 @@ def fold_paths(poly: Polytope, paths) -> FaceUnion:
 def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> FaceUnion:
     """The set-theoretic intersection, over the divisors cutting out u X^v,
     of the unions of facets on each divisor path."""
-    vanishing = vanishing_translated(poly.diagram, u, v)
+    vanishing = vanishing_schubert(poly.diagram, v).translate(u)
     return fold_paths(poly, vanishing.paths())
 
 

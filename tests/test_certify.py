@@ -237,7 +237,7 @@ class TestEngineInvariants:
         union = FaceUnion.whole(GR25)
         last = union.max_dim()
         for path in vanishing_schubert(GR25.diagram, v).paths():
-            union = union.intersect(FaceUnion(GR25, divisor_facets(GR25, path).facets))
+            union = union.intersect(FaceUnion(GR25, divisor_facets(GR25, path)))
             assert union.max_dim() <= last
             last = union.max_dim()
 

@@ -218,7 +218,17 @@ BAD_INPUTS = [
     (("sweep", "--shape", "1,2,3", "--budget", "0"), 2),
     (("search", "--shape", "1,3,5", "--v", "12435", "--w", "12435"), 3),
     (("kogan", "--shape", "1,2,3", "--positions", "1,1"), 2),
+    (("constant", "--shape", "2,4", "--u", "1,3,2,4", "--v", "1,3,2,4", "--w", "2,3,1,4",
+      "--mu", "(1,0)", "--nu", "(1,0)", "--eta", "(1,1)"), 2),
+    (("constant", "--shape", "2,4", "--w", "2,3,1,4",
+      "--mu", "(1,0)", "--nu", "(1,0)", "--eta", "(1,1)"), 2),
+    (("faces", "--shape", "2,5", "--mu", "(1,0)", "--delta-k", "2"), 2),
+    (("faces", "--shape", "2,5", "--dual", "--delta-k", "2"), 2),
+    (("kogan", "--shape", "1,2,3", "--positions", "1,2", "--target", "2,1,3"), 2),
 ]
+
+CERTIFY_GR24 = ("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
+                "--w", "2,3,1,4", "--u", "1,3,2,4", "--u", "id")
 
 
 class TestExitCodes:
@@ -235,7 +245,24 @@ class TestExitCodes:
     def test_store_of_another_shape(self, run, tmp_path):
         store = tmp_path / "store.jsonl"
         store.write_text(json.dumps({"schema": 1, "shape": "1,3"}) + "\n")
-        res = run("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
-                  "--w", "2,3,1,4", "--u", "1,3,2,4", "--u", "id", "--store", str(store))
+        res = run(*CERTIFY_GR24, "--store", str(store))
         self.assert_clean_exit(res, 2)
         assert len(store.read_text().splitlines()) == 1
+
+    def test_store_is_a_directory(self, run, tmp_path):
+        res = run(*CERTIFY_GR24, "--store", str(tmp_path))
+        self.assert_clean_exit(res, 2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_under_missing_directory(self, run, tmp_path):
+        store = tmp_path / "missing" / "store.jsonl"
+        res = run(*CERTIFY_GR24, "--store", str(store))
+        self.assert_clean_exit(res, 2)
+        assert not store.parent.exists()
+
+    @pytest.mark.parametrize("option", ["--out", "--detail"])
+    def test_sweep_output_paths(self, run, tmp_path, option):
+        for path in (tmp_path, tmp_path / "missing" / "out.txt"):
+            res = run("sweep", "--shape", "1,3", option, str(path))
+            self.assert_clean_exit(res, 2)
+        assert list(tmp_path.iterdir()) == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import Polytope, Vertex, _canonical_key, _UnionFind
+from gcschub.gc_polytope import Polytope, _canonical_key, _UnionFind
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import ParabolicShape, Permutation
@@ -177,7 +177,7 @@ def candidate_points(poly):
 
 def vertex_set(poly, f) -> frozenset:
     """Vertices of the face, found by key-walking containment."""
-    return frozenset(v for v in poly.vertices() if key_contains(f, v.as_face()))
+    return frozenset(v for v in poly.vertices() if key_contains(f, v))
 
 
 def reachable_faces(poly):
@@ -228,11 +228,19 @@ def check_intersections(poly, pairs):
 
 def check_edge_ids(poly, faces):
     """The edges read off the masks of a nonempty face are the edges whose
-    facets hold every vertex of the face by the value test."""
+    facets hold every vertex of the face by the value test; a face of
+    dimension 0 is its entry in the vertex list."""
     edges = frozenset(poly.diagram.effective_edges)
+    listed = {v.values: v for v in poly.vertices()}
+    points = 0
     for f in faces:
         on_all = edges.intersection(*(facet_set_by_values(v) for v in vertex_set(poly, f)))
         assert f.edge_ids() == sorted(f"{k}({a},{b})" for k, a, b in on_all), f
+        if f.dim == 0:
+            v = listed[f.values]
+            assert f == v and hash(f) == hash(v) and f.key == v.key, f
+            points += 1
+    assert points == len(listed)
 
 
 def gr25_named_faces(poly):
@@ -274,11 +282,14 @@ class TestExhaustive:
         check_intersections(poly, itertools.combinations_with_replacement(faces, 2))
 
     def test_vertex_faces(self):
-        # vertices become faces without saturation; their masks must agree
+        # vertices are faces built without saturation, their keys set by
+        # the vertex filter; key and mask must agree with each other and
+        # with the key derived from the mask
         for poly in (make(2, 5), make(1, 2, 3, 4)):
-            faces = [v.as_face() for v in poly.vertices()]
+            faces = poly.vertices()
             check_faces(poly, faces)
             assert all(f.dim == 0 for f in faces)
+            assert all(f.key == poly._key_of_mask(f.mask) for f in faces)
 
 
 FL5 = make(1, 2, 3, 4, 5)
@@ -360,17 +371,17 @@ def test_vertices_match_anchored_components(cuts_n):
     # component reference accepts; on a Grassmannian it accepts them all
     poly = make(*cuts_n)
     candidates = candidate_points(poly)
-    expected = sorted(Vertex(poly, vals) for vals in candidates if is_extreme(poly, vals))
+    expected = sorted(vals for vals in candidates if is_extreme(poly, vals))
     assert expected
     assert (len(expected) == len(candidates)) == poly.shape.is_grassmannian()
-    assert poly.vertices() == expected
+    assert [v.values for v in poly.vertices()] == expected
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
 def test_vertex_facets_match_values(cuts_n):
     poly = make(*cuts_n)
     for v in poly.vertices():
-        assert v.facet_set() == facet_set_by_values(v), v
+        assert frozenset(v.facets()) == facet_set_by_values(v), v
 
 
 def test_memo_hit_derives_no_key():

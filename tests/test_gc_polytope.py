@@ -54,13 +54,33 @@ class TestVertices:
     def test_every_vertex_on_enough_facets(self):
         for poly in (GR24, FL3, FL4):
             for v in poly.vertices():
-                assert len(v.facet_set()) >= poly.dim
+                assert len(v.facets()) >= poly.dim
 
     def test_zero_dim_faces_are_vertices(self):
+        # a vertex is the face of its values, pinned from outside
         for v in GR24.vertices():
-            face = v.as_face()
-            assert face.dim == 0
-            assert face.vertex() == v
+            assert v.dim == 0
+            face = GR24.face_from_pins(dict(zip(GR24.boxes, v.values)))
+            assert face == v and hash(face) == hash(v)
+
+    def test_sorted_by_values(self):
+        for poly in (GR24, GR25, FL3, FL4, make(1, 3, 4)):
+            values = [v.values for v in poly.vertices()]
+            assert values == sorted(values) and len(set(values)) == len(values)
+
+    def test_positive_dimension_is_not_a_vertex(self):
+        f = GR24.named_face_F((1, 0))
+        fixed = [c for c, v in zip(GR24.boxes, f.key) if v < 0]
+        free = [c for c, v in zip(GR24.boxes, f.key) if v > 0]
+        assert f.dim == 3 and fixed and free
+        with pytest.raises(ValueError):
+            f.values
+        with pytest.raises(ValueError):
+            f.value_of(free[0])
+        assert f.value_of(fixed[0]) == 2
+        for face in (GR24.whole_face(), GR24.empty_face()):
+            with pytest.raises(ValueError):
+                face.values
 
 
 class TestRegularAndVX:
@@ -179,7 +199,9 @@ class TestNamedFaces:
     def test_Fvee_zero_is_vertex(self):
         f = GR24.named_face_Fvee((0, 0))
         assert f.dim == 0
-        assert set(f.vertex().values) == {1}
+        assert set(f.values) == {1}
+        listed = [v for v in GR24.vertices() if v.values == f.values]
+        assert listed == [f] and hash(listed[0]) == hash(f)
 
     def test_nonempty_iff_leq(self):
         parts = [(a, b) for a in range(4) for b in range(a + 1)]
@@ -220,6 +242,14 @@ class TestFaceUnion:
         fu = FaceUnion.whole(GR24)
         with pytest.raises(ValueError):
             fu.vertices()
+
+    def test_vertices_sorted_by_values(self):
+        # the union keeps its faces in mask order, its vertices come out in
+        # the order of their values
+        for poly in (GR25, FL4):
+            fu = FaceUnion.of(poly, poly.vertices())
+            assert fu.faces != tuple(poly.vertices())
+            assert fu.vertices() == poly.vertices()
 
 
 class TestLatticePoints:

@@ -17,7 +17,6 @@ from gcschub.pluecker import (
     toric_divisor_equations,
     toric_subvariety_equations,
     vanishing_schubert,
-    vanishing_translated,
     w_divisor,
 )
 from gcschub.weyl import (
@@ -104,7 +103,7 @@ class TestVanishing:
     def test_translated_cycle(self):
         c = Permutation((2, 3, 4, 1))
         v = grassmannian_perm((1, 1), 2, 4)
-        got = vanishing_translated(D24, c, v)
+        got = vanishing_schubert(D24, v).translate(c)
         assert got.level(2) == frozenset({(1, 2), (2, 3), (2, 4)})
 
     def test_translation_involution(self):
@@ -166,7 +165,7 @@ class TestDeltaUV:
 
             union = FaceUnion.whole(P25)
             for p in shuffled:
-                union = union.intersect(FaceUnion(P25, divisor_facets(P25, p).facets))
+                union = union.intersect(FaceUnion(P25, divisor_facets(P25, p)))
             assert union.faces == reference.faces
 
 
