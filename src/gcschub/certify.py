@@ -13,13 +13,24 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 
 from . import __version__
-from .coeffs import structure_constant
+from .coeffs import build_modified_partition, structure_constant
 from .gc_polytope import Face, Polytope
+from .ladder import LadderDiagram
 from .pluecker import delta_schubert_bottom, delta_uv
-from .weyl import ParabolicShape, Permutation, UnsupportedShapeError, bruhat_leq, length
+from .weyl import (
+    ParabolicShape,
+    Permutation,
+    UnsupportedShapeError,
+    bruhat_leq,
+    cyclic_shift,
+    grassmannian_perm,
+    length,
+    partition_of_perm,
+)
 
 log = logging.getLogger("gcschub")
 
@@ -74,6 +85,9 @@ def evaluate(
     Each Delta is built once per polytope and kept in its ``delta_cache``.
     """
     shape = poly.shape
+    for x in list(vs) + [w] + list(us):
+        if x.n != poly.n:
+            raise ValueError(f"{x} is not a permutation of rank {poly.n}")
     if len(us) != len(vs):
         raise ValueError(f"need one translation per factor: {len(us)} vs {len(vs)}")
     for x in list(vs) + [w]:
@@ -169,8 +183,6 @@ def _tier1(poly: Polytope, vs):
 
 def _tier2(poly: Polytope, vs):
     """Constructive candidates: Chevalley, special pairs, cyclic shifts."""
-    from .weyl import partition_of_perm
-
     n = poly.n
     shape = poly.shape
     idt = Permutation.identity(n)
@@ -205,8 +217,6 @@ def _tier2(poly: Polytope, vs):
                         out.append(tuple(us))
             # cyclic-shift candidates for two-row shapes
             if m == 2:
-                from .weyl import cyclic_shift
-
                 cyc = cyclic_shift(n)
                 power = idt
                 for _ in range(n):
@@ -215,13 +225,7 @@ def _tier2(poly: Polytope, vs):
                         us[slot] = power
                         out.append(tuple(us))
                     power = cyc * power
-    seen = set()
-    uniq = []
-    for cand in out:
-        if cand not in seen:
-            seen.add(cand)
-            uniq.append(cand)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def _tier3(poly: Polytope, vs):
@@ -317,9 +321,6 @@ def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
     """Partition the degree-compatible triples of S_n into constant classes
     and resolve each one: the merged zero class by the oracle, the rest by
     certificate search over the class members, split tuples included."""
-    from .coeffs import build_modified_partition
-    from .ladder import LadderDiagram
-
     classes = build_modified_partition(n)
     shape = ParabolicShape.complete(n)
     poly = Polytope(LadderDiagram(shape))
@@ -414,9 +415,6 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
 
     The constructive tier alone suffices; the later tiers are a fallback.
     """
-    from .ladder import LadderDiagram
-    from .weyl import grassmannian_perm
-
     parts = _box_partitions(2, n - 2)
     polys: dict[int, Polytope] = {}
     entries = []
@@ -452,9 +450,6 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
 
 def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
     """Projective space: every constant is Chevalley-type and certifies."""
-    from .ladder import LadderDiagram
-    from .weyl import grassmannian_perm
-
     shape = ParabolicShape((1,), n)
     poly = Polytope(LadderDiagram(shape))
     entries = []
@@ -499,8 +494,6 @@ def store_append(path: str, cert: Certificate):
     first use.  A store holds one shape: a certificate of another shape is
     refused with a ValueError.  A path that cannot be read or opened raises
     OSError before anything is written."""
-    import os
-
     header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
     if not header_needed:
         header, _ = store_read(path)

@@ -56,16 +56,23 @@ def _perm(text: str, n: int) -> Permutation:
         raise click.UsageError(str(exc))
 
 
+def _cell(value) -> str:
+    """A TSV cell: containers as compact JSON, anything else as text."""
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, separators=(",", ":"), sort_keys=True)
+    return str(value)
+
+
 def _emit(data, fmt: str):
     if fmt == "json":
         click.echo(json.dumps(data, indent=2, sort_keys=True))
     else:
         if isinstance(data, dict):
             for key, value in data.items():
-                click.echo(f"{key}\t{value}")
+                click.echo(f"{key}\t{_cell(value)}")
         else:
             for row in data:
-                click.echo("\t".join(str(x) for x in row))
+                click.echo("\t".join(_cell(x) for x in row))
 
 
 @click.group()

@@ -6,9 +6,10 @@ decreasing numeric instantiation yields the same face structure.  A face is
 an equality system on the nodes, which are the boxes plus one value node
 per block value a_l, given as a set of node merges: pinning a box to a_l
 merges it with the value node of a_l.  The system is kept in saturated
-canonical form: a class is a strongly connected component of the order
-graph, the adjacent-pair constraints plus the value chain
-a_{k+1} <= ... <= a_1, on the merged nodes, and two value nodes in one class
+canonical form, read off one transitively closed graph: the order graph,
+the adjacent-pair constraints plus the value chain a_{k+1} <= ... <= a_1,
+with each merge added as an edge both ways.  A class is a strongly
+connected component of the closed graph, and two value nodes in one class
 make the system infeasible.  Saturation makes feasibility, dimension and
 containment exact for these systems, and the vertex-rank oracle double
 checks that in the tests.
@@ -40,27 +41,7 @@ from .ladder import (
     path_of_partition,
     validate_lambda,
 )
-from .weyl import UnsupportedShapeError  # noqa: F401 (re-exported)
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-        return ra
+from .weyl import UnsupportedShapeError
 
 
 @dataclass(frozen=True, order=True)
@@ -160,10 +141,13 @@ class Polytope:
         for lo, hi in diagram.adjacent_pairs():
             self._pairs.append((self._node(lo), self._node(hi)))
         self._pairs = sorted(set(self._pairs))
-        # the order graph that saturation closes: the pairs and the value
-        # chain a_{k+1} <= ... <= a_1
+        # the order graph that saturation closes, the pairs and the value
+        # chain a_{k+1} <= ... <= a_1: bit j of _succ[i] is set when node j
+        # is node i or one step above it
         nb = len(self.boxes)
-        self._order = self._pairs + [(nb + l, nb + l - 1) for l in range(1, self.num_values)]
+        self._succ = [1 << i for i in range(nb + self.num_values)]
+        for lo, hi in self._pairs + [(nb + l, nb + l - 1) for l in range(1, self.num_values)]:
+            self._succ[lo] |= 1 << hi
         # values of the value nodes: in key + _const_values, entry i is the
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
@@ -264,50 +248,28 @@ class Polytope:
     # -- saturation ------------------------------------------------------------
 
     def _saturate(self, merges) -> tuple[tuple[int, ...] | None, int]:
-        """Close an equality system given as node merges.  A class is a
-        strongly connected component of the order graph on the merged
-        nodes; the system is empty when two value nodes share a class.
-        Returns the canonical key and its tight mask, (None, -1) when
-        empty."""
+        """Close an equality system given as node merges.  A merge is an
+        edge both ways in the order graph, and a class is a strongly
+        connected component of the closed graph; the system is empty when
+        two value nodes share a class.  Returns the canonical key and its
+        tight mask, (None, -1) when empty."""
         nb = len(self.boxes)
-        size = nb + self.num_values
-        uf = _UnionFind(size)
+        reach = self._succ[:]
         for a, b in merges:
-            uf.union(a, b)
-        root_of = [uf.find(i) for i in range(size)]
-        roots = sorted(set(root_of))
-        index = {r: i for i, r in enumerate(roots)}
-        m = len(roots)
-        succ = [0] * m
-        for lo, hi in self._order:
-            if root_of[lo] != root_of[hi]:
-                succ[index[root_of[lo]]] |= 1 << index[root_of[hi]]
-        changed = True
-        while changed:  # transitive closure; the graphs are tiny
-            changed = False
-            for i in range(m):
-                acc = succ[i]
-                mask = acc
-                while mask:
-                    j = (mask & -mask).bit_length() - 1
-                    acc |= succ[j]
-                    mask &= mask - 1
-                if acc != succ[i]:
-                    succ[i] = acc
-                    changed = True
-        # the quotient by the components has no cycle, so one pass closes
-        # the system: a block squeezed to a_l lies on a cycle through its
-        # value node, and one forced between two values joins them
-        for i in range(m):
-            mask = succ[i]
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if (succ[j] >> i) & 1:
-                    uf.union(roots[i], roots[j])
-        if len({uf.find(v) for v in range(nb, size)}) != self.num_values:
+            reach[a] |= 1 << b
+            reach[b] |= 1 << a
+        size = len(reach)
+        for k in range(size):  # transitive closure; the graphs are tiny
+            bit, through = 1 << k, reach[k]
+            for i in range(size):
+                if reach[i] & bit:
+                    reach[i] |= through
+        # each node reaches itself, so two nodes share a class exactly when
+        # they reach the same nodes; a class is named by its least node
+        if len(set(reach[nb:])) != self.num_values:
             return None, -1
-        key = _canonical_key(uf.parent, nb)
+        least: dict[int, int] = {}
+        key = _canonical_key([least.setdefault(r, i) for i, r in enumerate(reach)], nb)
         return key, self.tight_mask(key)
 
     # -- face operations --------------------------------------------------------

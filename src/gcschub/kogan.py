@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .gc_polytope import Face, FaceUnion, Polytope
 from .ladder import EdgeKey, LadderDiagram
-from .weyl import Permutation, length
+from .weyl import Permutation, length, longest_element
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,6 @@ def degeneration_union(
     """Union of the faces a Schubert variety degenerates to: the reduced
     dual Kogan faces with word equal to v for X^v (opposite=True), and the
     reduced Kogan faces with word w_0 u for X_u."""
-    from .weyl import longest_element
-
     if opposite:
         faces = enumerate_reduced(poly.diagram, target, dual=True)
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gc_polytope import Face, FaceUnion, Polytope
-from .ladder import LadderDiagram, PositivePath, path_leq
+from .ladder import LadderDiagram, PositivePath, path_leq, path_of_partition
 from .weyl import Permutation, longest_element, min_coset_rep
 
 
@@ -145,8 +145,6 @@ def toric_subvariety_equations(
     shape = diagram.shape
     if not shape.is_grassmannian():
         raise ValueError(f"Grassmannian shape required, got {shape}")
-    from .ladder import path_of_partition
-
     m = shape.cuts[0]
     ref = path_of_partition(tuple(mu), m, shape.n)
     dead = set()

@@ -64,6 +64,24 @@ class TestEvaluate:
             assert isinstance(cert, Certificate)
             assert cert.ok and cert.count == 0 == cert.oracle
 
+    @pytest.mark.parametrize(
+        "factor, translation",
+        [
+            (None, Permutation((2, 1, 3))),
+            (None, Permutation((2, 1, 3, 4, 5))),
+            (Permutation((1, 3, 2)), None),
+        ],
+    )
+    def test_other_rank_rejected(self, factor, translation):
+        # a translation of another rank used to certify, and a factor of
+        # another rank raised IndexError in the coset test
+        one = grassmannian_perm((1, 0), 2, 4)
+        eta = grassmannian_perm((1, 1), 2, 4)
+        vs = [one, factor or one]
+        us = [one, translation or Permutation.identity(4)]
+        with pytest.raises(ValueError, match="rank 4"):
+            evaluate(GR24, vs, eta, us)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate(GR24, [s(2, 4)], s(2, 4).right_mul_s(3), [Permutation.identity(4)])

@@ -132,6 +132,22 @@ class TestFacesCmd:
         assert res.exit_code == 3
 
 
+class TestTsvFormat:
+    # a container field is compact JSON, not a Python literal
+    @pytest.mark.parametrize("args, field, expected", [
+        (("sweep", "--shape", "2,4"), "by_status", {"certified": 21, "zero": 6}),
+        (("faces", "--shape", "2,5", "--mu", "(2,0)"), "edges", ["H(2,1)", "V(2,1)"]),
+        (("search", "--shape", "1,2,3,4", "--v", "2,1,3,4", "--v", "2,1,3,4",
+          "--w", "3,1,2,4", "--budget", "1"), "failures", {"positive_dimension": 1}),
+    ])
+    def test_container_fields_parse_as_json(self, run, args, field, expected):
+        res = run(*args, "--format", "tsv")
+        assert res.exit_code in (0, 1), res.output
+        fields = dict(line.split("\t", 1) for line in res.output.splitlines())
+        assert json.loads(fields[field]) == expected
+        assert " " not in fields[field]
+
+
 class TestKoganCmd:
     def test_positions(self, run):
         res = run("kogan", "--shape", "1,2,3,4,5,6", "--dual",

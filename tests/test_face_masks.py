@@ -10,10 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import Polytope, _canonical_key, _UnionFind
+from gcschub.gc_polytope import Polytope, _canonical_key
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import ParabolicShape, Permutation
+
+
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, a: int) -> int:
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+        return ra
 
 
 def make(*cuts_n):
@@ -329,7 +349,9 @@ def merge_lists(poly):
     return st.lists(merge, max_size=10)
 
 
-@pytest.mark.parametrize("cuts_n", [(1, 2, 3, 4, 5), (3, 7), (2, 4, 6)])
+@pytest.mark.parametrize(
+    "cuts_n", [(1, 2, 3, 4, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4, 5, 6), (1, 3, 5)]
+)
 def test_saturate_matches_bound_propagation(cuts_n):
     poly = make(*cuts_n)
 
