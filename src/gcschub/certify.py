@@ -22,6 +22,7 @@ from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram
 from .pluecker import delta_schubert_bottom, delta_uv
 from .weyl import (
+    InputError,
     ParabolicShape,
     Permutation,
     UnsupportedShapeError,
@@ -87,14 +88,14 @@ def evaluate(
     shape = poly.shape
     for x in list(vs) + [w] + list(us):
         if x.n != poly.n:
-            raise ValueError(f"{x} is not a permutation of rank {poly.n}")
+            raise InputError(f"{x} is not a permutation of rank {poly.n}")
     if len(us) != len(vs):
-        raise ValueError(f"need one translation per factor: {len(us)} vs {len(vs)}")
+        raise InputError(f"need one translation per factor: {len(us)} vs {len(vs)}")
     for x in list(vs) + [w]:
         if not shape.in_min_coset_reps(x):
-            raise ValueError(f"{x} is not a minimal coset representative for {shape}")
+            raise InputError(f"{x} is not a minimal coset representative for {shape}")
     if sum(length(v) for v in vs) != length(w):
-        raise ValueError("lengths of the factors must add up to the length of w")
+        raise InputError("lengths of the factors must add up to the length of w")
 
     cache = poly.delta_cache
     bottom_key = (None, w.window)  # apart from the (u, v) keys of the factors
@@ -492,13 +493,13 @@ def sweep_conjecture(shape: ParabolicShape, budget: int = 2000):
 def store_append(path: str, cert: Certificate):
     """Append a certificate to a JSONL store, writing the schema header on
     first use.  A store holds one shape: a certificate of another shape is
-    refused with a ValueError.  A path that cannot be read or opened raises
+    refused with an InputError.  A path that cannot be read or opened raises
     OSError before anything is written."""
     header_needed = not os.path.exists(path) or os.path.getsize(path) == 0
     if not header_needed:
         header, _ = store_read(path)
         if header["shape"] != str(cert.shape):
-            raise ValueError(
+            raise InputError(
                 f"store {path} holds shape {header['shape']}, not {cert.shape}"
             )
     with open(path, "a", encoding="utf-8") as fh:
@@ -513,10 +514,13 @@ def store_append(path: str, cert: Certificate):
 
 
 def store_read(path: str) -> tuple[dict, list[dict]]:
-    """The header and the certificate rows of a store; a file without a
-    schema-1 header raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+    """The header and the certificate rows of a store; a file that is not
+    UTF-8 JSON lines under a schema-1 header raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
+    except ValueError as exc:  # not UTF-8, or a line that is not JSON
+        raise InputError(f"{path} is not a certificate store: {exc}") from exc
     if not lines or not isinstance(lines[0], dict) or lines[0].get("schema") != 1:
-        raise ValueError(f"{path} is not a schema-1 certificate store")
+        raise InputError(f"{path} is not a schema-1 certificate store")
     return lines[0], lines[1:]

@@ -6,13 +6,13 @@ decreasing numeric instantiation yields the same face structure.  A face is
 an equality system on the nodes, which are the boxes plus one value node
 per block value a_l, given as a set of node merges: pinning a box to a_l
 merges it with the value node of a_l.  The system is kept in saturated
-canonical form, read off one transitively closed graph: the order graph,
-the adjacent-pair constraints plus the value chain a_{k+1} <= ... <= a_1,
-with each merge added as an edge both ways.  A class is a strongly
-connected component of the closed graph, and two value nodes in one class
-make the system infeasible.  Saturation makes feasibility, dimension and
-containment exact for these systems, and the vertex-rank oracle double
-checks that in the tests.
+canonical form, read off one transitively closed graph: the order graph
+of the adjacent-pair constraints, which already orders the value nodes
+a_{k+1} <= ... <= a_1, with each merge added as an edge both ways.  A
+class is a strongly connected component of the closed graph, and two
+value nodes in one class make the system infeasible.  Saturation makes
+feasibility, dimension and containment exact for these systems, and the
+vertex-rank oracle double checks that in the tests.
 
 A face is its tight mask, the set of adjacent-pair inequalities it makes
 tight, kept as a bitmask, and stores nothing else: containment is a subset
@@ -41,7 +41,7 @@ from .ladder import (
     path_of_partition,
     validate_lambda,
 )
-from .weyl import UnsupportedShapeError
+from .weyl import InputError, UnsupportedShapeError
 
 
 @dataclass(frozen=True, order=True)
@@ -141,12 +141,11 @@ class Polytope:
         for lo, hi in diagram.adjacent_pairs():
             self._pairs.append((self._node(lo), self._node(hi)))
         self._pairs = sorted(set(self._pairs))
-        # the order graph that saturation closes, the pairs and the value
-        # chain a_{k+1} <= ... <= a_1: bit j of _succ[i] is set when node j
-        # is node i or one step above it
-        nb = len(self.boxes)
-        self._succ = [1 << i for i in range(nb + self.num_values)]
-        for lo, hi in self._pairs + [(nb + l, nb + l - 1) for l in range(1, self.num_values)]:
+        # the order graph that saturation closes, the pairs alone: bit j of
+        # _succ[i] is set when node j is node i or one step above it.  Its
+        # closure already orders the value nodes a_{k+1} <= ... <= a_1.
+        self._succ = [1 << i for i in range(len(self.boxes) + self.num_values)]
+        for lo, hi in self._pairs:
             self._succ[lo] |= 1 << hi
         # values of the value nodes: in key + _const_values, entry i is the
         # value of node i
@@ -204,7 +203,7 @@ class Polytope:
         polytope, the set of points where its tight inequalities hold with
         equality; pinning a box strictly inside its range does not."""
         if self._key_of_mask(mask) != key:
-            raise ValueError(f"equality system {key} is not a face of the polytope")
+            raise InputError(f"equality system {key} is not a face of the polytope")
         return Face(self, mask)
 
     # -- tight masks -----------------------------------------------------------
@@ -430,7 +429,7 @@ class Polytope:
             raise UnsupportedShapeError("delta_k is defined for Gr(2, n)")
         n = self.n
         if not 1 <= k <= n - 2:
-            raise ValueError(f"k must be within 1..{n - 2}: {k}")
+            raise InputError(f"k must be within 1..{n - 2}: {k}")
         atoms = [((1, k), (1, k + 1)), ((2, k - 1), (2, k)) if k > 1 else None]
         atoms = [a for a in atoms if a is not None]
         face = self.face_from_atoms(atoms)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .gc_polytope import Face, FaceUnion, Polytope
 from .ladder import EdgeKey, LadderDiagram
-from .weyl import Permutation, length, longest_element
+from .weyl import InputError, Permutation, length, longest_element
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,9 @@ def face_from_positions(diagram: LadderDiagram, positions, dual: bool) -> KoganF
     grid = word_positions(diagram.n, dual)
     bad = [p for p in positions if not 1 <= p <= len(grid)]
     if bad:
-        raise ValueError(f"positions must be within 1..{len(grid)}: {bad}")
+        raise InputError(f"positions must be within 1..{len(grid)}: {bad}")
     if len(set(positions)) != len(positions):
-        raise ValueError(f"positions must be distinct: {list(positions)}")
+        raise InputError(f"positions must be distinct: {list(positions)}")
     edges = [grid[p - 1] for p in positions]
     return read_word(diagram, edges, dual)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .weyl import ParabolicShape, Permutation
+from .weyl import InputError, ParabolicShape, Permutation
 
 Cell = tuple[int, int]
 EdgeKey = tuple[str, int, int]
@@ -115,7 +115,9 @@ def partition_of_path(p: PositivePath, m: int | None = None) -> tuple[int, ...]:
 
 def path_of_partition(mu: tuple[int, ...], m: int, n: int) -> PositivePath:
     if len(mu) != m:
-        raise ValueError(f"partition must have {m} parts: {mu}")
+        raise InputError(f"partition must have {m} parts: {mu}")
+    if any(a < b for a, b in zip(mu, mu[1:])) or mu[-1] < 0 or mu[0] > n - m:
+        raise InputError(f"{mu} is not a partition in the {m}x{n - m} box")
     return PositivePath(tuple(mu[m - s] + s for s in range(1, m + 1)), n)
 
 
@@ -320,15 +322,15 @@ def validate_lambda(shape: ParabolicShape, lam: tuple[int, ...]) -> None:
     """lam must be weakly decreasing, constant on blocks and strictly
     decreasing across cuts."""
     if len(lam) != shape.n:
-        raise ValueError(f"lambda needs {shape.n} entries: {lam}")
+        raise InputError(f"lambda needs {shape.n} entries: {lam}")
     b = shape.bounds
     for l in range(1, len(b)):
         block = lam[b[l - 1]: b[l]]
         if any(v != block[0] for v in block):
-            raise ValueError(f"lambda must be constant on block {l}: {lam}")
+            raise InputError(f"lambda must be constant on block {l}: {lam}")
     for cut in shape.cuts:
         if lam[cut - 1] <= lam[cut]:
-            raise ValueError(f"lambda must drop strictly at cut {cut}: {lam}")
+            raise InputError(f"lambda must drop strictly at cut {cut}: {lam}")
 
 
 def is_gc_pattern(pattern: Pattern) -> bool:
@@ -351,6 +353,8 @@ def decompose_weight(
     leaves a valid pattern, so the greedy loop cannot dead-end.
     """
     validate_lambda(diagram.shape, lam)
+    if lam[-1] < 0:  # lam_n paths of level n
+        raise InputError(f"lambda needs nonnegative entries: {lam}")
     n = diagram.n
     if tuple(pattern[n - 1]) != tuple(lam):
         raise ValueError(f"top row {pattern[n - 1]} != lambda {lam}")

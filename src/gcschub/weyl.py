@@ -88,6 +88,11 @@ class UnsupportedShapeError(ValueError):
     complete flags and another shape is requested."""
 
 
+class InputError(ValueError):
+    """Raised when caller-supplied data fails a precondition: bad input, as
+    opposed to a fault of the engine."""
+
+
 @dataclass(frozen=True)
 class ParabolicShape:
     """Strictly increasing cuts 0 < n_1 < ... < n_k < n defining a block
@@ -234,11 +239,11 @@ def grassmannian_perm(mu: tuple[int, ...], m: int, n: int) -> Permutation:
     """
     mu = tuple(mu)
     if len(mu) != m:
-        raise ValueError(f"partition must have {m} parts (pad with zeros): {mu}")
+        raise InputError(f"partition must have {m} parts (pad with zeros): {mu}")
     if any(mu[r] < mu[r + 1] for r in range(m - 1)) or any(p < 0 for p in mu):
-        raise ValueError(f"not a partition: {mu}")
+        raise InputError(f"not a partition: {mu}")
     if mu[0] > n - m:
-        raise ValueError(f"partition {mu} does not fit in {m}x{n - m}")
+        raise InputError(f"partition {mu} does not fit in {m}x{n - m}")
     first = [mu[m - j] + j for j in range(1, m + 1)]
     rest = [v for v in range(1, n + 1) if v not in set(first)]
     return Permutation(tuple(first + rest))

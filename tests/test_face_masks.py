@@ -363,6 +363,31 @@ def test_saturate_matches_bound_propagation(cuts_n):
     check()
 
 
+def test_pairs_order_the_value_nodes():
+    # the order graph that _saturate closes has no value chain of its own:
+    # on every shape with n <= 8, the adjacent pairs alone lead from the
+    # value node of a_{l+1} to that of a_l
+    shapes = 0
+    for n in range(2, 9):
+        for r in range(1, n):
+            for cuts in itertools.combinations(range(1, n), r):
+                poly = make(*cuts, n)
+                nb = len(poly.boxes)
+                above = {}
+                for lo, hi in poly._pairs:
+                    above.setdefault(lo, []).append(hi)
+                for l in range(1, poly.num_values):
+                    reached, todo = {nb + l}, [nb + l]
+                    while todo:
+                        for hi in above.get(todo.pop(), ()):
+                            if hi not in reached:
+                                reached.add(hi)
+                                todo.append(hi)
+                    assert nb + l - 1 in reached, (cuts, n, l)
+                shapes += 1
+    assert shapes == 247
+
+
 @pytest.mark.parametrize("cuts_n", [(2, 5), (1, 2, 3, 4)])
 def test_saturate_all_pin_pairs(cuts_n):
     # every pair of pins, so that squeezed blocks and crossing bounds, the
