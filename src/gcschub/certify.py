@@ -5,7 +5,7 @@ A certificate for (v_1..v_{m+1}, w) with translations (u_1..u_{m+1}) is
 valid when the intersection of the divisor facet unions of the u_i X^{v_i}
 and of X_w collapses to finitely many polytope vertices, all lying on the
 flag variety; the constant then equals the vertex count, which the engine
-always cross-checks against the polynomial oracle.
+always cross-checks against the structure-constant oracle.
 """
 
 from __future__ import annotations

@@ -65,11 +65,13 @@ PARTITION = _Parsed("partition", parse_partition)
 POSITIONS = _Parsed("positions", lambda text: [int(p) for p in text.split(",")])
 
 
-def _perm(text: str, n: int) -> Permutation:
+def _perm(text: str, n: int, option: str) -> Permutation:
+    """Parse a permutation of S_n given to ``option``; it depends on the
+    shape, so it is parsed in the command and not by a parameter type."""
     try:
         return parse_permutation(text, n)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.BadParameter(str(exc), param_hint=f"'{option}'") from exc
 
 
 def _partition_text(part) -> str:
@@ -149,8 +151,8 @@ def constant(shape, u_texts, v_text, w_text, mu, nu, eta, fmt):
     else:
         if not u_texts or v_text is None or w_text is None:
             raise click.UsageError("give --u/--v/--w or --mu/--nu/--eta")
-        us = [_perm(t, n) for t in u_texts] + [_perm(v_text, n)]
-        w = _perm(w_text, n)
+        us = [_perm(t, n, "--u") for t in u_texts] + [_perm(v_text, n, "--v")]
+        w = _perm(w_text, n, "--w")
         for x in us + [w]:
             if not shape.in_min_coset_reps(x):
                 raise click.UsageError(f"{x} is not a minimal coset representative for {shape}")
@@ -162,8 +164,8 @@ def _certificate_command(shape, v_texts, w_text, store, fmt, run):
     """Parse the factors, run ``run(poly, vs, w)``, store and emit its
     certificate, and exit.  ``run`` returns a Certificate, or a failure
     payload whose status names what went wrong."""
-    vs = [_perm(t, shape.n) for t in v_texts]
-    w = _perm(w_text, shape.n)
+    vs = [_perm(t, shape.n, "--v") for t in v_texts]
+    w = _perm(w_text, shape.n, "--w")
     outcome = run(Polytope(LadderDiagram(shape)), vs, w)
     if not isinstance(outcome, Certificate):
         _emit(outcome, fmt)
@@ -185,7 +187,7 @@ def certify(shape, v_texts, w_text, u_texts, store, fmt):
     """Evaluate one translation tuple into a certificate."""
 
     def run(poly, vs, w):
-        res = evaluate(poly, vs, w, [_perm(t, poly.n) for t in u_texts])
+        res = evaluate(poly, vs, w, [_perm(t, poly.n, "--u") for t in u_texts])
         if isinstance(res, EvaluationFailure):
             return {"status": res.kind, "detail": res.detail}
         return res
@@ -322,7 +324,7 @@ def kogan(shape, target, dual, positions, fmt):
         return
     if not target:
         raise click.UsageError("give --target or --positions")
-    found = enumerate_reduced(diagram, _perm(target, shape.n), dual)
+    found = enumerate_reduced(diagram, _perm(target, shape.n, "--target"), dual)
     _emit([f.to_json() for f in found] if fmt == "json" else
           [(i, f.word, f.reduced) for i, f in enumerate(found)], fmt)
 

@@ -1,16 +1,22 @@
 """Structure-constant oracles and the reduction calculus.
 
-Two independent oracles guard against implementation error: Schubert
-polynomials with divided differences (any type-A constant) and the
-Littlewood-Richardson tableau rule (Grassmannian constants).  On top sit
+Two independent oracles guard against implementation error: Monk's rule
+with the Lascoux-Schutzenberger transition on S_n (any type-A constant) and
+the Littlewood-Richardson tableau rule (Grassmannian constants).  On top sit
 the triple symmetries, the commuting-support splitting, and the modified
 partition of the triple set used by the certificate sweeps, built on
 integer tables of S_n.
 
-Polynomials are sparse dicts mapping exponent tuples (trailing zeros
-trimmed) to integer coefficients.  Products of S_n classes can involve basis
-elements outside S_n; expansions are carried out in however many variables
-the monomials demand, then restricted to the requested target.
+The first oracle reads a constant off a lazily memoised row table: the row
+of (u, y) is the Schubert expansion of S_u * S_y truncated to S_n, keyed by
+full windows.  A row is filled by the transition, which writes S_u as
+x_r * S_v plus classes of the length of u, and by Monk's rule for x_r *
+S_z.  Products of three or more factors fold left over rows.  Truncation is
+exact: a nonzero c_{x,y}^z has x <= z in Bruhat order, S_n is a lower
+Bruhat ideal of S_infinity, and every Monk term lies above the class it
+multiplies, so a class outside S_n never feeds a class inside it.  The
+polynomial oracle the table replaced is kept in ``tests/reference_oracle.py``
+as the reference.
 """
 
 from __future__ import annotations
@@ -24,187 +30,86 @@ from .weyl import (
     UnsupportedShapeError,
     length,
     longest_element,
-    reduced_word,
     star_factorize,
 )
 
-Monomial = tuple[int, ...]
-SchubertPolynomial = dict[Monomial, int]
 
-
-def _trim(mono) -> Monomial:
-    mono = tuple(mono)
-    while mono and mono[-1] == 0:
-        mono = mono[:-1]
-    return mono
-
-
-def _trim_window(window: tuple[int, ...]) -> tuple[int, ...]:
-    while len(window) > 1 and window[-1] == len(window):
-        window = window[:-1]
-    return window
-
-
-def code(w: Permutation) -> tuple[int, ...]:
-    """Lehmer code: c_i = #{j > i : w(j) < w(i)}."""
-    win = w.window
-    return _trim(
-        tuple(sum(1 for b in win[i + 1:] if b < a) for i, a in enumerate(win))
-    )
-
-
-def perm_from_code(c: tuple[int, ...]) -> tuple[int, ...]:
-    """Trimmed window of the permutation with the given Lehmer code."""
-    c = tuple(c)
-    size = max((i + 1 + v for i, v in enumerate(c)), default=1)
-    size = max(size, len(c) + 1)
-    remaining = list(range(1, size + 1))
-    window = []
-    for i in range(size):
-        ci = c[i] if i < len(c) else 0
-        window.append(remaining.pop(ci))
-    return _trim_window(tuple(window))
-
-
-def poly_add(p: SchubertPolynomial, q: SchubertPolynomial, scale: int = 1) -> SchubertPolynomial:
-    out = dict(p)
-    for mono, coeff in q.items():
-        new = out.get(mono, 0) + scale * coeff
-        if new:
-            out[mono] = new
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def poly_mul(p: SchubertPolynomial, q: SchubertPolynomial) -> SchubertPolynomial:
-    out: SchubertPolynomial = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            size = max(len(ma), len(mb))
-            mono = _trim(
-                tuple(
-                    (ma[i] if i < len(ma) else 0) + (mb[i] if i < len(mb) else 0)
-                    for i in range(size)
-                )
-            )
-            new = out.get(mono, 0) + ca * cb
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def divided_difference(p: SchubertPolynomial, i: int) -> SchubertPolynomial:
-    """(p - s_i p) / (x_i - x_{i+1}), acting on variables x_i, x_{i+1}."""
-    out: SchubertPolynomial = {}
-    for mono, coeff in p.items():
-        size = max(len(mono), i + 1)
-        alpha = list(mono) + [0] * (size - len(mono))
-        a, b = alpha[i - 1], alpha[i]
-        if a == b:
-            continue
-        sign = 1 if a > b else -1
-        lo, hi = min(a, b), max(a, b)
-        # (x^a y^b - x^b y^a)/(x - y) = sign * sum x^s y^{lo+hi-1-s}, s=lo..hi-1
-        for s in range(lo, hi):
-            alpha[i - 1], alpha[i] = s, lo + hi - 1 - s
-            mono2 = _trim(alpha)
-            new = out.get(mono2, 0) + sign * coeff
-            if new:
-                out[mono2] = new
-            else:
-                out.pop(mono2, None)
-    return out
+def _swap(window: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """window * t_ij: swap the entries at positions i < j."""
+    return window[: i - 1] + (window[j - 1],) + window[i:j - 1] + (window[i - 1],) + window[j:]
 
 
 @lru_cache(maxsize=None)
-def _schubert_cached(window: tuple[int, ...]) -> tuple[tuple[Monomial, int], ...]:
-    w = Permutation(window)
-    n = w.n
-    if w.is_identity():
-        return (((), 1),)
-    if window == tuple(range(n, 0, -1)):
-        return ((_trim(tuple(range(n - 1, 0, -1))), 1),)
-    i = next(i for i in range(1, n) if w(i) < w(i + 1))
-    longer = w.right_mul_s(i)
-    poly = dict(_schubert_cached(longer.window))
-    return tuple(sorted(divided_difference(poly, i).items()))
+def _monk(z: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Monk's rule truncated to S_n: x_r * S_z is the sum of S_{z t_rb}
+    (b > r) minus the sum of S_{z t_ar} (a < r) over the transpositions that
+    raise the length by one, that is with no value strictly between z(r)
+    and the swapped value at a position in between.  The terms with b > n
+    leave S_n and are dropped."""
+    zr = z[r - 1]
+    terms = []
+    between = len(z) + 1
+    for b in range(r + 1, len(z) + 1):
+        if zr < z[b - 1] < between:
+            between = z[b - 1]
+            terms.append((_swap(z, r, b), 1))
+    between = 0
+    for a in range(r - 1, 0, -1):
+        if between < z[a - 1] < zr:
+            between = z[a - 1]
+            terms.append((_swap(z, a, r), -1))
+    return tuple(terms)
 
 
-def schubert_poly(w: Permutation) -> SchubertPolynomial:
-    """The Schubert polynomial of w, stable under appending fixed points."""
-    return dict(_schubert_cached(_trim_window(w.window)))
-
-
-def _colex_max(p: SchubertPolynomial) -> Monomial:
-    size = max(len(m) for m in p)
-    return max(p, key=lambda m: tuple(reversed(m + (0,) * (size - len(m)))))
-
-
-def expand_in_schubert_basis(p: SchubertPolynomial) -> dict[tuple[int, ...], int]:
-    """Write p as an integer combination of Schubert polynomials by peeling
-    the colex-largest monomial, which is the leading monomial x^{code(w)}.
-
-    Keys of the result are trimmed windows.
-    """
+@lru_cache(maxsize=None)
+def _row(u: tuple[int, ...], y: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """S_u * S_y truncated to S_n, as {window: coefficient}; shared, so
+    never mutated.  For u other than the identity, the transition takes r
+    the last descent of u, s the largest j > r with u(j) < u(r) and
+    v = u t_rs: S_u = x_r * S_v + the sum of S_{v t_qr} over the q < r
+    where v t_qr is as long as u, which are the negative terms of Monk's
+    rule for x_r * S_v."""
+    r = next((i for i in range(len(u) - 1, 0, -1) if u[i - 1] > u[i]), 0)
+    if not r:
+        return {y: 1}
+    s = max(j for j in range(r + 1, len(u) + 1) if u[j - 1] < u[r - 1])
+    v = _swap(u, r, s)
     out: dict[tuple[int, ...], int] = {}
-    p = dict(p)
-    guard = 0
-    while p:
-        guard += 1
-        if guard > 100000:
-            raise AssertionError("expansion did not terminate")
-        mono = _colex_max(p)
-        coeff = p[mono]
-        window = perm_from_code(mono)
-        piece = dict(_schubert_cached(window))
-        lead = _colex_max(piece)
-        if lead != mono or piece[lead] != 1:
-            raise AssertionError(f"leading monomial mismatch for {window}: {lead} vs {mono}")
-        out[window] = out.get(window, 0) + coeff
-        p = poly_add(p, piece, scale=-coeff)
-    return {w: c for w, c in out.items() if c}
+    for z, c in _row(v, y).items():
+        for t, sign in _monk(z, r):
+            out[t] = out.get(t, 0) + sign * c
+    for t, sign in _monk(v, r):
+        if sign < 0:
+            for z, c in _row(t, y).items():
+                out[z] = out.get(z, 0) + c
+    row = {z: c for z, c in out.items() if c}
+    if any(c < 0 for c in row.values()):
+        raise AssertionError(f"negative coefficient in the Schubert product of {u} and {y}")
+    return row
 
 
-@lru_cache(maxsize=None)
-def _product_expansion(windows: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    poly: SchubertPolynomial = {(): 1}
-    for window in windows:
-        poly = poly_mul(poly, dict(_schubert_cached(window)))
-    expansion = expand_in_schubert_basis(poly)
-    if any(c < 0 for c in expansion.values()):
-        raise AssertionError(f"negative coefficient in Schubert expansion of {windows}")
-    return tuple(sorted(expansion.items()))
-
-
-def expand_product(us: list[Permutation]) -> dict[tuple[int, ...], int]:
-    """Schubert-basis expansion of the product of the classes of us."""
-    key = tuple(sorted(_trim_window(u.window) for u in us))
-    return dict(_product_expansion(key))
+def _fold(windows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """The product of the classes of one or more windows of S_n, truncated
+    to S_n: the rows folded left."""
+    acc = {windows[0]: 1}
+    for y in windows[1:]:
+        nxt: dict[tuple[int, ...], int] = {}
+        for z, c in acc.items():
+            for t, d in _row(z, y).items():
+                nxt[t] = nxt.get(t, 0) + c * d
+        acc = nxt
+    return acc
 
 
 def structure_constant(us: list[Permutation], w: Permutation) -> int:
     """Coefficient of the class of w in the product of the classes of us."""
     if any(u.n != w.n for u in us):
         raise ValueError("all permutations must share one rank")
-    if sum(length(u) for u in us) != length(w):
+    if sum(map(length, us)) != length(w):
         return 0
-    return expand_product(us).get(_trim_window(w.window), 0)
-
-
-def constant_by_descents(us: list[Permutation], w: Permutation) -> int:
-    """Independent evaluation: apply the divided-difference word of w to the
-    product and read the constant term."""
-    if sum(length(u) for u in us) != length(w):
-        return 0
-    poly: SchubertPolynomial = {(): 1}
-    for u in us:
-        poly = poly_mul(poly, schubert_poly(u))
-    for i in reversed(reduced_word(w)):
-        poly = divided_difference(poly, i)
-    return poly.get((), 0)
+    # the empty product is the class of the identity
+    windows = [u.window for u in us] or [Permutation.identity(w.n).window]
+    return _fold(windows).get(w.window, 0)
 
 
 # -- Littlewood-Richardson oracle ------------------------------------------------

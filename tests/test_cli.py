@@ -278,6 +278,19 @@ BAD_INPUTS = [
     (("lattice-points", "--shape", "1,2,3", "--lam", "(1,0,-1)", "--decompose"), 2),
 ]
 
+# a rejected permutation: the error names the option that carried it
+BAD_PERMUTATIONS = [
+    (("constant", "--shape", "2,4", "--u", "x", "--v", "id", "--w", "id"), "--u"),
+    (("constant", "--shape", "2,4", "--u", "id", "--v", "1,1,3,4", "--w", "id"), "--v"),
+    (("constant", "--shape", "2,4", "--u", "id", "--v", "id", "--w", "s9"), "--w"),
+    (("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
+      "--w", "2,3,1,4", "--u", "s7", "--u", "id"), "--u"),
+    (("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "x",
+      "--w", "2,3,1,4", "--u", "id", "--u", "id"), "--v"),
+    (("search", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4", "--w", "21"), "--w"),
+    (("kogan", "--shape", "1,2,3", "--target", "s5"), "--target"),
+]
+
 CERTIFY_GR24 = ("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
                 "--w", "2,3,1,4", "--u", "1,3,2,4", "--u", "id")
 
@@ -292,6 +305,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("args,code", BAD_INPUTS)
     def test_bad_input(self, run, args, code):
         self.assert_clean_exit(run(*args), code)
+
+    @pytest.mark.parametrize("args,option", BAD_PERMUTATIONS)
+    def test_bad_permutation_names_its_option(self, run, args, option):
+        res = run(*args)
+        self.assert_clean_exit(res, 2)
+        assert f"Invalid value for '{option}'" in res.output
 
     def test_store_of_another_shape(self, run, tmp_path):
         store = tmp_path / "store.jsonl"

@@ -1,21 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gcschub import coeffs
 from gcschub.coeffs import (
     all_triples,
     apply_identities,
     SnTables,
     build_modified_partition,
     chevalley,
-    code,
-    constant_by_descents,
-    expand_product,
     gr_structure_constant,
     lr_coefficient,
-    perm_from_code,
     pieri_gr2,
-    schubert_poly,
     split_by_star,
     structure_constant,
 )
@@ -25,6 +23,15 @@ from gcschub.weyl import (
     grassmannian_perm,
     length,
     longest_element,
+)
+from reference_oracle import (
+    code,
+    constant_by_descents,
+    expand_product,
+    perm_from_code,
+    schubert_poly,
+    structure_constant_reference,
+    truncated_product,
 )
 from reference_partition import build_modified_partition_reference, recursion_step
 
@@ -130,6 +137,83 @@ class TestStructureConstants:
         assert expand_product([a, b, c]) == expand_product([c, a, b])
 
 
+@st.composite
+def products(draw):
+    """Two or three factors of S_6 or S_7, each the product of a word of at
+    most seven simple reflections, so that the reference stays fast."""
+    n = draw(st.sampled_from([6, 7]))
+    word = st.lists(st.integers(1, n - 1), max_size=7)
+    k = draw(st.integers(2, 3))
+    return [Permutation.from_word(draw(word), n) for _ in range(k)], n
+
+
+class TestRowTable:
+    """The row table (Monk's rule and the transition, truncated to S_n)
+    against the polynomial reference in ``reference_oracle``."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_triple_matches_reference(self, n):
+        triples = all_triples(n)
+        assert len(triples) == {3: 35, 4: 1115, 5: 74199}[n]
+        for u, v, w in triples:
+            assert structure_constant([u, v], w) == structure_constant_reference([u, v], w), (u, v, w)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_match_reference(self, n):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for u in perms:
+            for v in perms:
+                assert coeffs._fold([u.window, v.window]) == truncated_product([u, v], n), (u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(products())
+    def test_sampled_products_match_reference(self, product):
+        us, n = product
+        assert coeffs._fold([u.window for u in us]) == truncated_product(us, n)
+
+    def test_no_factor_and_one_factor(self):
+        e, s1, s2 = Permutation.identity(4), s(1, 4), s(2, 4)
+        assert structure_constant([], e) == 1
+        assert structure_constant([], s1) == 0
+        assert structure_constant([s1], s1) == 1
+        assert structure_constant([s1], s2) == 0
+        for us, w in (([], e), ([], s1), ([s1], s1), ([s1], s2)):
+            assert structure_constant(us, w) == structure_constant_reference(us, w)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError):
+            structure_constant([s(1, 4), s(1, 3)], Permutation.from_word([1, 2], 4))
+        with pytest.raises(ValueError):
+            structure_constant([s(1, 3)], s(1, 4))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_terms_outside_sn_are_dropped(self, n):
+        # s_{n-1} * s_{n-1} = S_{s_{n-2} s_{n-1}} + S_{s_n s_{n-1}}; the second
+        # class lives in S_{n+1} only
+        last = s(n - 1, n)
+        inside = Permutation.from_word([n - 2, n - 1], n).window
+        outside = Permutation.from_word([n, n - 1], n + 1).window
+        assert expand_product([last, last]) == {inside: 1, outside: 1}
+        assert coeffs._fold([last.window, last.window]) == {inside: 1}
+        assert structure_constant([last, last], Permutation(inside)) == 1
+
+    def test_negative_row_is_an_error(self, monkeypatch):
+        # a Monk step that loses its positive terms leaves negative
+        # coefficients, which no product of Schubert classes has
+        monk = coeffs._monk
+
+        def negative_terms(z, r):
+            return tuple((t, sign) for t, sign in monk(z, r) if sign < 0)
+
+        monkeypatch.setattr(coeffs, "_monk", negative_terms)
+        coeffs._row.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="negative coefficient"):
+                structure_constant([s(2, 3), s(2, 3)], Permutation((3, 1, 2)))
+        finally:
+            coeffs._row.cache_clear()
+
+
 class TestLROracle:
     def test_small_values(self):
         assert lr_coefficient((1,), (1,), (2,)) == 1
@@ -138,7 +222,7 @@ class TestLROracle:
         assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
         assert lr_coefficient((1,), (1,), (3,)) == 0
 
-    @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 6)])
+    @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7)])
     def test_agrees_with_schubert_oracle(self, m, n):
         parts = box_partitions(m, n - m)
         for mu in parts:
