@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .coeffs import build_modified_partition, structure_constant
-from .gc_polytope import Face, Polytope
+from .gc_polytope import Face, FaceUnion, Polytope
 from .ladder import LadderDiagram
 from .pluecker import delta_schubert_bottom, delta_uv
 from .weyl import (
@@ -107,12 +107,7 @@ def evaluate(
         if key not in cache:
             cache[key] = delta_uv(poly, u, v)
         pieces.append(cache[key])
-    pieces.sort(key=lambda fu: len(fu.faces))
-    inter = pieces[0]
-    for piece in pieces[1:]:
-        inter = inter.intersect(piece)
-        if inter.is_empty:
-            break
+    inter = FaceUnion.meet(poly, [p.faces for p in pieces])
 
     oracle = structure_constant(list(vs), w)
     if inter.is_empty:

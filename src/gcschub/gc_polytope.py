@@ -5,25 +5,31 @@ indices 1..k+1 with a_1 > a_2 > ... > a_{k+1}, since every strictly
 decreasing numeric instantiation yields the same face structure.  A face is
 an equality system on the nodes, which are the boxes plus one value node
 per block value a_l, given as a set of node merges: pinning a box to a_l
-merges it with the value node of a_l.  The system is kept in saturated
-canonical form, read off one transitively closed graph: the order graph
-of the adjacent-pair constraints, which already orders the value nodes
-a_{k+1} <= ... <= a_1, with each merge added as an edge both ways.  A
-class is a strongly connected component of the closed graph, and two
-value nodes in one class make the system infeasible.  Saturation makes
-feasibility, dimension and containment exact for these systems, and the
-vertex-rank oracle double checks that in the tests.
+merges it with the value node of a_l.  Saturation closes one graph
+transitively: the order graph of the adjacent-pair constraints, which
+already orders the value nodes a_{k+1} <= ... <= a_1, with each merge added
+as an edge both ways.  A class is a strongly connected component of the
+closed graph, and two value nodes in one class make the system infeasible.
+Saturation returns the tight mask, read off equal reach sets: every node
+reaches itself, so the two nodes of a pair share a class exactly when they
+reach the same nodes.  Saturation makes feasibility, dimension and
+containment exact for these systems, and the vertex-rank oracle double
+checks that in the tests.
 
 A face is its tight mask, the set of adjacent-pair inequalities it makes
 tight, kept as a bitmask, and stores nothing else: containment is a subset
 test on masks, and the intersection of two faces is the saturation of the
 union of their masks.  The saturated key is derived from the mask on
-demand, by merging the tight pairs.  The polytope memoises the saturation
-per union mask, and also owns the cache of divisor facet unions that
-certificate evaluation fills.  A vertex is a 0-dimensional face, the face
-of its tight mask: a candidate point is a vertex when the key derived from
-its tight mask is the point itself, and the facets through a face are read
-off the masks, those whose mask is a subset of its own.
+demand, by merging the tight pairs, and that is the only way a key is
+made.  The polytope memoises the saturation per union mask, and also owns
+the cache of divisor facet unions that certificate evaluation fills.
+``FaceUnion.meet`` is the one fold of an intersection of face unions.
+
+A vertex is a 0-dimensional face, the face of its tight mask.  The
+candidate points are the lattice points whose top row takes the value
+k+2-l on block l; a candidate is a vertex when the key derived from its
+tight mask is the point itself.  The facets through a face are read off
+the masks, those whose mask is a subset of its own.
 """
 
 from __future__ import annotations
@@ -151,6 +157,7 @@ class Polytope:
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
         self._empty = Face(self, -1)
+        self._whole = Face(self, self._saturate([]))
         self._vertices: list[Face] | None = None
         self._facet_cache: dict[EdgeKey, Face] = {}
         # union of two tight masks -> tight mask of the saturated intersection
@@ -174,7 +181,7 @@ class Polytope:
     # -- face construction ---------------------------------------------------
 
     def whole_face(self) -> Face:
-        return Face(self, self._saturate([])[1])
+        return self._whole
 
     def empty_face(self) -> Face:
         return self._empty
@@ -189,21 +196,25 @@ class Polytope:
     def face_from_atoms(self, atoms) -> Face:
         """Build the face from (cellA, cellB) equality atoms; a forced cell
         is its value node."""
-        return self._checked(*self._saturate([(self._node(a), self._node(b)) for a, b in atoms]))
+        return self._checked([(self._node(a), self._node(b)) for a, b in atoms])
 
     def face_from_pins(self, pin_cells: dict[Cell, int]) -> Face:
         """Build the face pinning each box to its block value a_l."""
         nb = len(self.boxes)
-        return self._checked(
-            *self._saturate([(self.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
-        )
+        return self._checked([(self.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
 
-    def _checked(self, key: tuple[int, ...] | None, mask: int) -> Face:
+    def _checked(self, merges) -> Face:
         """An equality system given from outside must cut out a face of the
         polytope, the set of points where its tight inequalities hold with
-        equality; pinning a box strictly inside its range does not."""
-        if self._key_of_mask(mask) != key:
-            raise InputError(f"equality system {key} is not a face of the polytope")
+        equality; pinning a box strictly inside its range does not.  Within
+        a class every edge of the closed graph is a pair or a merge, so the
+        system is a face exactly when every merge holds on the key of its
+        tight mask."""
+        mask = self._saturate(merges)
+        if mask != -1:
+            values = self._key_of_mask(mask) + self._const_values
+            if any(values[a] != values[b] for a, b in merges):
+                raise InputError(f"equality system {merges} is not a face of the polytope")
         return Face(self, mask)
 
     # -- tight masks -----------------------------------------------------------
@@ -214,11 +225,14 @@ class Polytope:
         face."""
         if key is None:
             return -1
-        values = key + self._const_values
+        return self._tight_pairs(key + self._const_values)
+
+    def _tight_pairs(self, label) -> int:
+        """Bit i set when the two nodes of ``_pairs[i]`` carry one label."""
         mask = 0
         bit = 1
         for lo, hi in self._pairs:
-            if values[lo] == values[hi]:
+            if label[lo] == label[hi]:
                 mask |= bit
             bit <<= 1
         return mask
@@ -246,13 +260,12 @@ class Polytope:
 
     # -- saturation ------------------------------------------------------------
 
-    def _saturate(self, merges) -> tuple[tuple[int, ...] | None, int]:
+    def _saturate(self, merges) -> int:
         """Close an equality system given as node merges.  A merge is an
         edge both ways in the order graph, and a class is a strongly
         connected component of the closed graph; the system is empty when
-        two value nodes share a class.  Returns the canonical key and its
-        tight mask, (None, -1) when empty."""
-        nb = len(self.boxes)
+        two value nodes share a class.  Returns the tight mask, -1 when
+        empty."""
         reach = self._succ[:]
         for a, b in merges:
             reach[a] |= 1 << b
@@ -264,12 +277,10 @@ class Polytope:
                 if reach[i] & bit:
                     reach[i] |= through
         # each node reaches itself, so two nodes share a class exactly when
-        # they reach the same nodes; a class is named by its least node
-        if len(set(reach[nb:])) != self.num_values:
-            return None, -1
-        least: dict[int, int] = {}
-        key = _canonical_key([least.setdefault(r, i) for i, r in enumerate(reach)], nb)
-        return key, self.tight_mask(key)
+        # they reach the same nodes
+        if len(set(reach[len(self.boxes):])) != self.num_values:
+            return -1
+        return self._tight_pairs(reach)
 
     # -- face operations --------------------------------------------------------
 
@@ -286,7 +297,7 @@ class Polytope:
         union = fm | gm
         meet = self._meet.get(union)
         if meet is None:
-            meet = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])[1]
+            meet = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])
             self._meet[union] = meet
         return Face(self, meet)
 
@@ -297,40 +308,22 @@ class Polytope:
         cached."""
         if self._vertices is not None:
             return self._vertices
-        # sweep columns right to left, each top to bottom, so that the two
-        # constraining neighbors (above and to the right) are always known
-        order = sorted(self.boxes, key=lambda cr: (-cr[0], -cr[1]))
-        values: dict[Cell, int] = {}
-        found: list[tuple[int, ...]] = []
-
-        def known(cell: Cell) -> int:
-            if cell in values:
-                return values[cell]
-            return self.diagram.forced_value(cell)
-
-        def rec(pos: int):
-            if pos == len(order):
-                found.append(tuple(values[c] for c in self.boxes))
-                return
-            c, r = order[pos]
-            # value index grows as the actual value shrinks: the cell above
-            # bounds l from below, the cell to the right from above
-            for l in range(known((c, r + 1)), known((c + 1, r)) + 1):
-                values[(c, r)] = l
-                rec(pos + 1)
-            del values[(c, r)]
-
-        rec(0)
+        # the top row takes the value k+2-l on block l, so that a_l is the
+        # integer k+2-l
+        top = self.shape.k + 2
+        lam = tuple(top - self.shape.block_of(c) for c in range(1, self.n + 1))
         # a candidate is a vertex when its tight inequalities cut out a
         # point; the key the filter derives is kept on the face
         self._vertices = []
-        for vals in sorted(found):
-            key = tuple(-v for v in vals)
+        for pattern in self._patterns(lam):
+            key = tuple(pattern[c + r - 2][c - 1] - top for c, r in self.boxes)
             mask = self.tight_mask(key)
             if self._key_of_mask(mask) == key:
                 face = Face(self, mask)
                 object.__setattr__(face, "key", key)
                 self._vertices.append(face)
+        # a key is the negated values, so descending keys sort by values
+        self._vertices.sort(key=lambda f: f.key, reverse=True)
         return self._vertices
 
     def vertices_of_face(self, face: Face) -> list[Face]:
@@ -442,24 +435,25 @@ class Polytope:
     def lattice_points(self, lam: tuple[int, ...]) -> list[Pattern]:
         """All integral Gelfand-Cetlin patterns with top row lam."""
         validate_lambda(self.shape, lam)
-        n = self.n
+        return list(self._patterns(lam))
+
+    def _patterns(self, lam: tuple[int, ...]):
+        """Generate the interlacing patterns with top row lam, row by row."""
         rows: list[tuple[int, ...]] = [tuple(lam)]
-        out: list[Pattern] = []
 
         def rec(i: int):
             # build row i-1 below row i
             if i == 1:
-                out.append(tuple(reversed(rows)))
+                yield tuple(reversed(rows))
                 return
             above = rows[-1]
             ranges = [range(above[j], above[j - 1] + 1) for j in range(1, i)]
             for combo in itertools.product(*ranges):
-                rows.append(tuple(combo))
-                rec(i - 1)
+                rows.append(combo)
+                yield from rec(i - 1)
                 rows.pop()
 
-        rec(n)
-        return out
+        return rec(self.n)
 
 
 def _canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:
@@ -519,10 +513,6 @@ class FaceUnion:
         return FaceUnion(poly, (poly.whole_face(),))
 
     @staticmethod
-    def empty(poly: Polytope) -> "FaceUnion":
-        return FaceUnion(poly, ())
-
-    @staticmethod
     def of(poly: Polytope, faces) -> "FaceUnion":
         return FaceUnion(poly, _antichain(faces))
 
@@ -532,6 +522,20 @@ class FaceUnion:
 
     def max_dim(self) -> int:
         return max((f.dim for f in self.faces), default=-1)
+
+    @staticmethod
+    def meet(poly: Polytope, face_sets) -> "FaceUnion":
+        """Intersection of the unions of the given face sets, folded from
+        the whole polytope: the sets with fewest faces first, purely to keep
+        the intermediate antichains small, since the maximal faces of the
+        result do not depend on the order; it stops at the first empty
+        result."""
+        union = FaceUnion.whole(poly)
+        for faces in sorted(face_sets, key=len):
+            union = union.intersect(FaceUnion(poly, tuple(faces)))
+            if union.is_empty:
+                break
+        return union
 
     def intersect(self, other: "FaceUnion") -> "FaceUnion":
         """Pointwise intersection of two unions; ``other`` need not be an

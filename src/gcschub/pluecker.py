@@ -90,21 +90,9 @@ def divisor_facets(poly: Polytope, path: PositivePath) -> tuple[Face, ...]:
 
 def fold_paths(poly: Polytope, paths) -> FaceUnion:
     """Intersection of the facet unions of the given divisor paths, as a
-    canonical antichain of maximal faces.
-
-    Paths with fewer facets are folded first purely to keep intermediate
-    antichains small; the result does not depend on the order.
-    """
-    divisors = [(divisor_facets(poly, p), p.steps) for p in paths]
-    divisors.sort(key=lambda d: (len(d[0]), d[1]))
-    union = FaceUnion.whole(poly)
-    for facets, _ in divisors:
-        if not facets:
-            return FaceUnion.empty(poly)
-        union = union.intersect(FaceUnion(poly, facets))
-        if union.is_empty:
-            return union
-    return union
+    canonical antichain of maximal faces; ``FaceUnion.meet`` folds them, in
+    an order that does not change the result."""
+    return FaceUnion.meet(poly, [divisor_facets(poly, p) for p in paths])
 
 
 def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> FaceUnion:

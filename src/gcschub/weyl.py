@@ -29,11 +29,7 @@ class Permutation:
     @staticmethod
     def transposition(i: int, n: int) -> "Permutation":
         """The simple reflection s_i swapping i and i+1."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"s_{i} does not exist in S_{n}")
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(tuple(w))
+        return Permutation.identity(n).right_mul_s(i)
 
     @staticmethod
     def from_word(word: tuple[int, ...] | list[int], n: int) -> "Permutation":
@@ -59,14 +55,20 @@ class Permutation:
             inv[v - 1] = i
         return Permutation(tuple(inv))
 
+    def _check_simple(self, i: int):
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"s_{i} does not exist in S_{self.n}")
+
     def right_mul_s(self, i: int) -> "Permutation":
         """w * s_i: swap the window entries at positions i, i+1."""
+        self._check_simple(i)
         w = list(self.window)
         w[i - 1], w[i] = w[i], w[i - 1]
         return Permutation(tuple(w))
 
     def left_mul_s(self, i: int) -> "Permutation":
         """s_i * w: swap the values i and i+1."""
+        self._check_simple(i)
         w = list(self.window)
         a, b = w.index(i), w.index(i + 1)
         w[a], w[b] = w[b], w[a]
@@ -299,11 +301,7 @@ def parse_permutation(text: str, n: int) -> Permutation:
     if text in ("id", "e", ""):
         return Permutation.identity(n)
     if text.startswith("s"):
-        word = [int(p.lstrip("s")) for p in text.split("*")]
-        for i in word:
-            if not 1 <= i < n:
-                raise ValueError(f"s{i} is not a simple reflection of S{n}")
-        return Permutation.from_word(word, n)
+        return Permutation.from_word([int(p.lstrip("s")) for p in text.split("*")], n)
     if "," in text:
         window = tuple(int(p) for p in text.split(","))
     else:

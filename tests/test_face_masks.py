@@ -1,8 +1,9 @@
 """Differential tests of the tight-mask fast paths against the slow
 references they replaced: key-walking containment, vertex-set containment,
-a fresh key-based saturation of every intersection by bound propagation,
-the anchored component test for vertices, and the value-based facet test
-for vertices."""
+a fresh key-based saturation of every intersection and of every merge list
+by bound propagation, the anchored component test for vertices, the column
+sweep for the candidate points, the value-based facet test for vertices,
+and a hand-ordered fold for ``FaceUnion.meet``."""
 
 import itertools
 
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import Polytope, _canonical_key
+from gcschub.gc_polytope import FaceUnion, Polytope, _canonical_key
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
-from gcschub.weyl import ParabolicShape, Permutation
+from gcschub.pluecker import delta_uv, divisor_facets, vanishing_schubert
+from gcschub.weyl import InputError, ParabolicShape, Permutation
 
 
 class _UnionFind:
@@ -180,6 +182,35 @@ def facet_set_by_values(vertex) -> frozenset:
         if vertex.value_of(a) == vertex.value_of(b):
             out.append(edge)
     return frozenset(out)
+
+
+def candidates_by_columns(poly):
+    """Reference enumerator of the same assignments: sweep the columns right
+    to left, each top to bottom, so that the two constraining neighbours
+    (above and to the right) are always known."""
+    order = sorted(poly.boxes, key=lambda cr: (-cr[0], -cr[1]))
+    values = {}
+    found = []
+
+    def known(cell):
+        if cell in values:
+            return values[cell]
+        return poly.diagram.forced_value(cell)
+
+    def rec(pos):
+        if pos == len(order):
+            found.append(tuple(values[c] for c in poly.boxes))
+            return
+        c, r = order[pos]
+        # value index grows as the actual value shrinks: the cell above
+        # bounds l from below, the cell to the right from above
+        for l in range(known((c, r + 1)), known((c + 1, r)) + 1):
+            values[(c, r)] = l
+            rec(pos + 1)
+        del values[(c, r)]
+
+    rec(0)
+    return found
 
 
 def candidate_points(poly):
@@ -349,6 +380,21 @@ def merge_lists(poly):
     return st.lists(merge, max_size=10)
 
 
+def check_saturate(poly, merges, expected):
+    """The closure's tight mask is the reference mask, and the system is
+    accepted as a face exactly when the reference key is the key of that
+    mask."""
+    key, mask = expected
+    assert poly._saturate(merges) == mask, merges
+    is_face = key == poly._key_of_mask(mask)
+    if is_face:
+        assert poly._checked(merges).mask == mask, merges
+    else:
+        with pytest.raises(InputError):
+            poly._checked(merges)
+    return is_face
+
+
 @pytest.mark.parametrize(
     "cuts_n", [(1, 2, 3, 4, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4, 5, 6), (1, 3, 5)]
 )
@@ -358,7 +404,7 @@ def test_saturate_matches_bound_propagation(cuts_n):
     @settings(max_examples=200, deadline=None)
     @given(merge_lists(poly))
     def check(merges):
-        assert poly._saturate(merges) == saturate_by_bounds(poly, merges), merges
+        check_saturate(poly, merges, saturate_by_bounds(poly, merges))
 
     check()
 
@@ -391,16 +437,19 @@ def test_pairs_order_the_value_nodes():
 @pytest.mark.parametrize("cuts_n", [(2, 5), (1, 2, 3, 4)])
 def test_saturate_all_pin_pairs(cuts_n):
     # every pair of pins, so that squeezed blocks and crossing bounds, the
-    # two ways the reference finds an empty system, both occur
+    # two ways the reference finds an empty system, both occur; on a
+    # Grassmannian every box ranges over [a_2, a_1], so every pin system is
+    # a face, while Fl4 has pins strictly inside a range
     poly = make(*cuts_n)
     nb = len(poly.boxes)
     pins = [(i, nb + l) for i in range(nb) for l in range(poly.num_values)]
-    empty = 0
+    empty = rejected = 0
     for merges in itertools.combinations_with_replacement(pins, 2):
         expected = saturate_by_bounds(poly, merges)
-        assert poly._saturate(merges) == expected, merges
+        rejected += not check_saturate(poly, merges, expected)
         empty += expected == (None, -1)
     assert 0 < empty < len(pins) * (len(pins) + 1) // 2
+    assert (rejected > 0) != poly.shape.is_grassmannian()
 
 
 def test_non_face_equality_system_rejected():
@@ -422,6 +471,34 @@ def test_vertices_match_anchored_components(cuts_n):
     assert expected
     assert (len(expected) == len(candidates)) == poly.shape.is_grassmannian()
     assert [v.values for v in poly.vertices()] == expected
+
+
+VERTEX_COUNTS = {
+    (2, 5): 10,
+    (3, 7): 35,
+    (2, 4, 6): 155,
+    (1, 3, 5): 40,
+    (1, 3, 4): 14,
+    (3, 4, 7): 439,
+    (1, 2, 3, 4): 40,
+    (1, 2, 3, 4, 5): 358,
+}
+
+
+@pytest.mark.parametrize("cuts_n, count", VERTEX_COUNTS.items())
+def test_vertices_match_column_sweep(cuts_n, count):
+    # the candidates read off the lattice points are those of the column
+    # sweep, and filtering the sweep's candidates gives the vertex list
+    poly = make(*cuts_n)
+    candidates = sorted(candidates_by_columns(poly))
+    assert sorted(candidate_points(poly)) == candidates
+    expected = []
+    for vals in candidates:
+        key = tuple(-v for v in vals)
+        if poly._key_of_mask(poly.tight_mask(key)) == key:
+            expected.append(vals)
+    assert [v.values for v in poly.vertices()] == expected
+    assert len(expected) == count
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
@@ -451,3 +528,39 @@ def test_forced_cells_of_different_values_give_empty_face():
     a, b = by_value[1], by_value[2]
     assert gr25.face_from_atoms([(a, b)]).is_empty
     assert gr25.face_from_atoms([(a, a)]) == gr25.whole_face()
+
+
+@pytest.mark.parametrize("cuts_n", [(2, 5), (1, 2, 3, 4)])
+def test_meet_does_not_depend_on_the_order(cuts_n):
+    # the divisor facet sets of Delta(u, v), met in a drawn order and folded
+    # by hand in that order with no sorting and no early exit
+    poly = make(*cuts_n)
+    n = poly.n
+    reps = [
+        w
+        for w in map(Permutation, itertools.permutations(range(1, n + 1)))
+        if poly.shape.in_min_coset_reps(w)
+    ]
+    perms = st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(perms, st.sampled_from(reps), st.data())
+    def check(u, v, data):
+        paths = vanishing_schubert(poly.diagram, v).translate(u).paths()
+        order = data.draw(st.permutations([divisor_facets(poly, p) for p in paths]))
+        expected = delta_uv(poly, u, v)
+        assert FaceUnion.meet(poly, order) == expected
+        union = FaceUnion.whole(poly)
+        for faces in order:
+            union = union.intersect(FaceUnion(poly, faces))
+        assert union == expected
+
+    check()
+
+
+def test_meet_of_no_sets_and_of_an_empty_set():
+    gr25 = make(2, 5)
+    facets = [gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2]]
+    assert FaceUnion.meet(gr25, []) == FaceUnion.whole(gr25)
+    assert FaceUnion.meet(gr25, [facets]) == FaceUnion.of(gr25, facets)
+    assert FaceUnion.meet(gr25, [facets, ()]).is_empty

@@ -46,6 +46,23 @@ class TestCompose:
             Permutation((1, 1, 3))
 
 
+@pytest.mark.parametrize("i", [0, 4])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda i: Permutation.from_word([i], 4),
+        lambda i: Permutation.identity(4).right_mul_s(i),
+        lambda i: Permutation.identity(4).left_mul_s(i),
+    ],
+    ids=["from_word", "right_mul_s", "left_mul_s"],
+)
+def test_simple_reflection_out_of_range(make, i):
+    # unchecked, s_0 would wrap round to the last window entry, and s_4
+    # would run off the end of the window or look for the value 5
+    with pytest.raises(ValueError, match=f"^s_{i} does not exist in S_4$"):
+        make(i)
+
+
 class TestLength:
     def test_identity(self):
         assert length(Permutation.identity(4)) == 0
