@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .coeffs import build_modified_partition, structure_constant
-from .gc_polytope import Face, FaceUnion, Polytope
+from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram
 from .pluecker import delta_schubert_bottom, delta_uv
 from .weyl import (
@@ -107,19 +107,19 @@ def evaluate(
         if key not in cache:
             cache[key] = delta_uv(poly, u, v)
         pieces.append(cache[key])
-    inter = FaceUnion.meet(poly, [p.faces for p in pieces])
+    inter = poly.meet(pieces)
 
     oracle = structure_constant(list(vs), w)
-    if inter.is_empty:
+    if not inter:
         status = "certified" if oracle == 0 else "mismatch"
         return Certificate(shape, tuple(vs), w, tuple(us), (), 0, oracle, status)
-    if inter.max_dim() > 0:
-        worst = max(inter.faces, key=lambda f: f.dim)
+    worst = max(inter, key=lambda f: f.dim)
+    if worst.dim > 0:
         return EvaluationFailure(
             "positive_dimension",
             f"maximal face of dimension {worst.dim} with key {worst.key}",
         )
-    verts = inter.vertices()
+    verts = sorted(inter, key=lambda f: f.values)
     try:
         outside = [v for v in verts if not poly.in_VX(v)]
     except UnsupportedShapeError as exc:
@@ -370,19 +370,8 @@ class Gr2Report:
 
 
 def _box_partitions(m: int, width: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(row: int, prev: int, acc: list[int]):
-        if row == m:
-            out.append(tuple(acc))
-            return
-        for v in range(prev + 1):
-            acc.append(v)
-            rec(row + 1, v, acc)
-            acc.pop()
-
-    rec(0, width, [])
-    return out
+    return [p for p in itertools.product(range(width + 1), repeat=m)
+            if all(a >= b for a, b in zip(p, p[1:]))]
 
 
 def reduce_gr2(lam: tuple[int, int], mu: tuple[int, int], eta: tuple[int, int], n: int):

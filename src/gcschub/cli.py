@@ -161,16 +161,17 @@ def constant(shape, u_texts, v_text, w_text, mu, nu, eta, fmt):
 
 
 def _certificate_command(shape, v_texts, w_text, store, fmt, run):
-    """Parse the factors, run ``run(poly, vs, w)``, store and emit its
-    certificate, and exit.  ``run`` returns a Certificate, or a failure
-    payload whose status names what went wrong."""
+    """Parse the factors, run ``run(poly, vs, w)``, emit its certificate,
+    store it when it is certified, and exit; a mismatch never enters the
+    store.  ``run`` returns a Certificate, or a failure payload whose status
+    names what went wrong."""
     vs = [_perm(t, shape.n, "--v") for t in v_texts]
     w = _perm(w_text, shape.n, "--w")
     outcome = run(Polytope(LadderDiagram(shape)), vs, w)
     if not isinstance(outcome, Certificate):
         _emit(outcome, fmt)
         sys.exit(EXIT_UNSUPPORTED if outcome["status"] == "unsupported_shape" else EXIT_ASSERTION)
-    if store:
+    if store and outcome.ok:
         store_append(store, outcome)
     _emit(outcome.to_json(), fmt)
     sys.exit(0 if outcome.ok else EXIT_ASSERTION)

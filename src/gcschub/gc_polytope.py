@@ -23,7 +23,10 @@ union of their masks.  The saturated key is derived from the mask on
 demand, by merging the tight pairs, and that is the only way a key is
 made.  The polytope memoises the saturation per union mask, and also owns
 the cache of divisor facet unions that certificate evaluation fills.
-``FaceUnion.meet`` is the one fold of an intersection of face unions.
+
+A union of faces is the tuple of its maximal faces, sorted by mask, as
+``_antichain`` returns it.  ``Polytope.meet`` is the one fold of an
+intersection of such unions.
 
 A vertex is a 0-dimensional face, the face of its tight mask.  The
 candidate points are the lattice points whose top row takes the value
@@ -161,9 +164,9 @@ class Polytope:
         self._vertices: list[Face] | None = None
         self._facet_cache: dict[EdgeKey, Face] = {}
         # union of two tight masks -> tight mask of the saturated intersection
-        self._meet: dict[int, int] = {}
+        self._meet_of_union: dict[int, int] = {}
         # divisor facet unions by translation data, filled by certify.evaluate
-        self.delta_cache: dict[tuple, FaceUnion] = {}
+        self.delta_cache: dict[tuple, tuple[Face, ...]] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -295,11 +298,26 @@ class Polytope:
         if gm & ~fm == 0:
             return f
         union = fm | gm
-        meet = self._meet.get(union)
+        meet = self._meet_of_union.get(union)
         if meet is None:
             meet = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])
-            self._meet[union] = meet
+            self._meet_of_union[union] = meet
         return Face(self, meet)
+
+    def meet(self, face_sets) -> tuple[Face, ...]:
+        """Maximal faces of the intersection of the unions of the given face
+        sets, which need not be antichains.  The fold starts from the whole
+        polytope and takes the sets with fewest faces first, purely to keep
+        the intermediate antichains small, since the maximal faces of the
+        result do not depend on the order; it stops at the first empty
+        result."""
+        union = (self._whole,)
+        for faces in sorted(face_sets, key=len):
+            meets = [self.intersect(f, g) for f in union for g in faces]
+            union = _antichain([h for h in meets if not h.is_empty])
+            if not union:
+                break
+        return union
 
     # -- vertices -----------------------------------------------------------------
 
@@ -498,63 +516,6 @@ def _rank(rows: list[list[Fraction]]) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
         rank += 1
     return rank
-
-
-@dataclass(frozen=True)
-class FaceUnion:
-    """Antichain of maximal faces; the value of all set-theoretic
-    intersections of facet unions."""
-
-    poly: Polytope
-    faces: tuple[Face, ...]
-
-    @staticmethod
-    def whole(poly: Polytope) -> "FaceUnion":
-        return FaceUnion(poly, (poly.whole_face(),))
-
-    @staticmethod
-    def of(poly: Polytope, faces) -> "FaceUnion":
-        return FaceUnion(poly, _antichain(faces))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.faces
-
-    def max_dim(self) -> int:
-        return max((f.dim for f in self.faces), default=-1)
-
-    @staticmethod
-    def meet(poly: Polytope, face_sets) -> "FaceUnion":
-        """Intersection of the unions of the given face sets, folded from
-        the whole polytope: the sets with fewest faces first, purely to keep
-        the intermediate antichains small, since the maximal faces of the
-        result do not depend on the order; it stops at the first empty
-        result."""
-        union = FaceUnion.whole(poly)
-        for faces in sorted(face_sets, key=len):
-            union = union.intersect(FaceUnion(poly, tuple(faces)))
-            if union.is_empty:
-                break
-        return union
-
-    def intersect(self, other: "FaceUnion") -> "FaceUnion":
-        """Pointwise intersection of two unions; ``other`` need not be an
-        antichain, so a divisor's facets can be passed as they are."""
-        new = []
-        for f in self.faces:
-            for g in other.faces:
-                h = self.poly.intersect(f, g)
-                if not h.is_empty:
-                    new.append(h)
-        return FaceUnion(self.poly, _antichain(new))
-
-    def vertices(self) -> list[Face]:
-        """The point set, sorted by values; a maximal face that is not
-        0-dimensional raises ValueError."""
-        return sorted(self.faces, key=lambda f: f.values)
-
-    def contains_face(self, g: Face) -> bool:
-        return any(f.contains(g) for f in self.faces)
 
 
 def _antichain(faces) -> tuple[Face, ...]:

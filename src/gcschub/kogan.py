@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gc_polytope import Face, FaceUnion, Polytope
+from .gc_polytope import Face, Polytope
 from .ladder import EdgeKey, LadderDiagram
 from .weyl import InputError, Permutation, length, longest_element
 
@@ -137,13 +137,13 @@ def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:
 
 def degeneration_union(
     poly: Polytope, target: Permutation, opposite: bool
-) -> FaceUnion:
-    """Union of the faces a Schubert variety degenerates to: the reduced
-    dual Kogan faces with word equal to v for X^v (opposite=True), and the
-    reduced Kogan faces with word w_0 u for X_u."""
+) -> tuple[Face, ...]:
+    """Maximal faces of the union a Schubert variety degenerates to: the
+    reduced dual Kogan faces with word equal to v for X^v (opposite=True),
+    and the reduced Kogan faces with word w_0 u for X_u."""
     if opposite:
         faces = enumerate_reduced(poly.diagram, target, dual=True)
     else:
         w0 = longest_element(poly.n)
         faces = enumerate_reduced(poly.diagram, w0 * target, dual=False)
-    return FaceUnion.of(poly, [kogan_face_to_face(poly, f) for f in faces])
+    return poly.meet([[kogan_face_to_face(poly, f) for f in faces]])

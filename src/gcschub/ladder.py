@@ -129,12 +129,11 @@ def complement(mu: tuple[int, ...], m: int, n: int) -> tuple[int, ...]:
 
 
 class LadderDiagram:
-    """Boxes, effective edges and anchors of the diagram for a shape."""
+    """Boxes and effective edges of the diagram for a shape."""
 
     def __init__(self, shape: ParabolicShape):
         self.shape = shape
         self.n = shape.n
-        b = shape.bounds
         self.column_height = {c: self.n - shape.level_of(c) for c in range(1, self.n + 1)}
         self.boxes: tuple[Cell, ...] = tuple(
             (c, r)
@@ -142,9 +141,6 @@ class LadderDiagram:
             for r in range(1, self.column_height[c] + 1)
         )
         self._box_set = frozenset(self.boxes)
-        # anchors: O_l lower right of the l-th diagonal square, L_l lower left
-        self.O = {l: (b[l], self.n - b[l]) for l in range(len(b))}
-        self.L = {l: (b[l - 1], self.n - b[l]) for l in range(1, len(b))}
         self._effective = self._compute_effective_edges()
         self._effective_set = frozenset(self._effective)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gc_polytope import Face, FaceUnion, Polytope
+from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram, PositivePath, path_leq, path_of_partition
 from .weyl import Permutation, longest_element, min_coset_rep
 
@@ -88,21 +88,21 @@ def divisor_facets(poly: Polytope, path: PositivePath) -> tuple[Face, ...]:
     return tuple(poly.facet_face(e) for e in poly.diagram.effective_edges_on(path))
 
 
-def fold_paths(poly: Polytope, paths) -> FaceUnion:
-    """Intersection of the facet unions of the given divisor paths, as a
-    canonical antichain of maximal faces; ``FaceUnion.meet`` folds them, in
-    an order that does not change the result."""
-    return FaceUnion.meet(poly, [divisor_facets(poly, p) for p in paths])
+def fold_paths(poly: Polytope, paths) -> tuple[Face, ...]:
+    """Intersection of the facet unions of the given divisor paths, as its
+    maximal faces sorted by mask; ``Polytope.meet`` folds them, in an order
+    that does not change the result."""
+    return poly.meet([divisor_facets(poly, p) for p in paths])
 
 
-def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> FaceUnion:
+def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[Face, ...]:
     """The set-theoretic intersection, over the divisors cutting out u X^v,
-    of the unions of facets on each divisor path."""
+    of the unions of facets on each divisor path, as its maximal faces."""
     vanishing = vanishing_schubert(poly.diagram, v).translate(u)
     return fold_paths(poly, vanishing.paths())
 
 
-def delta_schubert_bottom(poly: Polytope, w: Permutation) -> FaceUnion:
+def delta_schubert_bottom(poly: Polytope, w: Permutation) -> tuple[Face, ...]:
     """Delta(w_0, pi(w_0 w)): the toric shadow of X_w."""
     w0 = longest_element(w.n)
     rep = min_coset_rep(w0 * w, poly.shape)

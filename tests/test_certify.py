@@ -120,6 +120,25 @@ class TestEvaluate:
         assert cert.count == 2 == cert.oracle
         assert all(fl6.is_regular(x) for x in cert.vertices)
 
+    def test_vertices_sorted_by_values(self):
+        # the meet returns its faces in mask order and the certificate lists
+        # its vertices in the order of their values; with the flagship's
+        # translations the two orders agree, with the second tuple they
+        # differ
+        fl6 = make(1, 2, 3, 4, 5, 6)
+        v = Permutation.from_word([4, 2, 3, 5, 4, 3, 5], 6)
+        w = Permutation.from_word([3, 1, 2, 4, 3, 5, 4, 3, 5], 6)
+        flagship = [Permutation((2, 3, 1, 4, 5, 6)), Permutation((1, 4, 5, 6, 2, 3)),
+                    Permutation.identity(6)]
+        other = [Permutation((3, 1, 2, 6, 5, 4)), Permutation((5, 6, 2, 4, 1, 3)),
+                 Permutation((1, 2, 3, 4, 6, 5))]
+        for us, mask_order_differs in ((flagship, False), (other, True)):
+            cert = evaluate(fl6, [s(2, 6), s(4, 6), v], w, us)
+            assert cert.ok and len(cert.vertices) == 2
+            values = [x.values for x in cert.vertices]
+            assert values == sorted(values)
+            assert (cert.vertices != tuple(sorted(cert.vertices))) == mask_order_differs
+
 
 class TestSearch:
     def test_pre_check_zero(self):
@@ -248,16 +267,18 @@ class TestEngineInvariants:
     def test_monotone_fold(self):
         # intersecting with one more divisor union never raises any maximal
         # face's dimension
-        from gcschub.gc_polytope import FaceUnion
+        from gcschub.gc_polytope import _antichain
         from gcschub.pluecker import divisor_facets, vanishing_schubert
 
         v = grassmannian_perm((2, 1), 2, 5)
-        union = FaceUnion.whole(GR25)
-        last = union.max_dim()
+        union = (GR25.whole_face(),)
+        last = GR25.whole_face().dim
         for path in vanishing_schubert(GR25.diagram, v).paths():
-            union = union.intersect(FaceUnion(GR25, divisor_facets(GR25, path)))
-            assert union.max_dim() <= last
-            last = union.max_dim()
+            facets = divisor_facets(GR25, path)
+            union = _antichain([GR25.intersect(f, g) for f in union for g in facets])
+            top = max((f.dim for f in union), default=-1)
+            assert top <= last
+            last = top
 
     def test_swap_invariance(self):
         # swapping the translation-factor pairs is a geometric symmetry

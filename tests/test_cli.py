@@ -87,6 +87,21 @@ class TestCertifyCmd:
         assert lines[0]["schema"] == 1
         assert lines[1]["count"] == 1
 
+    def test_mismatch_not_stored(self, run, tmp_path, monkeypatch):
+        # a certificate that disagrees with the oracle is an engine bug: it
+        # exits 1 and never enters the store
+        from gcschub import certify
+
+        oracle = certify.structure_constant
+        monkeypatch.setattr(certify, "structure_constant", lambda vs, w: oracle(vs, w) + 1)
+        store = tmp_path / "store.jsonl"
+        res = run("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
+                  "--w", "2,3,1,4", "--u", "1,3,2,4", "--u", "id",
+                  "--store", str(store))
+        assert res.exit_code == 1, res.output
+        assert json.loads(res.output)["status"] == "mismatch"
+        assert not store.exists()
+
     def test_search_cmd(self, run):
         res = run("search", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
                   "--w", "2,3,1,4")

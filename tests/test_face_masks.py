@@ -3,7 +3,8 @@ references they replaced: key-walking containment, vertex-set containment,
 a fresh key-based saturation of every intersection and of every merge list
 by bound propagation, the anchored component test for vertices, the column
 sweep for the candidate points, the value-based facet test for vertices,
-and a hand-ordered fold for ``FaceUnion.meet``."""
+and a hand-ordered fold for ``Polytope.meet``, each step the antichain of
+the pairwise intersections."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcschub.gc_polytope import FaceUnion, Polytope, _canonical_key
+from gcschub.gc_polytope import Polytope, _antichain, _canonical_key
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import delta_uv, divisor_facets, vanishing_schubert
@@ -306,7 +307,7 @@ def fl4_kogan_faces(poly):
     faces = set()
     for window in itertools.permutations(range(1, 5)):
         for opposite in (True, False):
-            faces.update(degeneration_union(poly, Permutation(window), opposite).faces)
+            faces.update(degeneration_union(poly, Permutation(window), opposite))
     return sorted(faces)
 
 
@@ -549,10 +550,10 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
         paths = vanishing_schubert(poly.diagram, v).translate(u).paths()
         order = data.draw(st.permutations([divisor_facets(poly, p) for p in paths]))
         expected = delta_uv(poly, u, v)
-        assert FaceUnion.meet(poly, order) == expected
-        union = FaceUnion.whole(poly)
+        assert poly.meet(order) == expected
+        union = (poly.whole_face(),)
         for faces in order:
-            union = union.intersect(FaceUnion(poly, faces))
+            union = _antichain([poly.intersect(f, g) for f in union for g in faces])
         assert union == expected
 
     check()
@@ -561,6 +562,6 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
 def test_meet_of_no_sets_and_of_an_empty_set():
     gr25 = make(2, 5)
     facets = [gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2]]
-    assert FaceUnion.meet(gr25, []) == FaceUnion.whole(gr25)
-    assert FaceUnion.meet(gr25, [facets]) == FaceUnion.of(gr25, facets)
-    assert FaceUnion.meet(gr25, [facets, ()]).is_empty
+    assert gr25.meet([]) == (gr25.whole_face(),)
+    assert gr25.meet([facets]) == _antichain(facets)
+    assert gr25.meet([facets, ()]) == ()

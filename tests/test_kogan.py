@@ -108,22 +108,22 @@ class TestEnumerate:
 class TestDegenerationUnions:
     def test_whole_for_w0(self):
         fu = degeneration_union(P3, longest_element(3), opposite=False)
-        assert fu.faces == (P3.whole_face(),)
+        assert fu == (P3.whole_face(),)
 
     def test_s1_divisor_matches_delta(self):
         v = Permutation((2, 1, 3))
         fu = degeneration_union(P3, v, opposite=True)
-        assert fu.faces == delta_uv(P3, Permutation.identity(3), v).faces
+        assert fu == delta_uv(P3, Permutation.identity(3), v)
 
     def test_dual_unions_match_delta_fl3(self):
         d, poly = flag(3)
         for p in itertools.permutations(range(1, 4)):
             v = Permutation(p)
-            assert degeneration_union(poly, v, opposite=True).faces == delta_uv(
+            assert degeneration_union(poly, v, opposite=True) == delta_uv(
                 poly, Permutation.identity(3), v
-            ).faces, v
-            assert degeneration_union(poly, v, opposite=False).faces == (
-                delta_schubert_bottom(poly, v).faces
+            ), v
+            assert degeneration_union(poly, v, opposite=False) == (
+                delta_schubert_bottom(poly, v)
             ), v
 
     def test_fl4_unions_measured_against_delta(self):
@@ -136,19 +136,19 @@ class TestDegenerationUnions:
             t = Permutation(p)
             mine = degeneration_union(poly, t, opposite=True)
             other = delta_uv(poly, Permutation.identity(4), t)
-            assert all(other.contains_face(f) for f in mine.faces), t
-            if mine.faces != other.faces:
+            assert all(any(g.contains(f) for g in other) for f in mine), t
+            if mine != other:
                 dual_diff.append(t.window)
             mine2 = degeneration_union(poly, t, opposite=False)
             other2 = delta_schubert_bottom(poly, t)
-            assert all(other2.contains_face(f) for f in mine2.faces), t
-            if mine2.faces != other2.faces:
+            assert all(any(g.contains(f) for g in other2) for f in mine2), t
+            if mine2 != other2:
                 kogan_diff.append(t.window)
         assert dual_diff == [(3, 1, 2, 4), (3, 2, 1, 4)]
         assert kogan_diff == [(4, 1, 2, 3), (4, 2, 1, 3)]
 
     def test_reference_faces_equal_deltas_fl6(self):
         fu = degeneration_union(P6, V_REF, opposite=True)
-        assert fu.faces == delta_uv(P6, Permutation.identity(6), V_REF).faces
+        assert fu == delta_uv(P6, Permutation.identity(6), V_REF)
         fu2 = degeneration_union(P6, W_REF, opposite=False)
-        assert fu2.faces == delta_schubert_bottom(P6, W_REF).faces
+        assert fu2 == delta_schubert_bottom(P6, W_REF)

@@ -70,6 +70,19 @@ MUTANTS = (
         FACE_MASKS,
     ),
     Mutant(
+        "antichain-keeps-contained-faces", GC,
+        "        if not any(g.contains(f) for g in kept):\n",
+        "        if True:\n",
+        ("tests/test_gc_polytope.py", "tests/test_kogan.py", "tests/test_pluecker.py",
+         "tests/test_acceptance.py::test_criterion_5_degeneration_combinatorics"),
+    ),
+    Mutant(
+        "evaluate-vertices-in-mask-order", "src/gcschub/certify.py",
+        "    verts = sorted(inter, key=lambda f: f.values)\n",
+        "    verts = list(inter)\n",
+        ("tests/test_certify.py",),
+    ),
+    Mutant(
         "facets-reverse-subset", GC,
         "if poly.facet_face(e).contains(self)]",
         "if self.contains(poly.facet_face(e))]",
