@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .weyl import InputError, ParabolicShape, Permutation
+from .weyl import InputError, ParabolicShape, grassmannian_perm
 
 Cell = tuple[int, int]
 EdgeKey = tuple[str, int, int]
@@ -77,14 +77,6 @@ def join(p: PositivePath, q: PositivePath) -> PositivePath:
     return PositivePath(tuple(max(p.steps[r], q.steps[r]) for r in range(q.level)), p.n)
 
 
-def translate_path(u: Permutation, p: PositivePath) -> PositivePath:
-    """Path whose horizontal steps are the set u(I); signs are dropped since
-    only vanishing loci matter downstream."""
-    if u.n != p.n:
-        raise ValueError(f"rank mismatch: {u.n} vs {p.n}")
-    return PositivePath(tuple(sorted(u(i) for i in p.steps)), p.n)
-
-
 def path_edges(p: PositivePath) -> list[EdgeKey]:
     """All unit edges traversed by the path, in step order."""
     edges: list[EdgeKey] = []
@@ -114,11 +106,7 @@ def partition_of_path(p: PositivePath, m: int | None = None) -> tuple[int, ...]:
 
 
 def path_of_partition(mu: tuple[int, ...], m: int, n: int) -> PositivePath:
-    if len(mu) != m:
-        raise InputError(f"partition must have {m} parts: {mu}")
-    if any(a < b for a, b in zip(mu, mu[1:])) or mu[-1] < 0 or mu[0] > n - m:
-        raise InputError(f"{mu} is not a partition in the {m}x{n - m} box")
-    return PositivePath(tuple(mu[m - s] + s for s in range(1, m + 1)), n)
+    return PositivePath(grassmannian_perm(mu, m, n).image(range(1, m + 1)), n)
 
 
 def complement(mu: tuple[int, ...], m: int, n: int) -> tuple[int, ...]:

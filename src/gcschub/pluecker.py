@@ -5,65 +5,33 @@ intersection Delta(u, v).
 A Schubert variety is cut out of the ambient product of projective spaces by
 coordinate hyperplanes; at each cut level n_i the coordinate p_I vanishes on
 X^v iff the path of I does not run above the path of sort(v([1..n_i])), and
-on X_w iff it does not run below the path of sort(w([1..n_i])).  Translating
-by u sends p_I to p_{sort(u(I))}; Plücker signs are dropped since only
-vanishing matters.
+on X_w iff it does not run below the path of sort(w([1..n_i])).  A vanishing
+set maps each cut level to the sorted index tuples I with p_I = 0.
+Translating by u sends p_I to p_{u.image(I)}, the sorted image of I; Plücker
+signs are dropped since only vanishing matters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram, PositivePath, path_leq, path_of_partition
 from .weyl import Permutation, longest_element, min_coset_rep
 
-
-@dataclass(frozen=True)
-class VanishingSet:
-    """For each cut level, the set of index tuples with p_I = 0."""
-
-    n: int
-    per_level: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
-
-    @staticmethod
-    def of(n: int, data: dict[int, set[tuple[int, ...]]]) -> "VanishingSet":
-        return VanishingSet(
-            n,
-            tuple((level, tuple(sorted(data[level]))) for level in sorted(data)),
-        )
-
-    def level(self, level: int) -> frozenset[tuple[int, ...]]:
-        for lv, idxs in self.per_level:
-            if lv == level:
-                return frozenset(idxs)
-        return frozenset()
-
-    def paths(self) -> list[PositivePath]:
-        return [
-            PositivePath(idx, self.n)
-            for _, idxs in self.per_level
-            for idx in idxs
-        ]
-
-    def translate(self, u: Permutation) -> "VanishingSet":
-        data = {
-            lv: {tuple(sorted(u(i) for i in idx)) for idx in idxs}
-            for lv, idxs in self.per_level
-        }
-        return VanishingSet.of(self.n, data)
+# cut level -> the index tuples I with p_I = 0 at that level
+Vanishing = dict[int, frozenset[tuple[int, ...]]]
 
 
 def w_divisor(u: Permutation, level: int) -> PositivePath:
-    """The divisor path of u X^{s_level}: horizontal steps u({1..level})."""
-    if not 1 <= level <= u.n:
+    """The divisor path of u X^{s_level}, 1 <= level < n: horizontal steps
+    u({1..level})."""
+    if not 1 <= level < u.n:
         raise ValueError(f"level out of range: {level}")
     return PositivePath(u.image(range(1, level + 1)), u.n)
 
 
 def vanishing_schubert(
     diagram: LadderDiagram, v: Permutation, opposite: bool = True
-) -> VanishingSet:
+) -> Vanishing:
     """Vanishing coordinates of X^v (opposite=True) or X_v on the diagram's
     flag variety, level by level."""
     shape = diagram.shape
@@ -71,16 +39,16 @@ def vanishing_schubert(
         raise ValueError(f"rank mismatch: {v.n} vs {shape.n}")
     if not shape.in_min_coset_reps(v):
         raise ValueError(f"{v} is not a minimal coset representative for {shape}")
-    data: dict[int, set[tuple[int, ...]]] = {}
+    data = {}
     for level in shape.cuts:
-        ref = PositivePath(v.image(range(1, level + 1)), shape.n)
+        ref = w_divisor(v, level)
         dead = set()
         for p in diagram.paths_at_level(level):
             alive = path_leq(ref, p) if opposite else path_leq(p, ref)
             if not alive:
                 dead.add(p.steps)
-        data[level] = dead
-    return VanishingSet.of(shape.n, data)
+        data[level] = frozenset(dead)
+    return data
 
 
 def divisor_facets(poly: Polytope, path: PositivePath) -> tuple[Face, ...]:
@@ -98,8 +66,13 @@ def fold_paths(poly: Polytope, paths) -> tuple[Face, ...]:
 def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[Face, ...]:
     """The set-theoretic intersection, over the divisors cutting out u X^v,
     of the unions of facets on each divisor path, as its maximal faces."""
-    vanishing = vanishing_schubert(poly.diagram, v).translate(u)
-    return fold_paths(poly, vanishing.paths())
+    vanishing = vanishing_schubert(poly.diagram, v)
+    paths = [
+        PositivePath(idx, poly.n)
+        for level in sorted(vanishing)
+        for idx in sorted(u.image(i) for i in vanishing[level])
+    ]
+    return fold_paths(poly, paths)
 
 
 def delta_schubert_bottom(poly: Polytope, w: Permutation) -> tuple[Face, ...]:
@@ -109,24 +82,24 @@ def delta_schubert_bottom(poly: Polytope, w: Permutation) -> tuple[Face, ...]:
     return delta_uv(poly, w0, rep)
 
 
-def toric_divisor_equations(diagram: LadderDiagram, edge) -> VanishingSet:
+def toric_divisor_equations(diagram: LadderDiagram, edge) -> Vanishing:
     """Coordinates vanishing on the toric divisor of an effective edge: all
     p_I whose path contains the edge."""
     if not diagram.is_effective(edge):
         raise ValueError(f"edge {edge} is not effective")
-    data: dict[int, set[tuple[int, ...]]] = {}
+    data = {}
     for level in diagram.shape.cuts:
-        data[level] = {
+        data[level] = frozenset(
             p.steps
             for p in diagram.paths_at_level(level)
             if edge in diagram.effective_edges_on(p)
-        }
-    return VanishingSet.of(diagram.n, data)
+        )
+    return data
 
 
 def toric_subvariety_equations(
     diagram: LadderDiagram, mu: tuple[int, ...], dual: bool = False
-) -> VanishingSet:
+) -> Vanishing:
     """Grassmannian toric subvariety equations: p_I = 0 for paths not above
     (dual: not below) the path of mu.  These agree with the Schubert
     vanishing sets, which is how the degeneration preserves index sets."""
@@ -140,4 +113,4 @@ def toric_subvariety_equations(
         alive = path_leq(p, ref) if dual else path_leq(ref, p)
         if not alive:
             dead.add(p.steps)
-    return VanishingSet.of(shape.n, {m: dead})
+    return {m: frozenset(dead)}

@@ -8,6 +8,7 @@ are immutable and every operation is pure.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,8 +111,8 @@ class ParabolicShape:
 
     @staticmethod
     def parse(text: str) -> "ParabolicShape":
-        """Parse 'n1,n2,...,nk,n' (the last entry is n)."""
-        parts = tuple(int(p) for p in text.replace("(", "").replace(")", "").split(","))
+        """Parse 'n1,n2,...,nk,n' or '(n1,...,nk,n)' (the last entry is n)."""
+        parts = tuple(int(p) for p in _unwrap(text).split(","))
         if len(parts) < 2:
             raise ValueError(f"shape needs at least one cut and n: {text!r}")
         return ParabolicShape(parts[:-1], parts[-1])
@@ -295,13 +296,19 @@ def star_factorize(u: Permutation) -> StarFactorization:
     return StarFactorization(tuple(factors), tuple(frozenset(c) for c in components))
 
 
+_LETTER = re.compile(r"s(-?[0-9]+)")
+
+
 def parse_permutation(text: str, n: int) -> Permutation:
     """Accept 'id', a window '3124' or '3,1,2,4', or a word 's1*s2*s1'."""
     text = text.strip()
     if text in ("id", "e", ""):
         return Permutation.identity(n)
     if text.startswith("s"):
-        return Permutation.from_word([int(p.lstrip("s")) for p in text.split("*")], n)
+        letters = [_LETTER.fullmatch(p) for p in text.split("*")]
+        if not all(letters):
+            raise ValueError(f"every letter of the word {text!r} must be s<integer>")
+        return Permutation.from_word([int(m[1]) for m in letters], n)
     if "," in text:
         window = tuple(int(p) for p in text.split(","))
     else:
@@ -311,9 +318,17 @@ def parse_permutation(text: str, n: int) -> Permutation:
     return Permutation(window)
 
 
+def _unwrap(text: str) -> str:
+    """The text inside at most one pair of enclosing parentheses."""
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        return text[1:-1]
+    return text
+
+
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse '(2,1,0)' or '2,1,0'."""
-    body = text.strip().lstrip("(").rstrip(")")
+    body = _unwrap(text)
     if not body:
         return ()
     return tuple(int(p) for p in body.split(","))

@@ -304,6 +304,7 @@ BAD_PERMUTATIONS = [
       "--w", "2,3,1,4", "--u", "id", "--u", "id"), "--v"),
     (("search", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4", "--w", "21"), "--w"),
     (("kogan", "--shape", "1,2,3", "--target", "s5"), "--target"),
+    (("constant", "--shape", "1,2,3,4", "--u", "ss1", "--v", "s2", "--w", "s1*s2"), "--u"),
 ]
 
 CERTIFY_GR24 = ("certify", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gcschub.gc_polytope import Polytope, _antichain, _canonical_key
 from gcschub.kogan import degeneration_union
-from gcschub.ladder import LadderDiagram
+from gcschub.ladder import LadderDiagram, PositivePath
 from gcschub.pluecker import delta_uv, divisor_facets, vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation
 
@@ -547,7 +547,12 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
     @settings(max_examples=100, deadline=None)
     @given(perms, st.sampled_from(reps), st.data())
     def check(u, v, data):
-        paths = vanishing_schubert(poly.diagram, v).translate(u).paths()
+        vs = vanishing_schubert(poly.diagram, v)
+        paths = [
+            PositivePath(idx, n)
+            for level in sorted(vs)
+            for idx in sorted(u.image(i) for i in vs[level])
+        ]
         order = data.draw(st.permutations([divisor_facets(poly, p) for p in paths]))
         expected = delta_uv(poly, u, v)
         assert poly.meet(order) == expected

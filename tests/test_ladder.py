@@ -20,10 +20,9 @@ from gcschub.ladder import (
     path_of_partition,
     phi,
     psi,
-    translate_path,
 )
 from gcschub.gc_polytope import Polytope
-from gcschub.weyl import ParabolicShape, Permutation, longest_element
+from gcschub.weyl import ParabolicShape
 
 
 def diagram(*cuts_n):
@@ -105,24 +104,6 @@ class TestMeetJoin:
                     assert path_leq(r, lo)
                 if path_leq(p, r) and path_leq(q, r):
                     assert path_leq(hi, r)
-
-
-class TestTranslate:
-    def test_identity(self):
-        p = PositivePath((1, 3), 4)
-        assert translate_path(Permutation.identity(4), p) == p
-
-    def test_w0_reverses(self):
-        assert translate_path(longest_element(4), PositivePath((1, 2), 4)).steps == (3, 4)
-
-    def test_cycle(self):
-        c = Permutation((2, 3, 4, 5, 1))
-        assert translate_path(c, PositivePath((1, 3), 5)).steps == (2, 4)
-
-    def test_involution(self):
-        u = Permutation((3, 1, 4, 2))
-        p = PositivePath((2, 4), 4)
-        assert translate_path(u.inverse(), translate_path(u, p)) == p
 
 
 class TestPartitions:

@@ -40,6 +40,11 @@ D25, P25 = setup(2, 5)
 D3, P3 = setup(1, 2, 3)
 
 
+def translated(u, vanishing):
+    """u acting by ``Permutation.image`` on every index tuple of a vanishing set."""
+    return {level: frozenset(u.image(i) for i in idxs) for level, idxs in vanishing.items()}
+
+
 def box_partitions(m, width):
     out = []
     for combo in itertools.product(range(width + 1), repeat=m):
@@ -59,24 +64,30 @@ class TestWDivisor:
         c = Permutation((2, 3, 4, 5, 1))
         assert w_divisor(c, 2).steps == (2, 3)
 
+    def test_level_out_of_range(self):
+        # s_level exists in S_4 only for level 1, 2, 3
+        for level in (0, 4):
+            with pytest.raises(ValueError):
+                w_divisor(Permutation.identity(4), level)
+
 
 class TestVanishing:
     def test_opposite_one_one(self):
         for n in (4, 5):
             d, _ = setup(2, n)
             v = grassmannian_perm((1, 1), 2, n)
-            assert vanishing_schubert(d, v).level(2) == frozenset(
+            assert vanishing_schubert(d, v)[2] == frozenset(
                 (1, j) for j in range(2, n + 1)
             )
 
     def test_full_box_schubert_is_whole(self):
         full = grassmannian_perm((2, 2), 2, 4)
-        assert vanishing_schubert(D24, full, opposite=False).level(2) == frozenset()
+        assert vanishing_schubert(D24, full, opposite=False)[2] == frozenset()
 
     def test_s1_fl3(self):
         vs = vanishing_schubert(D3, Permutation((2, 1, 3)))
-        assert vs.level(1) == frozenset({(1,)})
-        assert vs.level(2) == frozenset()
+        assert vs[1] == frozenset({(1,)})
+        assert vs[2] == frozenset()
 
     def test_levelwise_rule_vs_fixed_point_brute_force(self):
         # p_I vanishes on X^v iff no coset representative u >= v has
@@ -99,19 +110,19 @@ class TestVanishing:
                             for p in d.paths_at_level(level)
                             if p.steps not in alive
                         }
-                        assert got.level(level) == dead, (shape, v, opposite, level)
+                        assert got[level] == dead, (shape, v, opposite, level)
 
     def test_translated_cycle(self):
         c = Permutation((2, 3, 4, 1))
         v = grassmannian_perm((1, 1), 2, 4)
-        got = vanishing_schubert(D24, v).translate(c)
-        assert got.level(2) == frozenset({(1, 2), (2, 3), (2, 4)})
+        got = translated(c, vanishing_schubert(D24, v))
+        assert got[2] == frozenset({(1, 2), (2, 3), (2, 4)})
 
     def test_translation_involution(self):
         u = Permutation((3, 1, 4, 2))
         v = grassmannian_perm((1, 0), 2, 4)
         vs = vanishing_schubert(D24, v)
-        assert vs.translate(u).translate(u.inverse()) == vs
+        assert translated(u.inverse(), translated(u, vs)) == vs
 
     def test_bottom_schubert_equals_w0_translation(self):
         # X_w = w_0 X^{pi(w_0 w)} at the level of vanishing sets
@@ -122,9 +133,9 @@ class TestVanishing:
                 if not shape.in_min_coset_reps(w):
                     continue
                 direct = vanishing_schubert(d, w, opposite=False)
-                via_translation = vanishing_schubert(
-                    d, min_coset_rep(w0 * w, shape)
-                ).translate(w0)
+                via_translation = translated(
+                    w0, vanishing_schubert(d, min_coset_rep(w0 * w, shape))
+                )
                 assert direct == via_translation, (shape, w)
 
     def test_rejects_non_representative(self):
@@ -154,7 +165,8 @@ class TestDeltaUV:
 
         rng = random.Random(7)
         v = grassmannian_perm((2, 1), 2, 5)
-        vanishing = vanishing_schubert(D25, v).paths()
+        vs = vanishing_schubert(D25, v)
+        vanishing = [PositivePath(idx, 5) for level in sorted(vs) for idx in sorted(vs[level])]
         reference = fold_paths(P25, vanishing)
         for _ in range(5):
             shuffled = vanishing[:]
@@ -175,13 +187,13 @@ class TestToricEquations:
                     hits = sum(
                         1
                         for e in d.effective_edges
-                        if p.steps in toric_divisor_equations(d, e).level(level)
+                        if p.steps in toric_divisor_equations(d, e)[level]
                     )
                     assert hits == len(onpath)
 
     def test_roof_edge_paths(self):
         eqs = toric_divisor_equations(D24, ("H", 1, 2))
-        for steps in eqs.level(2):
+        for steps in eqs[2]:
             assert ("H", 1, 2) in D24.effective_edges_on(PositivePath(steps, 4))
 
     def test_non_effective_rejected(self):
@@ -198,7 +210,7 @@ class TestToricEquations:
 
     def test_mu_10_explicit(self):
         got = toric_subvariety_equations(D24, (1, 0))
-        assert got.level(2) == frozenset({(1, 2)})
+        assert got[2] == frozenset({(1, 2)})
 
     def test_delta_k_identity_gr25(self):
         # folding the facet unions of the shifted one-one class reproduces

@@ -287,6 +287,34 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_permutation(text, 4)
 
+    @pytest.mark.parametrize("text", ["ss1", "s1*2", "sss2", "s1*ss2"])
+    def test_letter_is_s_and_an_integer(self, text):
+        with pytest.raises(ValueError):
+            parse_permutation(text, 4)
+
+    @pytest.mark.parametrize("text", ["((2,1))", "(2,1", "2,1)", "(2,(4", "2,4))", "((2,0"])
+    def test_at_most_one_pair_of_parentheses(self, text):
+        with pytest.raises(ValueError):
+            parse_partition(text)
+        with pytest.raises(ValueError):
+            ParabolicShape.parse(text)
+
+
+class TestImage:
+    def test_identity(self):
+        assert Permutation.identity(4).image((1, 3)) == (1, 3)
+
+    def test_w0_reverses(self):
+        assert longest_element(4).image((1, 2)) == (3, 4)
+
+    def test_cycle(self):
+        c = Permutation((2, 3, 4, 5, 1))
+        assert c.image((1, 3)) == (2, 4)
+
+    def test_involution(self):
+        u = Permutation((3, 1, 4, 2))
+        assert u.inverse().image(u.image((2, 4))) == (2, 4)
+
 
 @given(st.permutations(list(range(1, 7))))
 def test_length_reduced_word_consistency(window):

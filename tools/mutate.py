@@ -101,6 +101,12 @@ MUTANTS = (
         ("tests/test_weyl.py",),
     ),
     Mutant(
+        "delta-uv-ignores-translation", "src/gcschub/pluecker.py",
+        "sorted(u.image(i) for i in vanishing[level])",
+        "sorted(i for i in vanishing[level])",
+        ("tests/test_pluecker.py",),
+    ),
+    Mutant(
         "partition-drop-vanishing-merge", COEFFS,
         "        if vanishes:\n            union(t, zero_root)\n",
         "",
