@@ -2,7 +2,9 @@
 polytope queries, Kogan faces, anti-canonical paths and lattice points.
 
 Shapes are written "n1,...,nk,n" (the last entry is n).  Permutations are
-windows ("3124" or "3,1,2,4") or words ("s1*s2*s1"); partitions "(2,1,0)".
+"id", windows ("3124" or "3,1,2,4") or words ("s1*s2*s1"); partitions
+"(2,1,0)".  Every number is ASCII digits, with a minus sign allowed only in
+a partition, where it may be a lattice weight.
 Exit code 0 means the command's mathematical assertion held; 1 a failed
 assertion; 2 that the input was rejected, by a parameter type, by an
 ``InputError`` of the engine or by an ``OSError`` on a path; 3 an
@@ -37,6 +39,7 @@ from .weyl import (
     Permutation,
     UnsupportedShapeError,
     grassmannian_perm,
+    parse_numbers,
     parse_partition,
     parse_permutation,
 )
@@ -62,7 +65,7 @@ class _Parsed(click.ParamType):
 
 SHAPE = _Parsed("shape", ParabolicShape.parse)
 PARTITION = _Parsed("partition", parse_partition)
-POSITIONS = _Parsed("positions", lambda text: [int(p) for p in text.split(",")])
+POSITIONS = _Parsed("positions", parse_numbers)
 
 
 def _perm(text: str, n: int, option: str) -> Permutation:
@@ -300,8 +303,9 @@ def vertices(shape, regular_only):
     if regular_only and not shape.is_complete():
         raise UnsupportedShapeError("regular vertices are defined for complete flags")
     poly = Polytope(LadderDiagram(shape))
+    verts = poly.vertices()  # raises before any output on too large a shape
     click.echo("\t".join(f"b{c}_{r}" for (c, r) in poly.boxes))
-    for v in poly.vertices():
+    for v in verts:
         if regular_only and not poly.is_regular(v):
             continue
         click.echo("\t".join(f"a{l}" for l in v.values))

@@ -28,18 +28,28 @@ A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``_antichain`` returns it.  ``Polytope.meet`` is the one fold of an
 intersection of such unions.
 
-A vertex is a 0-dimensional face, the face of its tight mask.  The
-candidate points are the lattice points whose top row takes the value
-k+2-l on block l; a candidate is a vertex when the key derived from its
-tight mask is the point itself.  The facets through a face are read off
-the masks, those whose mask is a subset of its own.
+A vertex is a 0-dimensional face, the face of its tight mask.  On the
+lattice points whose top row takes the value k+2-l on block l, a point is
+a vertex exactly when every class of entries joined by equal adjacent
+values is anchored, that is touches the top row (An-Cho-Kim).  An entry
+that equals neither of its upper neighbours lies strictly between them, so
+its class holds its value, no other entry of its row has that value, and
+no entry of its row or above can join the class: it is closed off
+unanchored where it starts.  Hence a vertex pattern is built row by row
+downwards, each entry taking the value of one of its two upper neighbours,
+and every such pattern is a vertex, each class running up to the top row.
+What lies below a row depends on its values alone, so the rows below each
+row are found once per call, with the number of patterns under it; the
+count is known before any face is built, and ``vertices`` refuses a
+polytope with more than ``MAX_VERTICES``.  Each vertex key is read off its
+pattern.  The facets through a face are read off the masks, those whose
+mask is a subset of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .ladder import (
@@ -51,6 +61,11 @@ from .ladder import (
     validate_lambda,
 )
 from .weyl import InputError, UnsupportedShapeError
+
+MAX_VERTICES = 200_000
+"""The most vertices ``Polytope.vertices`` lists.  Fl7 has 99,665, about
+51 MB of faces under CPython 3.11; Fl8 has 3,000,736, which would need
+about 1.5 GB."""
 
 
 @dataclass(frozen=True, order=True)
@@ -323,23 +338,26 @@ class Polytope:
 
     def vertices(self) -> list[Face]:
         """All 0-dimensional faces, sorted by values, enumerated once and
-        cached."""
+        cached.  Raises UnsupportedShapeError when there are more than
+        MAX_VERTICES."""
         if self._vertices is not None:
             return self._vertices
         # the top row takes the value k+2-l on block l, so that a_l is the
         # integer k+2-l
         top = self.shape.k + 2
         lam = tuple(top - self.shape.block_of(c) for c in range(1, self.n + 1))
-        # a candidate is a vertex when its tight inequalities cut out a
-        # point; the key the filter derives is kept on the face
+        table: dict[tuple[int, ...], tuple[int, list]] = {}
+        count = _count_patterns(lam, table)
+        if count > MAX_VERTICES:
+            raise UnsupportedShapeError(
+                f"shape {self.shape} has {count} vertices; at most {MAX_VERTICES} are listed"
+            )
         self._vertices = []
-        for pattern in self._patterns(lam):
+        for pattern in _vertex_patterns(lam, table):
             key = tuple(pattern[c + r - 2][c - 1] - top for c, r in self.boxes)
-            mask = self.tight_mask(key)
-            if self._key_of_mask(mask) == key:
-                face = Face(self, mask)
-                object.__setattr__(face, "key", key)
-                self._vertices.append(face)
+            face = Face(self, self.tight_mask(key))
+            object.__setattr__(face, "key", key)
+            self._vertices.append(face)
         # a key is the negated values, so descending keys sort by values
         self._vertices.sort(key=lambda f: f.key, reverse=True)
         return self._vertices
@@ -348,19 +366,6 @@ class Polytope:
         if face.is_empty:
             return []
         return [v for v in self.vertices() if face.contains(v)]
-
-    def face_dimension_by_rank(self, face: Face) -> int:
-        """Affine rank of the face's vertex set; the exact reference for the
-        saturation fast path."""
-        verts = self.vertices_of_face(face)
-        if not verts:
-            return -1
-        base = verts[0].values
-        rows = [
-            [Fraction(v - b) for v, b in zip(vert.values, base)]
-            for vert in verts[1:]
-        ]
-        return _rank(rows)
 
     # -- regularity and membership in the flag variety -----------------------------
 
@@ -500,22 +505,42 @@ def _canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / pr[col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank
+def _rows_below(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The rows below ``row`` in a vertex pattern: each entry takes the
+    value of one of its two upper neighbours.  Below a row of one entry is
+    the empty row."""
+    return list(itertools.product(*(
+        (row[j],) if row[j] == row[j + 1] else (row[j], row[j + 1])
+        for j in range(len(row) - 1)
+    )))
+
+
+def _count_patterns(row: tuple[int, ...], table: dict) -> int:
+    """Number of vertex patterns with top row ``row``.  Fills ``table``
+    with each row met -> (that number, the rows below it)."""
+    if not row:
+        return 1
+    got = table.get(row)
+    if got is None:
+        below = _rows_below(row)
+        got = table[row] = (sum(_count_patterns(r, table) for r in below), below)
+    return got[0]
+
+
+def _vertex_patterns(top_row: tuple[int, ...], table: dict):
+    """The vertex patterns with the counted top row, bottom row first."""
+    rows: list[tuple[int, ...]] = []
+
+    def walk(row):
+        if not row:
+            yield tuple(reversed(rows))
+            return
+        rows.append(row)
+        for below in table[row][1]:
+            yield from walk(below)
+        rows.pop()
+
+    return walk(top_row)
 
 
 def _antichain(faces) -> tuple[Face, ...]:

@@ -15,11 +15,16 @@ reduced words of the longest element are:
 
 * dual word [s_1..s_{n-1}][s_1..s_{n-2}]...[s_1]: run r, offset j -> V(j, r);
 * Kogan word [s_{n-1}..s_1][s_{n-1}..s_2]...[s_{n-1}]: run c, offset o -> H(c, o).
+
+The word of an edge set is thus the subword of the reference word at its
+positions, and the reduced faces of a target are its reduced subwords
+(Knutson-Miller).  ``enumerate_reduced`` finds them by a walk over the
+positions that takes a letter only when the product stays a reduced
+prefix of the target, so it builds no face it does not return.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .gc_polytope import Face, Polytope
@@ -114,17 +119,36 @@ def face_from_positions(diagram: LadderDiagram, positions, dual: bool) -> KoganF
 def enumerate_reduced(
     diagram: LadderDiagram, target: Permutation, dual: bool
 ) -> list[KoganFace]:
-    """All reduced (dual) Kogan faces whose word multiplies to the target."""
+    """All reduced (dual) Kogan faces whose word multiplies to the target,
+    in the order of their edge sets as combinations of the effective edges.
+    The walk over the positions of the reference word keeps the product p
+    of the letters taken, and takes the letter s only when p*s is one
+    longer than p and still a prefix of the target in the weak order."""
     if target.n != diagram.n:
         raise ValueError("rank mismatch")
+    _check_edges(diagram, (), dual)  # the shape must be a complete flag
+    word = reference_word(diagram.n, dual)
+    grid = word_positions(diagram.n, dual)
     size = length(target)
-    kind = "V" if dual else "H"
-    pool = [e for e in diagram.effective_edges if e[0] == kind]
+    taken: list[int] = []
     out = []
-    for combo in itertools.combinations(pool, size):
-        face = read_word(diagram, combo, dual)
-        if face.reduced and face.perm == target:
-            out.append(face)
+
+    def walk(start: int, prefix: Permutation):
+        if len(taken) == size:
+            out.append(read_word(diagram, [grid[p] for p in taken], dual))
+            return
+        # stop when too few positions remain for the letters still needed
+        for p in range(start, len(word) - size + len(taken) + 1):
+            step = prefix.right_mul_s(word[p])
+            grown = length(step)
+            if grown == len(taken) + 1 and length(step.inverse() * target) == size - grown:
+                taken.append(p)
+                walk(p + 1, step)
+                taken.pop()
+
+    walk(0, Permutation.identity(diagram.n))
+    pool = {e: i for i, e in enumerate(diagram.effective_edges)}
+    out.sort(key=lambda face: sorted(pool[e] for e in face.edges))
     return out
 
 

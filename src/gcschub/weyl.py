@@ -112,7 +112,7 @@ class ParabolicShape:
     @staticmethod
     def parse(text: str) -> "ParabolicShape":
         """Parse 'n1,n2,...,nk,n' or '(n1,...,nk,n)' (the last entry is n)."""
-        parts = tuple(int(p) for p in _unwrap(text).split(","))
+        parts = parse_numbers(_unwrap(text))
         if len(parts) < 2:
             raise ValueError(f"shape needs at least one cut and n: {text!r}")
         return ParabolicShape(parts[:-1], parts[-1])
@@ -296,23 +296,40 @@ def star_factorize(u: Permutation) -> StarFactorization:
     return StarFactorization(tuple(factors), tuple(frozenset(c) for c in components))
 
 
-_LETTER = re.compile(r"s(-?[0-9]+)")
+_LETTER = re.compile(r"s([0-9]+)")
+_NATURAL = re.compile(r"[0-9]+")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_numbers(text: str, signed: bool = False) -> tuple[int, ...]:
+    """Parse comma-separated numbers, each of ASCII digits only, with a
+    leading minus sign allowed when ``signed``: no plus sign, space or
+    underscore, as ``int`` would take."""
+    pattern = _INTEGER if signed else _NATURAL
+    parts = text.split(",")
+    bad = [p for p in parts if not pattern.fullmatch(p)]
+    if bad:
+        kind = "an integer" if signed else "a number of digits 0-9"
+        raise ValueError(f"{bad[0]!r} in {text!r} is not {kind}")
+    return tuple(int(p) for p in parts)
 
 
 def parse_permutation(text: str, n: int) -> Permutation:
     """Accept 'id', a window '3124' or '3,1,2,4', or a word 's1*s2*s1'."""
     text = text.strip()
-    if text in ("id", "e", ""):
+    if text == "id":
         return Permutation.identity(n)
     if text.startswith("s"):
         letters = [_LETTER.fullmatch(p) for p in text.split("*")]
         if not all(letters):
-            raise ValueError(f"every letter of the word {text!r} must be s<integer>")
+            raise ValueError(f"every letter of the word {text!r} must be s followed by digits")
         return Permutation.from_word([int(m[1]) for m in letters], n)
     if "," in text:
-        window = tuple(int(p) for p in text.split(","))
-    else:
+        window = parse_numbers(text)
+    elif _NATURAL.fullmatch(text):
         window = tuple(int(ch) for ch in text)
+    else:
+        raise ValueError(f"{text!r} is not 'id', a window or a word")
     if len(window) != n:
         raise ValueError(f"window {text!r} has {len(window)} entries, expected {n}")
     return Permutation(window)
@@ -327,8 +344,9 @@ def _unwrap(text: str) -> str:
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse '(2,1,0)' or '2,1,0'."""
+    """Parse '(2,1,0)' or '2,1,0'; the entries are integers, so that a
+    lattice weight may be negative."""
     body = _unwrap(text)
     if not body:
         return ()
-    return tuple(int(p) for p in body.split(","))
+    return parse_numbers(body, signed=True)

@@ -34,6 +34,7 @@ from gcschub.weyl import (
     grassmannian_perm,
     longest_element,
 )
+from reference_faces import face_dimension_by_rank
 from reference_partition import recursion_step
 
 
@@ -334,7 +335,7 @@ def test_criterion_9_property_suite():
                         new.append(g)
             frontier = new
         for f in seen:
-            assert f.dim == poly.face_dimension_by_rank(f)
+            assert f.dim == face_dimension_by_rank(poly, f)
 
     # the two structure-constant oracles agree on all triples
     for (m, n) in ((2, 4), (2, 5), (3, 6)):

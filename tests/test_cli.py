@@ -291,6 +291,18 @@ BAD_INPUTS = [
     (("faces", "--shape", "2,5", "--dual", "--delta-k", "2"), 2),
     (("kogan", "--shape", "1,2,3", "--positions", "1,2", "--target", "2,1,3"), 2),
     (("lattice-points", "--shape", "1,2,3", "--lam", "(1,0,-1)", "--decompose"), 2),
+    (("vertices", "--shape", "1,2,3,4,5,6,7,8"), 3),
+    # a number is ASCII digits, with a minus sign only in a partition
+    (("faces", "--shape", "2,5", "--mu", "(+1,0_0)"), 2),
+    (("lattice-points", "--shape", "2,4", "--lam", "(1_0,1_0,0,0)"), 2),
+    (("polytope", "--shape", "2,+4"), 2),
+    (("polytope", "--shape", "2, 4"), 2),
+    (("kogan", "--shape", "1,2,3", "--positions", " 1,+2"), 2),
+    (("constant", "--shape", "1,2,3", "--u", "1,+2,3", "--v", "id", "--w", "id"), 2),
+    (("constant", "--shape", "1,2,3", "--u", "\u0661\u0662\u0663", "--v", "id", "--w", "id"), 2),
+    # the identity is written id
+    (("constant", "--shape", "1,2,3,4", "--u", "", "--v", "s1", "--w", "s1"), 2),
+    (("constant", "--shape", "1,2,3,4", "--u", "e", "--v", "s1", "--w", "s1"), 2),
 ]
 
 # a rejected permutation: the error names the option that carried it

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcschub import gc_polytope
 from gcschub.gc_polytope import Polytope, _antichain, _canonical_key
 from gcschub.kogan import degeneration_union
 from gcschub.ladder import LadderDiagram, PositivePath
 from gcschub.pluecker import delta_uv, divisor_facets, vanishing_schubert
-from gcschub.weyl import InputError, ParabolicShape, Permutation
+from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
 
 
 class _UnionFind:
@@ -464,8 +465,8 @@ def test_non_face_equality_system_rejected():
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
 def test_vertices_match_anchored_components(cuts_n):
-    # the tight-mask vertex filter keeps exactly the candidates the anchored
-    # component reference accepts; on a Grassmannian it accepts them all
+    # the vertex patterns are exactly the candidates the anchored component
+    # reference accepts; on a Grassmannian it accepts them all
     poly = make(*cuts_n)
     candidates = candidate_points(poly)
     expected = sorted(vals for vals in candidates if is_extreme(poly, vals))
@@ -483,6 +484,7 @@ VERTEX_COUNTS = {
     (3, 4, 7): 439,
     (1, 2, 3, 4): 40,
     (1, 2, 3, 4, 5): 358,
+    (1, 2, 3, 4, 5, 6): 4884,
 }
 
 
@@ -500,6 +502,16 @@ def test_vertices_match_column_sweep(cuts_n, count):
             expected.append(vals)
     assert [v.values for v in poly.vertices()] == expected
     assert len(expected) == count
+
+
+def test_vertex_bound_counts_before_listing(monkeypatch):
+    # the bound applies to the vertex count, which is known before any
+    # face is built: Fl6 is listed at exactly its count and refused below it
+    monkeypatch.setattr(gc_polytope, "MAX_VERTICES", 4884)
+    assert len(make(1, 2, 3, 4, 5, 6).vertices()) == 4884
+    monkeypatch.setattr(gc_polytope, "MAX_VERTICES", 4883)
+    with pytest.raises(UnsupportedShapeError, match="4884 vertices"):
+        make(1, 2, 3, 4, 5, 6).vertices()
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])

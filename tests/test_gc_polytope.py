@@ -7,6 +7,7 @@ from gcschub.gc_polytope import (
 )
 from gcschub.ladder import LadderDiagram, validate_lambda
 from gcschub.weyl import ParabolicShape
+from reference_faces import face_dimension_by_rank
 
 
 def make(*cuts_n):
@@ -171,7 +172,7 @@ class TestFaceArithmetic:
                             nxt.append(g)
                 frontier = nxt
             for f in seen:
-                assert f.dim == poly.face_dimension_by_rank(f), f
+                assert f.dim == face_dimension_by_rank(poly, f), f
             # the face lattice of the polytope is finite and closed
             assert len(seen) > poly.facet_count
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcschub.gc_polytope import Polytope
 from gcschub.kogan import (
@@ -15,6 +17,7 @@ from gcschub.kogan import (
 from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import delta_schubert_bottom, delta_uv
 from gcschub.weyl import ParabolicShape, Permutation, length, longest_element
+from reference_faces import reduced_faces_by_subsets
 
 
 def flag(n):
@@ -103,6 +106,33 @@ class TestEnumerate:
             for w in [Permutation(p) for p in itertools.permutations(range(1, 5))]:
                 found = enumerate_reduced(D4, w, dual)
                 assert len(found) == by_perm.get(w, 0)
+
+
+class TestWalkMatchesSubsets:
+    """The walk over reduced prefixes returns the faces the subset
+    reference finds, in the same order."""
+
+    @pytest.mark.parametrize("dual", [True, False])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_target(self, n, dual):
+        d, _ = flag(n)
+        for p in itertools.permutations(range(1, n + 1)):
+            t = Permutation(p)
+            assert enumerate_reduced(d, t, dual) == reduced_faces_by_subsets(d, t, dual), t
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.permutations(range(1, 7)), st.booleans())
+    def test_fl6_sample(self, window, dual):
+        t = Permutation(tuple(window))
+        assert enumerate_reduced(D6, t, dual) == reduced_faces_by_subsets(D6, t, dual)
+
+    def test_dual_order_is_not_the_position_order(self):
+        # the dual positions run along rows, the effective edges along
+        # columns, so the walk's order must be re-sorted
+        t = Permutation.from_word([1, 2, 1], 4)
+        found = enumerate_reduced(D4, t, dual=True)
+        assert len(found) > 1
+        assert found == reduced_faces_by_subsets(D4, t, dual=True)
 
 
 class TestDegenerationUnions:

@@ -292,6 +292,30 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_permutation(text, 4)
 
+    @pytest.mark.parametrize("text", ["", "e", "E", " ", "()"])
+    def test_identity_is_written_id(self, text):
+        with pytest.raises(ValueError):
+            parse_permutation(text, 3)
+
+    @pytest.mark.parametrize("text", ["1,+2,3", "1, 2,3", "1,2_0,3", "-1,2,3", "\u0661\u0662\u0663",
+                                      "1,2,\u0663", "+123", "s+1", "s 1", "s\u0661"])
+    def test_permutation_numbers_are_digits(self, text):
+        with pytest.raises(ValueError):
+            parse_permutation(text, 3)
+
+    @pytest.mark.parametrize("text", ["+1,0", "1_0,0", "1, 0", " 1,0", "1,0 ", "\u0661,0", "--1,0", "1-,0"])
+    def test_partition_entries_are_integers(self, text):
+        with pytest.raises(ValueError):
+            parse_partition(f"({text})")
+
+    def test_partition_may_be_a_negative_weight(self):
+        assert parse_partition("(1,0,-1)") == (1, 0, -1)
+
+    @pytest.mark.parametrize("text", ["2,+4", "2, 4", "2,-4", "1_0,12", "\u0662,4"])
+    def test_shape_entries_are_digits(self, text):
+        with pytest.raises(ValueError):
+            ParabolicShape.parse(text)
+
     @pytest.mark.parametrize("text", ["((2,1))", "(2,1", "2,1)", "(2,(4", "2,4))", "((2,0"])
     def test_at_most_one_pair_of_parentheses(self, text):
         with pytest.raises(ValueError):

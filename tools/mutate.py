@@ -95,6 +95,24 @@ MUTANTS = (
         FACE_MASKS,
     ),
     Mutant(
+        "vertices-prune-forced", GC,
+        "        (row[j],) if row[j] == row[j + 1] else (row[j], row[j + 1])\n",
+        "        () if row[j] == row[j + 1] else (row[j], row[j + 1])\n",
+        FACE_MASKS,
+    ),
+    Mutant(
+        "vertices-drop-anchor", GC,
+        "        (row[j],) if row[j] == row[j + 1] else (row[j], row[j + 1])\n",
+        "        range(row[j + 1], row[j] + 1)\n",
+        FACE_MASKS,
+    ),
+    Mutant(
+        "kogan-drop-prefix-test", "src/gcschub/kogan.py",
+        "            if grown == len(taken) + 1 and length(",
+        "            if length(",
+        ("tests/test_kogan.py",),
+    ),
+    Mutant(
         "simple-reflection-unchecked", "src/gcschub/weyl.py",
         "        if not 1 <= i <= self.n - 1:\n",
         "        if False:\n",
