@@ -83,7 +83,9 @@ def evaluate(
     """Compute S = cap_i Delta(u_i, v_i) cap Delta(w_0, pi(w_0 w)) and turn
     it into a certificate when it is a set of flag-variety vertices.
 
-    Each Delta is built once per polytope and kept in its ``delta_cache``.
+    Each Delta is built once per polytope and kept in its ``delta_cache``
+    as the tight masks of its maximal faces, which are wrapped as faces
+    again for ``Polytope.meet``.
     """
     shape = poly.shape
     for x in list(vs) + [w] + list(us):
@@ -100,14 +102,14 @@ def evaluate(
     cache = poly.delta_cache
     bottom_key = (None, w.window)  # apart from the (u, v) keys of the factors
     if bottom_key not in cache:
-        cache[bottom_key] = delta_schubert_bottom(poly, w)
-    pieces = [cache[bottom_key]]
+        cache[bottom_key] = tuple(f.mask for f in delta_schubert_bottom(poly, w))
+    keys = [bottom_key]
     for u, v in zip(us, vs):
         key = (u.window, v.window)
         if key not in cache:
-            cache[key] = delta_uv(poly, u, v)
-        pieces.append(cache[key])
-    inter = poly.meet(pieces)
+            cache[key] = tuple(f.mask for f in delta_uv(poly, u, v))
+        keys.append(key)
+    inter = poly.meet([[Face(poly, mask) for mask in cache[key]] for key in keys])
 
     oracle = structure_constant(list(vs), w)
     if not inter:

@@ -63,9 +63,18 @@ class _Parsed(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
+def _positive(text: str) -> int:
+    """One number of ASCII digits, at least 1."""
+    parts = parse_numbers(text)
+    if len(parts) != 1 or parts[0] < 1:
+        raise ValueError(f"{text!r} is not a number of at least 1")
+    return parts[0]
+
+
 SHAPE = _Parsed("shape", ParabolicShape.parse)
 PARTITION = _Parsed("partition", parse_partition)
 POSITIONS = _Parsed("positions", parse_numbers)
+POSITIVE = _Parsed("positive", _positive)
 
 
 def _perm(text: str, n: int, option: str) -> Permutation:
@@ -203,7 +212,7 @@ def certify(shape, v_texts, w_text, u_texts, store, fmt):
 @click.option("--shape", type=SHAPE, required=True)
 @click.option("--v", "v_texts", multiple=True, required=True)
 @click.option("--w", "w_text", required=True)
-@click.option("--budget", type=click.IntRange(min=1), default=3000, show_default=True)
+@click.option("--budget", type=POSITIVE, default="3000", show_default=True)
 @click.option("--store", default=None)
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
 def search_cmd(shape, v_texts, w_text, budget, store, fmt):
@@ -225,7 +234,7 @@ def search_cmd(shape, v_texts, w_text, budget, store, fmt):
 
 @main.command()
 @click.option("--shape", type=SHAPE, required=True)
-@click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)
+@click.option("--budget", type=POSITIVE, default="2000", show_default=True)
 @click.option("--out", default=None, help="Write the JSON summary here as well.")
 @click.option("--detail", default=None, help="Write a per-class TSV detail table here.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
@@ -277,7 +286,7 @@ def polytope(shape, fmt):
 @click.option("--shape", type=SHAPE, required=True)
 @click.option("--mu", type=PARTITION)
 @click.option("--dual", is_flag=True, help="Use the complementary face of mu.")
-@click.option("--delta-k", "delta_k", type=int, default=None)
+@click.option("--delta-k", "delta_k", type=POSITIVE, default=None)
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="json")
 def faces(shape, mu, dual, delta_k, fmt):
     """Named faces: F_mu, its dual, or the Gr(2,n) shifted face."""

@@ -136,46 +136,45 @@ def lr_coefficient(mu: tuple[int, ...], nu: tuple[int, ...], eta: tuple[int, ...
     if not nu:
         return 1 if eta == mu else 0
     mu = mu + (0,) * (len(eta) - len(mu))
+    grid: list[list[int]] = [[0] * part for part in eta]
+    return _lr_fillings(eta, mu, nu, grid, [0] * (len(nu) + 1), 0, mu[0])
+
+
+def _lr_fillings(eta, mu, nu, grid: list[list[int]], counts: list[int], r: int, c: int) -> int:
+    """Number of Littlewood-Richardson tableaux that complete ``grid``,
+    filled before cell (r, c) of eta/mu with ``counts[v]`` entries v."""
     rows = len(eta)
-    nvals = len(nu)
-    grid: list[list[int]] = [[0] * eta[r] for r in range(rows)]
-    counts = [0] * (nvals + 1)
+    if r == rows:
+        return int(_lattice_ok(eta, mu, grid, len(nu)))
+    if c == eta[r]:
+        return _lr_fillings(eta, mu, nu, grid, counts, r + 1, mu[r + 1] if r + 1 < rows else 0)
+    left = grid[r][c - 1] if c > mu[r] else 1
+    # cells inside mu hold 0, so they impose no column constraint
+    above = grid[r - 1][c] if r > 0 and c < eta[r - 1] else 0
+    lo = max(left, above + 1) if above else max(left, 1)
     total = 0
-
-    def lattice_ok() -> bool:
-        running = [0] * (nvals + 1)
-        for r in range(rows):
-            for c in range(eta[r] - 1, mu[r] - 1, -1):
-                v = grid[r][c]
-                running[v] += 1
-                if v > 1 and running[v] > running[v - 1]:
-                    return False
-        return True
-
-    def fill(r: int, c: int):
-        nonlocal total
-        if r == rows:
-            if lattice_ok():
-                total += 1
-            return
-        if c == eta[r]:
-            fill(r + 1, mu[r + 1] if r + 1 < rows else 0)
-            return
-        left = grid[r][c - 1] if c > mu[r] else 1
-        # cells inside mu hold 0, so they impose no column constraint
-        above = grid[r - 1][c] if r > 0 and c < eta[r - 1] else 0
-        lo = max(left, above + 1) if above else max(left, 1)
-        for v in range(lo, nvals + 1):
-            if counts[v] == nu[v - 1]:
-                continue
-            counts[v] += 1
-            grid[r][c] = v
-            fill(r, c + 1)
-            grid[r][c] = 0
-            counts[v] -= 1
-
-    fill(0, mu[0])
+    for v in range(lo, len(nu) + 1):
+        if counts[v] == nu[v - 1]:
+            continue
+        counts[v] += 1
+        grid[r][c] = v
+        total += _lr_fillings(eta, mu, nu, grid, counts, r, c + 1)
+        grid[r][c] = 0
+        counts[v] -= 1
     return total
+
+
+def _lattice_ok(eta, mu, grid: list[list[int]], nvals: int) -> bool:
+    """Whether the reverse reading word of the filled tableau is a lattice
+    word."""
+    running = [0] * (nvals + 1)
+    for r in range(len(eta)):
+        for c in range(eta[r] - 1, mu[r] - 1, -1):
+            v = grid[r][c]
+            running[v] += 1
+            if v > 1 and running[v] > running[v - 1]:
+                return False
+    return True
 
 
 def gr_structure_constant(

@@ -20,9 +20,7 @@ A face is its tight mask, the set of adjacent-pair inequalities it makes
 tight, kept as a bitmask, and stores nothing else: containment is a subset
 test on masks, and the intersection of two faces is the saturation of the
 union of their masks.  The saturated key is derived from the mask on
-demand, by merging the tight pairs, and that is the only way a key is
-made.  The polytope memoises the saturation per union mask, and also owns
-the cache of divisor facet unions that certificate evaluation fills.
+demand, by merging the tight pairs; a vertex key is read off its pattern.
 
 A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``_antichain`` returns it.  ``Polytope.meet`` is the one fold of an
@@ -44,13 +42,31 @@ count is known before any face is built, and ``vertices`` refuses a
 polytope with more than ``MAX_VERTICES``.  Each vertex key is read off its
 pattern.  The facets through a face are read off the masks, those whose
 mask is a subset of its own.
+
+A face refers to its polytope, so the polytope caches masks and keys, never
+faces, and reference counting alone frees it.  Each polytope owns these
+caches, which live as long as it does:
+
+* ``_keys``, the key table: tight mask -> saturated key, filled by
+  ``vertices`` and by the first read of a face's ``key``;
+* ``_vertices``: the vertex masks, sorted by values;
+* ``_facets``: effective edge -> tight mask of its facet;
+* ``_meet_of_union``: union of two tight masks -> tight mask of their meet;
+* ``delta_cache``: translation data -> the tight masks of the maximal faces
+  of a divisor facet union, filled by ``certify.evaluate``.
+
+The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
+``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.
+They are pure functions of permutation windows, shared by every polytope,
+so they stay process-wide.  After the Fl5 partition and its 74,199 oracle
+calls they held 476, 8,165, 120 and 119 entries, and clearing the two
+``coeffs`` caches freed 1.98 MiB.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .ladder import (
     Cell,
@@ -63,20 +79,21 @@ from .ladder import (
 from .weyl import InputError, UnsupportedShapeError
 
 MAX_VERTICES = 200_000
-"""The most vertices ``Polytope.vertices`` lists.  Fl7 has 99,665, about
-51 MB of faces under CPython 3.11; Fl8 has 3,000,736, which would need
-about 1.5 GB."""
+"""The most vertices ``Polytope.vertices`` lists.  Fl7 has 99,665, whose
+masks and keys take about 45 MB under CPython 3.11; Fl8 has 3,000,736,
+which would need about 1.5 GB."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Face:
     """Face of a polytope, identified by its tight mask: bit i of ``mask``
     is set when the inequality ``poly._pairs[i]`` holds with equality on
     the face, and the empty face has mask -1.  Faces compare, hash and sort
-    by mask alone.
+    by mask alone.  A face is a view made on read: the polytope keeps masks,
+    never faces.
 
-    ``key`` is the saturated equality system, derived from the mask on
-    first use: every box is -l (merged with the value node of a_l) or a
+    ``key`` is the saturated equality system, read from the polytope's key
+    table: every box is -l (merged with the value node of a_l) or a
     positive block number given by first occurrence; ``None`` marks the
     empty face.
     """
@@ -84,9 +101,9 @@ class Face:
     poly: "Polytope" = field(compare=False)
     mask: int
 
-    @cached_property
+    @property
     def key(self) -> tuple[int, ...] | None:
-        return self.poly._key_of_mask(self.mask)
+        return self.poly._key(self.mask)
 
     @property
     def is_empty(self) -> bool:
@@ -134,8 +151,8 @@ class Face:
     def facets(self) -> list[EdgeKey]:
         """The effective edges whose facets contain this face: those whose
         facet mask is a subset of this face's mask."""
-        poly = self.poly
-        return [e for e in poly.diagram.effective_edges if poly.facet_face(e).contains(self)]
+        mask = self.mask
+        return [e for e, m in self.poly._facet_masks().items() if m & ~mask == 0]
 
     def edge_ids(self) -> list[str]:
         """Sorted identifiers of the effective edges whose facets contain
@@ -174,14 +191,19 @@ class Polytope:
         # values of the value nodes: in key + _const_values, entry i is the
         # value of node i
         self._const_values = tuple(-l for l in range(1, self.num_values + 1))
-        self._empty = Face(self, -1)
-        self._whole = Face(self, self._saturate([]))
-        self._vertices: list[Face] | None = None
-        self._facet_cache: dict[EdgeKey, Face] = {}
+        # the caches hold masks and keys, never faces (see the module
+        # docstring); the key table maps a tight mask to its key
+        self._keys: dict[int, tuple[int, ...] | None] = {}
+        self._whole = self._saturate([])
+        # vertex masks, sorted by values
+        self._vertices: list[int] | None = None
+        # effective edge -> tight mask of its facet
+        self._facets: dict[EdgeKey, int] = {}
         # union of two tight masks -> tight mask of the saturated intersection
         self._meet_of_union: dict[int, int] = {}
-        # divisor facet unions by translation data, filled by certify.evaluate
-        self.delta_cache: dict[tuple, tuple[Face, ...]] = {}
+        # divisor facet unions by translation data, as the masks of their
+        # maximal faces, filled by certify.evaluate
+        self.delta_cache: dict[tuple, tuple[int, ...]] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -199,17 +221,24 @@ class Polytope:
     # -- face construction ---------------------------------------------------
 
     def whole_face(self) -> Face:
-        return self._whole
+        return Face(self, self._whole)
 
     def empty_face(self) -> Face:
-        return self._empty
+        return Face(self, -1)
 
     def facet_face(self, edge: EdgeKey) -> Face:
-        if edge not in self._facet_cache:
-            if not self.diagram.is_effective(edge):
-                raise ValueError(f"edge {edge} is not effective")
-            self._facet_cache[edge] = self.face_from_atoms([self.diagram.edge_cells(edge)])
-        return self._facet_cache[edge]
+        masks = self._facet_masks()
+        if edge not in masks:
+            raise ValueError(f"edge {edge} is not effective")
+        return Face(self, masks[edge])
+
+    def _facet_masks(self) -> dict[EdgeKey, int]:
+        """The tight mask of the facet of every effective edge, in the
+        order of ``diagram.effective_edges``, built on first use."""
+        if not self._facets:
+            for e in self.diagram.effective_edges:
+                self._facets[e] = self.face_from_atoms([self.diagram.edge_cells(e)]).mask
+        return self._facets
 
     def face_from_atoms(self, atoms) -> Face:
         """Build the face from (cellA, cellB) equality atoms; a forced cell
@@ -230,7 +259,7 @@ class Polytope:
         tight mask."""
         mask = self._saturate(merges)
         if mask != -1:
-            values = self._key_of_mask(mask) + self._const_values
+            values = self._key(mask) + self._const_values
             if any(values[a] != values[b] for a, b in merges):
                 raise InputError(f"equality system {merges} is not a face of the polytope")
         return Face(self, mask)
@@ -254,6 +283,14 @@ class Polytope:
                 mask |= bit
             bit <<= 1
         return mask
+
+    def _key(self, mask: int) -> tuple[int, ...] | None:
+        """Key of the face with this tight mask, from the key table, which
+        derives it on first use."""
+        key = self._keys.get(mask)
+        if key is None:
+            key = self._keys[mask] = self._key_of_mask(mask)
+        return key
 
     def _key_of_mask(self, mask: int) -> tuple[int, ...] | None:
         """Key of the face whose tight set is the saturated mask: its
@@ -326,7 +363,7 @@ class Polytope:
         the intermediate antichains small, since the maximal faces of the
         result do not depend on the order; it stops at the first empty
         result."""
-        union = (self._whole,)
+        union = (self.whole_face(),)
         for faces in sorted(face_sets, key=len):
             meets = [self.intersect(f, g) for f in union for g in faces]
             union = _antichain([h for h in meets if not h.is_empty])
@@ -337,30 +374,29 @@ class Polytope:
     # -- vertices -----------------------------------------------------------------
 
     def vertices(self) -> list[Face]:
-        """All 0-dimensional faces, sorted by values, enumerated once and
-        cached.  Raises UnsupportedShapeError when there are more than
-        MAX_VERTICES."""
-        if self._vertices is not None:
-            return self._vertices
-        # the top row takes the value k+2-l on block l, so that a_l is the
-        # integer k+2-l
-        top = self.shape.k + 2
-        lam = tuple(top - self.shape.block_of(c) for c in range(1, self.n + 1))
-        table: dict[tuple[int, ...], tuple[int, list]] = {}
-        count = _count_patterns(lam, table)
-        if count > MAX_VERTICES:
-            raise UnsupportedShapeError(
-                f"shape {self.shape} has {count} vertices; at most {MAX_VERTICES} are listed"
-            )
-        self._vertices = []
-        for pattern in _vertex_patterns(lam, table):
-            key = tuple(pattern[c + r - 2][c - 1] - top for c, r in self.boxes)
-            face = Face(self, self.tight_mask(key))
-            object.__setattr__(face, "key", key)
-            self._vertices.append(face)
-        # a key is the negated values, so descending keys sort by values
-        self._vertices.sort(key=lambda f: f.key, reverse=True)
-        return self._vertices
+        """All 0-dimensional faces, sorted by values, enumerated once; the
+        masks are cached and their keys enter the key table.  Raises
+        UnsupportedShapeError when there are more than MAX_VERTICES."""
+        if self._vertices is None:
+            # the top row takes the value k+2-l on block l, so that a_l is
+            # the integer k+2-l
+            top = self.shape.k + 2
+            lam = tuple(top - self.shape.block_of(c) for c in range(1, self.n + 1))
+            table: dict[tuple[int, ...], tuple[int, list]] = {}
+            count = _count_patterns(lam, table)
+            if count > MAX_VERTICES:
+                raise UnsupportedShapeError(
+                    f"shape {self.shape} has {count} vertices; at most {MAX_VERTICES} are listed"
+                )
+            keys = [
+                tuple(pattern[c + r - 2][c - 1] - top for c, r in self.boxes)
+                for pattern in _vertex_patterns(lam, table, [])
+            ]
+            # a key is the negated values, so descending keys sort by values
+            keys.sort(reverse=True)
+            self._vertices = [self.tight_mask(key) for key in keys]
+            self._keys.update(zip(self._vertices, keys))
+        return [Face(self, mask) for mask in self._vertices]
 
     def vertices_of_face(self, face: Face) -> list[Face]:
         if face.is_empty:
@@ -384,12 +420,16 @@ class Polytope:
             raise UnsupportedShapeError(
                 f"membership in the flag variety is not characterized for shape {self.shape}"
             )
-        n = self.n
-        for i in range(1, n - 1):
+        key = v.key
+        if key is None or max(key, default=0) > 0:
+            raise ValueError(f"{v} is not a vertex")
+        values = key + self._const_values
+        node = self._node
+        for i in range(1, self.n - 1):
             for j in range(1, i + 1):
-                cells = [(j, i - j + 1), (j, i - j + 2), (j + 1, i - j + 1), (j + 1, i - j + 2)]
-                vals = {v.value_of(c) for c in cells}
-                if len(vals) == 1:
+                r = i - j + 1
+                if (values[node((j, r))] == values[node((j, r + 1))]
+                        == values[node((j + 1, r))] == values[node((j + 1, r + 1))]):
                     return False
         return True
 
@@ -458,25 +498,7 @@ class Polytope:
     def lattice_points(self, lam: tuple[int, ...]) -> list[Pattern]:
         """All integral Gelfand-Cetlin patterns with top row lam."""
         validate_lambda(self.shape, lam)
-        return list(self._patterns(lam))
-
-    def _patterns(self, lam: tuple[int, ...]):
-        """Generate the interlacing patterns with top row lam, row by row."""
-        rows: list[tuple[int, ...]] = [tuple(lam)]
-
-        def rec(i: int):
-            # build row i-1 below row i
-            if i == 1:
-                yield tuple(reversed(rows))
-                return
-            above = rows[-1]
-            ranges = [range(above[j], above[j - 1] + 1) for j in range(1, i)]
-            for combo in itertools.product(*ranges):
-                rows.append(combo)
-                yield from rec(i - 1)
-                rows.pop()
-
-        return rec(self.n)
+        return list(_patterns([tuple(lam)]))
 
 
 def _canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:
@@ -527,20 +549,30 @@ def _count_patterns(row: tuple[int, ...], table: dict) -> int:
     return got[0]
 
 
-def _vertex_patterns(top_row: tuple[int, ...], table: dict):
-    """The vertex patterns with the counted top row, bottom row first."""
-    rows: list[tuple[int, ...]] = []
-
-    def walk(row):
-        if not row:
-            yield tuple(reversed(rows))
-            return
+def _patterns(rows: list[tuple[int, ...]]):
+    """The interlacing patterns whose top rows are ``rows``, top first,
+    generated row by row, bottom row first."""
+    above = rows[-1]
+    if len(above) == 1:
+        yield tuple(reversed(rows))
+        return
+    ranges = [range(above[j], above[j - 1] + 1) for j in range(1, len(above))]
+    for row in itertools.product(*ranges):
         rows.append(row)
-        for below in table[row][1]:
-            yield from walk(below)
+        yield from _patterns(rows)
         rows.pop()
 
-    return walk(top_row)
+
+def _vertex_patterns(row: tuple[int, ...], table: dict, rows: list[tuple[int, ...]]):
+    """The vertex patterns with the counted ``row`` below the rows above
+    it, ``rows``, top first; bottom row first."""
+    if not row:
+        yield tuple(reversed(rows))
+        return
+    rows.append(row)
+    for below in table[row][1]:
+        yield from _vertex_patterns(below, table, rows)
+    rows.pop()
 
 
 def _antichain(faces) -> tuple[Face, ...]:

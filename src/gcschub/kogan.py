@@ -129,27 +129,32 @@ def enumerate_reduced(
     _check_edges(diagram, (), dual)  # the shape must be a complete flag
     word = reference_word(diagram.n, dual)
     grid = word_positions(diagram.n, dual)
-    size = length(target)
-    taken: list[int] = []
-    out = []
-
-    def walk(start: int, prefix: Permutation):
-        if len(taken) == size:
-            out.append(read_word(diagram, [grid[p] for p in taken], dual))
-            return
-        # stop when too few positions remain for the letters still needed
-        for p in range(start, len(word) - size + len(taken) + 1):
-            step = prefix.right_mul_s(word[p])
-            grown = length(step)
-            if grown == len(taken) + 1 and length(step.inverse() * target) == size - grown:
-                taken.append(p)
-                walk(p + 1, step)
-                taken.pop()
-
-    walk(0, Permutation.identity(diagram.n))
+    out = [
+        read_word(diagram, [grid[p] for p in taken], dual)
+        for taken in _reduced_positions(word, target, 0, Permutation.identity(diagram.n), [])
+    ]
     pool = {e: i for i, e in enumerate(diagram.effective_edges)}
     out.sort(key=lambda face: sorted(pool[e] for e in face.edges))
     return out
+
+
+def _reduced_positions(word, target: Permutation, start: int, prefix: Permutation,
+                       taken: list[int]):
+    """Every completion of the positions ``taken``, whose letters multiply
+    to ``prefix``, by positions of ``word`` from ``start`` on to a reduced
+    word of the target."""
+    size = length(target)
+    if len(taken) == size:
+        yield tuple(taken)
+        return
+    # stop when too few positions remain for the letters still needed
+    for p in range(start, len(word) - size + len(taken) + 1):
+        step = prefix.right_mul_s(word[p])
+        grown = length(step)
+        if grown == len(taken) + 1 and length(step.inverse() * target) == size - grown:
+            taken.append(p)
+            yield from _reduced_positions(word, target, p + 1, step, taken)
+            taken.pop()
 
 
 def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:

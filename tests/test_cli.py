@@ -303,6 +303,9 @@ BAD_INPUTS = [
     # the identity is written id
     (("constant", "--shape", "1,2,3,4", "--u", "", "--v", "s1", "--w", "s1"), 2),
     (("constant", "--shape", "1,2,3,4", "--u", "e", "--v", "s1", "--w", "s1"), 2),
+    # so are --delta-k and --budget
+    (("faces", "--shape", "2,5", "--delta-k", " +2"), 2),
+    (("sweep", "--shape", "1,2,3", "--budget", "1_0"), 2),
 ]
 
 # a rejected permutation: the error names the option that carried it

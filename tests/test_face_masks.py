@@ -522,15 +522,16 @@ def test_vertex_facets_match_values(cuts_n):
 
 
 def test_memo_hit_derives_no_key():
-    # a hit returns the face of the stored mask; its key is derived only
-    # when asked for
+    # a hit returns the face of the stored mask; its key enters the
+    # polytope's key table only when asked for
     gr25 = make(2, 5)
     f, g = (gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2])
     assert not f.contains(g) and not g.contains(f)
     miss = gr25.intersect(f, g)
     hit = gr25.intersect(g, f)
-    assert hit == miss and "key" not in vars(hit)
-    assert hit.key == miss.key
+    assert hit == miss and hit.mask not in gr25._keys
+    assert hit.key == gr25._keys[hit.mask] == gr25._key_of_mask(hit.mask)
+    assert miss.key == hit.key
 
 
 def test_forced_cells_of_different_values_give_empty_face():

@@ -1,12 +1,18 @@
+import gc
+import weakref
+
 import pytest
 
+from gcschub.certify import search
+from gcschub.coeffs import lr_coefficient
 from gcschub.gc_polytope import (
     Polytope,
     UnsupportedShapeError,
     _antichain,
 )
 from gcschub.ladder import LadderDiagram, validate_lambda
-from gcschub.weyl import ParabolicShape
+from gcschub.kogan import enumerate_reduced
+from gcschub.weyl import ParabolicShape, Permutation, grassmannian_perm
 from reference_faces import face_dimension_by_rank
 
 
@@ -261,3 +267,47 @@ class TestLatticePoints:
         for pt in GR24.lattice_points((2, 2, 0, 0)):
             assert is_gc_pattern(pt)
             assert pt[3] == (2, 2, 0, 0)
+
+
+def test_no_reference_cycles():
+    # the polytope's caches hold masks and keys, never faces, and no
+    # recursive walk keeps its frames in a cycle: with the collector off,
+    # each run leaves nothing for it and a dropped polytope is freed at once
+    def fl6_vertices():
+        poly = make(1, 2, 3, 4, 5, 6)
+        for v in poly.vertices():
+            poly.is_regular(v)
+            poly.in_VX(v)
+        return poly
+
+    def gr36_chevalley_search():
+        poly = make(3, 6)
+        vs = [grassmannian_perm(mu, 3, 6) for mu in ((1, 0, 0), (2, 1, 0))]
+        assert search(poly, vs, grassmannian_perm((2, 1, 1), 3, 6)).ok
+        return poly
+
+    def gr24_lattice_points():
+        poly = make(2, 4)
+        assert len(poly.lattice_points((2, 2, 0, 0))) == 20
+        return poly
+
+    def lr():
+        assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+
+    def fl4_kogan():
+        assert enumerate_reduced(FL4.diagram, Permutation((4, 3, 2, 1)), dual=True)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for run in (fl6_vertices, gr36_chevalley_search, gr24_lattice_points, lr, fl4_kogan):
+            poly = run()
+            assert gc.collect() == 0, run.__name__
+            if poly is not None:
+                ref = weakref.ref(poly)
+                del poly
+                assert ref() is None, run.__name__
+    finally:
+        if enabled:
+            gc.enable()

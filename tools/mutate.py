@@ -84,15 +84,22 @@ MUTANTS = (
     ),
     Mutant(
         "facets-reverse-subset", GC,
-        "if poly.facet_face(e).contains(self)]",
-        "if self.contains(poly.facet_face(e))]",
+        "if m & ~mask == 0]",
+        "if mask & ~m == 0]",
         FACE_MASKS,
     ),
     Mutant(
         "vertices-unsorted", GC,
-        "        self._vertices.sort(key=lambda f: f.key, reverse=True)\n",
+        "            keys.sort(reverse=True)\n",
         "",
         FACE_MASKS,
+    ),
+    Mutant(
+        "facet-cache-holds-face", GC,
+        "[self.diagram.edge_cells(e)]).mask\n        return self._facets\n",
+        "[self.diagram.edge_cells(e)])\n"
+        "        return {e: face.mask for e, face in self._facets.items()}\n",
+        ("tests/test_gc_polytope.py::test_no_reference_cycles",),
     ),
     Mutant(
         "vertices-prune-forced", GC,
@@ -108,8 +115,8 @@ MUTANTS = (
     ),
     Mutant(
         "kogan-drop-prefix-test", "src/gcschub/kogan.py",
-        "            if grown == len(taken) + 1 and length(",
-        "            if length(",
+        "        if grown == len(taken) + 1 and length(",
+        "        if length(",
         ("tests/test_kogan.py",),
     ),
     Mutant(
