@@ -90,6 +90,10 @@ def _partition_text(part) -> str:
     return "(" + ",".join(map(str, part)) + ")"
 
 
+def _path_text(path) -> str:
+    return ",".join(map(str, path))
+
+
 def _cell(value) -> str:
     """A TSV cell: containers, booleans and None as compact JSON, anything
     else as text."""
@@ -352,17 +356,17 @@ def anticanonical(shape, fmt):
     paths = diagram.special_paths()
     b = shape.bounds
     expected = sum(b[i + 1] - b[i - 1] for i in range(1, shape.k + 1))
-    distinct = len({p.steps for p in paths})
+    distinct = len(set(paths))
     data = {
         "shape": str(shape),
-        "paths": [str(p) for p in paths],
+        "paths": [_path_text(p) for p in paths],
         "count": len(paths),
         "expected_count": expected,
         "distinct_divisors": distinct,
         "expected_distinct": shape.n + shape.cuts[-1] - shape.cuts[0],
     }
     _emit(data if fmt == "json" else {
-        "paths": ";".join(str(p) for p in paths),
+        "paths": ";".join(data["paths"]),
         "count": len(paths),
         "distinct": distinct,
     }, fmt)
@@ -380,7 +384,7 @@ def lattice_points(shape, lam, do_decompose, fmt):
     diagram = LadderDiagram(shape)
     points = Polytope(diagram).lattice_points(lam)
     if do_decompose:
-        rows = [(pt, [str(p) for p in decompose_weight(diagram, lam, pt)]) for pt in points]
+        rows = [(pt, [_path_text(p) for p in decompose_weight(diagram, lam, pt)]) for pt in points]
         _emit([(pt, ";".join(paths)) for pt, paths in rows] if fmt == "tsv" else
               [{"point": pt, "paths": paths} for pt, paths in rows], fmt)
     else:

@@ -66,6 +66,7 @@ calls they held 476, 8,165, 120 and 119 entries, and clearing the two
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .ladder import (
@@ -79,9 +80,11 @@ from .ladder import (
 from .weyl import InputError, UnsupportedShapeError
 
 MAX_VERTICES = 200_000
-"""The most vertices ``Polytope.vertices`` lists.  Fl7 has 99,665, whose
+"""The most vertices ``Polytope.vertices`` lists, and the most lattice
+points ``Polytope.lattice_points`` lists.  Fl7 has 99,665 vertices, whose
 masks and keys take about 45 MB under CPython 3.11; Fl8 has 3,000,736,
-which would need about 1.5 GB."""
+which would need about 1.5 GB.  On Fl6, lambda = (6,5,4,3,2,1) has 32,768
+lattice points and (12,10,8,6,4,2) has 14,348,907."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -413,16 +416,17 @@ class Polytope:
     def in_VX(self, v: Face) -> bool:
         """Whether the coordinate point of the vertex lies on the flag
         variety: always for Grassmannians; the no-constant-2x2-square
-        criterion for complete flags."""
+        criterion for complete flags.  A face that is not a vertex is a
+        ValueError on every shape."""
+        key = v.key
+        if key is None or max(key, default=0) > 0:
+            raise ValueError(f"{v} is not a vertex")
         if self.shape.is_grassmannian():
             return True
         if not self.shape.is_complete():
             raise UnsupportedShapeError(
                 f"membership in the flag variety is not characterized for shape {self.shape}"
             )
-        key = v.key
-        if key is None or max(key, default=0) > 0:
-            raise ValueError(f"{v} is not a vertex")
         values = key + self._const_values
         node = self._node
         for i in range(1, self.n - 1):
@@ -462,7 +466,7 @@ class Polytope:
         p = path_of_partition(tuple(mu), m, self.n)
         pins = {}
         for c in range(1, m + 1):
-            for r in range(1, p.steps[c - 1] - c + 1):
+            for r in range(1, p[c - 1] - c + 1):
                 pins[(c, r)] = 2
         return self.face_from_pins(pins)
 
@@ -473,7 +477,7 @@ class Polytope:
         p = path_of_partition(tuple(mu), m, self.n)
         pins = {}
         for c in range(1, m + 1):
-            for r in range(p.steps[c - 1] - c + 1, self.n - m + 1):
+            for r in range(p[c - 1] - c + 1, self.n - m + 1):
                 pins[(c, r)] = 1
         return self.face_from_pins(pins)
 
@@ -496,9 +500,25 @@ class Polytope:
     # -- lattice points --------------------------------------------------------------
 
     def lattice_points(self, lam: tuple[int, ...]) -> list[Pattern]:
-        """All integral Gelfand-Cetlin patterns with top row lam."""
+        """All integral Gelfand-Cetlin patterns with top row lam, counted
+        first by ``lattice_point_count``.  Raises UnsupportedShapeError
+        when there are more than MAX_VERTICES."""
         validate_lambda(self.shape, lam)
+        count = lattice_point_count(lam)
+        if count > MAX_VERTICES:
+            raise UnsupportedShapeError(
+                f"lambda {lam} has {count} lattice points; at most {MAX_VERTICES} are listed"
+            )
         return list(_patterns([tuple(lam)]))
+
+
+def lattice_point_count(lam: tuple[int, ...]) -> int:
+    """Number of integral Gelfand-Cetlin patterns with the weakly decreasing
+    top row lam, by Weyl's dimension formula
+    prod_{i<j} (lam_i - lam_j + j - i) / (j - i), in exact integers."""
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    return (math.prod(lam[i] - lam[j] + j - i for i, j in pairs)
+            // math.prod(j - i for i, j in pairs))
 
 
 def _canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:

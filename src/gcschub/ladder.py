@@ -8,10 +8,13 @@ Grid conventions used throughout the package:
 * the diagram's boxes are the cells with r <= n - lev(c) where lev(c) is the
   smallest cut >= c; every other cell is pinned to the constant of its
   column block.
-* a positive path with horizontal steps at positions I = (i_1 < ... < i_l)
-  takes n unit steps from the bottom-left corner; the s-th horizontal step
-  covers the edge H(s, i_s - s) and a vertical step at time t covers
-  V(x, t - x) with x = #{i in I : i < t}.
+* a positive path is the sorted tuple I = (i_1 < ... < i_l) of the
+  positions of its horizontal steps, the index tuple of the Plücker
+  coordinate p_I, and its level is l = len(I).  It takes n unit steps from
+  the bottom-left corner; the s-th horizontal step covers the edge
+  H(s, i_s - s) and a vertical step at time t covers V(x, t - x) with
+  x = #{i in I : i < t}.  A path does not carry n, so the functions that
+  walk it take n from the caller.
 
 Horizontal edges H(c, y) join the cells (c, y) and (c, y+1); vertical edges
 V(x, r) join (x, r) and (x+1, r).  An edge is effective when it is interior
@@ -22,67 +25,40 @@ left block corner.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .weyl import InputError, ParabolicShape, grassmannian_perm
 
 Cell = tuple[int, int]
 EdgeKey = tuple[str, int, int]
+Path = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class PositivePath:
-    """Monotone path identified by its horizontal-step positions."""
-
-    steps: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        s = self.steps
-        if not s or any(a >= b for a, b in zip(s, s[1:])) or s[0] < 1 or s[-1] > self.n:
-            raise ValueError(f"steps must be strictly increasing within 1..{self.n}: {s}")
-
-    @property
-    def level(self) -> int:
-        return len(self.steps)
-
-    def __str__(self) -> str:
-        return ",".join(map(str, self.steps))
-
-
-def path_leq(p: PositivePath, q: PositivePath) -> bool:
+def path_leq(p: Path, q: Path) -> bool:
     """p <= q iff p has at least as many horizontal steps and runs below q."""
-    if p.n != q.n:
-        raise ValueError("paths live on different diagrams")
-    if p.level < q.level:
-        return False
-    return all(p.steps[r] <= q.steps[r] for r in range(q.level))
+    return len(p) >= len(q) and all(a <= b for a, b in zip(p, q))
 
 
-def incomparable(p: PositivePath, q: PositivePath) -> bool:
+def incomparable(p: Path, q: Path) -> bool:
     return not path_leq(p, q) and not path_leq(q, p)
 
 
-def meet(p: PositivePath, q: PositivePath) -> PositivePath:
-    if p.level < q.level:
+def meet(p: Path, q: Path) -> Path:
+    if len(p) < len(q):
         p, q = q, p
-    m = q.level
-    out = tuple(min(p.steps[r], q.steps[r]) for r in range(m)) + p.steps[m:]
-    return PositivePath(out, p.n)
+    return tuple(map(min, p, q)) + p[len(q):]
 
 
-def join(p: PositivePath, q: PositivePath) -> PositivePath:
-    if p.level < q.level:
-        p, q = q, p
-    return PositivePath(tuple(max(p.steps[r], q.steps[r]) for r in range(q.level)), p.n)
+def join(p: Path, q: Path) -> Path:
+    return tuple(map(max, p, q))
 
 
-def path_edges(p: PositivePath) -> list[EdgeKey]:
-    """All unit edges traversed by the path, in step order."""
+def path_edges(p: Path, n: int) -> list[EdgeKey]:
+    """All unit edges traversed by the path on a rank-n diagram, in step
+    order."""
     edges: list[EdgeKey] = []
-    horizontal = set(p.steps)
+    horizontal = set(p)
     x = 0
-    for t in range(1, p.n + 1):
+    for t in range(1, n + 1):
         if t in horizontal:
             x += 1
             edges.append(("H", x, t - x))
@@ -91,22 +67,19 @@ def path_edges(p: PositivePath) -> list[EdgeKey]:
     return edges
 
 
-def path_corners(p: PositivePath) -> list[tuple[EdgeKey, EdgeKey]]:
+def path_corners(p: Path, n: int) -> list[tuple[EdgeKey, EdgeKey]]:
     """Pairs of consecutive edges of different direction."""
-    edges = path_edges(p)
+    edges = path_edges(p, n)
     return [(a, b) for a, b in zip(edges, edges[1:]) if a[0] != b[0]]
 
 
-def partition_of_path(p: PositivePath, m: int | None = None) -> tuple[int, ...]:
+def partition_of_path(p: Path) -> tuple[int, ...]:
     """mu = (i_m - m, ..., i_1 - 1) for a level-m path."""
-    m = p.level if m is None else m
-    if p.level != m:
-        raise ValueError(f"path has level {p.level}, expected {m}")
-    return tuple(p.steps[m - r] - (m - r + 1) for r in range(1, m + 1))
+    return tuple(p[s - 1] - s for s in range(len(p), 0, -1))
 
 
-def path_of_partition(mu: tuple[int, ...], m: int, n: int) -> PositivePath:
-    return PositivePath(grassmannian_perm(mu, m, n).image(range(1, m + 1)), n)
+def path_of_partition(mu: tuple[int, ...], m: int, n: int) -> Path:
+    return grassmannian_perm(mu, m, n).image(range(1, m + 1))
 
 
 def complement(mu: tuple[int, ...], m: int, n: int) -> tuple[int, ...]:
@@ -196,27 +169,24 @@ class LadderDiagram:
             return ((a, bb), (a, bb + 1))
         return ((a, bb), (a + 1, bb))
 
-    def effective_edges_on(self, p: PositivePath) -> list[EdgeKey]:
-        return [e for e in path_edges(p) if e in self._effective_set]
+    def effective_edges_on(self, p: Path) -> list[EdgeKey]:
+        return [e for e in path_edges(p, self.n) if e in self._effective_set]
 
     # -- paths ---------------------------------------------------------------
 
-    def paths_at_level(self, level: int) -> list[PositivePath]:
+    def paths_at_level(self, level: int) -> list[Path]:
         if level not in self.shape.cuts and level != self.n:
             raise ValueError(f"level {level} is not a cut of {self.shape}")
-        return [
-            PositivePath(steps, self.n)
-            for steps in itertools.combinations(range(1, self.n + 1), level)
-        ]
+        return list(itertools.combinations(range(1, self.n + 1), level))
 
-    def all_paths(self) -> list[PositivePath]:
+    def all_paths(self) -> list[Path]:
         out = []
         for level in self.shape.cuts:
             out.extend(self.paths_at_level(level))
         return out
 
-    def bottom_path(self) -> PositivePath:
-        return PositivePath(tuple(range(1, self.n + 1)), self.n)
+    def bottom_path(self) -> Path:
+        return tuple(range(1, self.n + 1))
 
     # -- roof and special paths ----------------------------------------------
 
@@ -231,14 +201,14 @@ class LadderDiagram:
             edges.extend(("V", x, r) for r in range(self.n - b[l], self.n - b[l + 1], -1))
         return edges
 
-    def special_path(self, edge: EdgeKey) -> PositivePath:
+    def special_path(self, edge: EdgeKey) -> Path:
         """The unique positive path with fewest corners among those having a
         corner containing the given roof edge."""
-        best: PositivePath | None = None
+        best: Path | None = None
         best_corners = None
         ties = 0
         for p in self.all_paths():
-            corners = path_corners(p)
+            corners = path_corners(p, self.n)
             if not any(edge in corner for corner in corners):
                 continue
             if best_corners is None or len(corners) < best_corners:
@@ -249,7 +219,7 @@ class LadderDiagram:
             raise ValueError(f"special path for {edge} is not unique ({ties} candidates)")
         return best
 
-    def special_paths(self) -> list[PositivePath]:
+    def special_paths(self) -> list[Path]:
         """One special path per roof edge, in roof order."""
         return [self.special_path(e) for e in self.roof_edges()]
 
@@ -263,11 +233,11 @@ def zero_pattern(n: int) -> Pattern:
     return tuple(tuple(0 for _ in range(i)) for i in range(1, n + 1))
 
 
-def exponent_vector(p: PositivePath) -> Pattern:
-    """beta_I: 1 on the entries (i_s, s), i.e. on the boxes right above the
-    path, and 0 elsewhere."""
-    rows = [[0] * i for i in range(1, p.n + 1)]
-    for s, i_s in enumerate(p.steps, start=1):
+def exponent_vector(p: Path, n: int) -> Pattern:
+    """beta_I on a rank-n diagram: 1 on the entries (i_s, s), i.e. on the
+    boxes right above the path, and 0 elsewhere."""
+    rows = [[0] * i for i in range(1, n + 1)]
+    for s, i_s in enumerate(p, start=1):
         rows[i_s - 1][s - 1] = 1
     return tuple(tuple(r) for r in rows)
 
@@ -328,7 +298,7 @@ def is_gc_pattern(pattern: Pattern) -> bool:
 
 def decompose_weight(
     diagram: LadderDiagram, lam: tuple[int, ...], pattern: Pattern
-) -> list[PositivePath]:
+) -> list[Path]:
     """Write psi(pattern) as a sum of path vectors beta_I with exactly
     lam_j - lam_{j+1} paths of level j, by repeatedly stripping the lowest
     path: the bottommost nonzero b-box of every column with mass left.
@@ -351,7 +321,7 @@ def decompose_weight(
     def column_total(j: int) -> int:
         return sum(b[i - 1][j - 1] for i in range(j, n + 1))
 
-    paths: list[PositivePath] = []
+    paths: list[Path] = []
     while True:
         steps = []
         for j in range(1, n + 1):
@@ -361,21 +331,20 @@ def decompose_weight(
             steps.append(i)
         if not steps:
             break
-        p = PositivePath(tuple(steps), n)
-        for s, i_s in enumerate(p.steps, start=1):
+        for s, i_s in enumerate(steps, start=1):
             b[i_s - 1][s - 1] -= 1
-        paths.append(p)
+        paths.append(tuple(steps))
 
     # re-summation check and level multiplicities
     total = zero_pattern(n)
     for p in paths:
-        total = add_patterns(total, exponent_vector(p))
+        total = add_patterns(total, exponent_vector(p, n))
     if total != psi(pattern):
         raise AssertionError("decomposition does not re-sum to the weight")
     lam_ext = tuple(lam) + (0,)
     for j in range(1, n + 1):
         want = lam_ext[j - 1] - lam_ext[j]
-        got = sum(1 for p in paths if p.level == j)
+        got = sum(1 for p in paths if len(p) == j)
         if want != got:
             raise AssertionError(f"level {j}: expected {want} paths, got {got}")
     return paths

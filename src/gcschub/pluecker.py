@@ -6,7 +6,10 @@ A Schubert variety is cut out of the ambient product of projective spaces by
 coordinate hyperplanes; at each cut level n_i the coordinate p_I vanishes on
 X^v iff the path of I does not run above the path of sort(v([1..n_i])), and
 on X_w iff it does not run below the path of sort(w([1..n_i])).  A vanishing
-set maps each cut level to the sorted index tuples I with p_I = 0.
+set maps each cut level to the sorted index tuples I with p_I = 0.  An
+index tuple is also the positive path whose horizontal steps are at I
+(``ladder.Path``), so the divisor {p_I = 0} and the facets on its path are
+read off the same tuple.
 Translating by u sends p_I to p_{u.image(I)}, the sorted image of I; Plücker
 signs are dropped since only vanishing matters.
 """
@@ -14,19 +17,19 @@ signs are dropped since only vanishing matters.
 from __future__ import annotations
 
 from .gc_polytope import Face, Polytope
-from .ladder import LadderDiagram, PositivePath, path_leq, path_of_partition
+from .ladder import LadderDiagram, Path, path_leq, path_of_partition
 from .weyl import Permutation, longest_element, min_coset_rep
 
 # cut level -> the index tuples I with p_I = 0 at that level
-Vanishing = dict[int, frozenset[tuple[int, ...]]]
+Vanishing = dict[int, frozenset[Path]]
 
 
-def w_divisor(u: Permutation, level: int) -> PositivePath:
+def w_divisor(u: Permutation, level: int) -> Path:
     """The divisor path of u X^{s_level}, 1 <= level < n: horizontal steps
     u({1..level})."""
     if not 1 <= level < u.n:
         raise ValueError(f"level out of range: {level}")
-    return PositivePath(u.image(range(1, level + 1)), u.n)
+    return u.image(range(1, level + 1))
 
 
 def vanishing_schubert(
@@ -46,12 +49,12 @@ def vanishing_schubert(
         for p in diagram.paths_at_level(level):
             alive = path_leq(ref, p) if opposite else path_leq(p, ref)
             if not alive:
-                dead.add(p.steps)
+                dead.add(p)
         data[level] = frozenset(dead)
     return data
 
 
-def divisor_facets(poly: Polytope, path: PositivePath) -> tuple[Face, ...]:
+def divisor_facets(poly: Polytope, path: Path) -> tuple[Face, ...]:
     """The facets of the effective edges on a divisor path."""
     return tuple(poly.facet_face(e) for e in poly.diagram.effective_edges_on(path))
 
@@ -68,7 +71,7 @@ def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[Face, ...]
     of the unions of facets on each divisor path, as its maximal faces."""
     vanishing = vanishing_schubert(poly.diagram, v)
     paths = [
-        PositivePath(idx, poly.n)
+        idx
         for level in sorted(vanishing)
         for idx in sorted(u.image(i) for i in vanishing[level])
     ]
@@ -90,7 +93,7 @@ def toric_divisor_equations(diagram: LadderDiagram, edge) -> Vanishing:
     data = {}
     for level in diagram.shape.cuts:
         data[level] = frozenset(
-            p.steps
+            p
             for p in diagram.paths_at_level(level)
             if edge in diagram.effective_edges_on(p)
         )
@@ -112,5 +115,5 @@ def toric_subvariety_equations(
     for p in diagram.paths_at_level(m):
         alive = path_leq(p, ref) if dual else path_leq(ref, p)
         if not alive:
-            dead.add(p.steps)
+            dead.add(p)
     return {m: frozenset(dead)}

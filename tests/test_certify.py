@@ -268,14 +268,13 @@ class TestEngineInvariants:
         # intersecting with one more divisor union never raises any maximal
         # face's dimension
         from gcschub.gc_polytope import _antichain
-        from gcschub.ladder import PositivePath
         from gcschub.pluecker import divisor_facets, vanishing_schubert
 
         v = grassmannian_perm((2, 1), 2, 5)
         union = (GR25.whole_face(),)
         last = GR25.whole_face().dim
         vs = vanishing_schubert(GR25.diagram, v)
-        for path in [PositivePath(idx, 5) for level in sorted(vs) for idx in sorted(vs[level])]:
+        for path in [idx for level in sorted(vs) for idx in sorted(vs[level])]:
             facets = divisor_facets(GR25, path)
             union = _antichain([GR25.intersect(f, g) for f in union for g in facets])
             top = max((f.dim for f in union), default=-1)

@@ -306,6 +306,8 @@ BAD_INPUTS = [
     # so are --delta-k and --budget
     (("faces", "--shape", "2,5", "--delta-k", " +2"), 2),
     (("sweep", "--shape", "1,2,3", "--budget", "1_0"), 2),
+    # lattice points are counted before they are listed
+    (("lattice-points", "--shape", "1,2,3,4,5,6", "--lam", "(12,10,8,6,4,2)"), 3),
 ]
 
 # a rejected permutation: the error names the option that carried it

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gcschub import gc_polytope
 from gcschub.gc_polytope import Polytope, _antichain, _canonical_key
 from gcschub.kogan import degeneration_union
-from gcschub.ladder import LadderDiagram, PositivePath
+from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import delta_uv, divisor_facets, vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
 
@@ -562,7 +562,7 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
     def check(u, v, data):
         vs = vanishing_schubert(poly.diagram, v)
         paths = [
-            PositivePath(idx, n)
+            idx
             for level in sorted(vs)
             for idx in sorted(u.image(i) for i in vs[level])
         ]

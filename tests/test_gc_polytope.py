@@ -5,10 +5,12 @@ import pytest
 
 from gcschub.certify import search
 from gcschub.coeffs import lr_coefficient
+from gcschub import gc_polytope
 from gcschub.gc_polytope import (
     Polytope,
     UnsupportedShapeError,
     _antichain,
+    lattice_point_count,
 )
 from gcschub.ladder import LadderDiagram, validate_lambda
 from gcschub.kogan import enumerate_reduced
@@ -106,6 +108,13 @@ class TestRegularAndVX:
             for v in poly.vertices():
                 assert poly.is_regular(v) == poly.in_VX(v)
 
+    def test_non_vertex_rejected(self):
+        # on a Grassmannian too, where every vertex lies on the flag variety
+        for poly in (GR24, FL3):
+            for face in (poly.whole_face(), poly.empty_face()):
+                with pytest.raises(ValueError, match="not a vertex"):
+                    poly.in_VX(face)
+
     def test_unsupported_shape(self):
         mixed = make(1, 3, 4)
         v = mixed.vertices()[0]
@@ -118,9 +127,7 @@ class TestRegularAndVX:
 class TestCoordinatePoints:
     def test_gr24_bijection_with_paths(self):
         cps = sorted(GR24.coordinate_point(v)[2] for v in GR24.vertices())
-        assert cps == sorted(
-            p.steps for p in GR24.diagram.paths_at_level(2)
-        )
+        assert cps == sorted(GR24.diagram.paths_at_level(2))
 
     def test_all_b_vertex_is_top_path(self):
         allb = [v for v in GR24.vertices() if set(v.values) == {2}][0]
@@ -260,6 +267,25 @@ class TestLatticePoints:
 
     def test_count_fl3(self):
         assert len(FL3.lattice_points((2, 1, 0))) == 8
+
+    def test_weyl_dimension_formula(self):
+        cases = [
+            (GR24, (2, 2, 0, 0)), (GR24, (3, 3, 1, 1)), (FL3, (2, 1, 0)), (FL3, (5, 2, 0)),
+            (FL4, (3, 2, 1, 0)), (FL4, (4, 2, 1, -1)), (make(2, 4, 6), (3, 3, 2, 2, 0, 0)),
+        ]
+        for poly, lam in cases:
+            assert lattice_point_count(lam) == len(poly.lattice_points(lam)), lam
+
+    def test_bound_counts_before_listing(self, monkeypatch):
+        fl6 = make(1, 2, 3, 4, 5, 6)
+        assert lattice_point_count((6, 5, 4, 3, 2, 1)) == 32768
+        with pytest.raises(UnsupportedShapeError, match="14348907 lattice points"):
+            fl6.lattice_points((12, 10, 8, 6, 4, 2))
+        monkeypatch.setattr(gc_polytope, "MAX_VERTICES", 20)
+        assert len(GR24.lattice_points((2, 2, 0, 0))) == 20
+        monkeypatch.setattr(gc_polytope, "MAX_VERTICES", 19)
+        with pytest.raises(UnsupportedShapeError, match="20 lattice points"):
+            GR24.lattice_points((2, 2, 0, 0))
 
     def test_all_valid(self):
         from gcschub.ladder import is_gc_pattern

@@ -126,6 +126,12 @@ MUTANTS = (
         ("tests/test_weyl.py",),
     ),
     Mutant(
+        "path-leq-drops-level", "src/gcschub/ladder.py",
+        "    return len(p) >= len(q) and all(",
+        "    return all(",
+        ("tests/test_ladder.py",),
+    ),
+    Mutant(
         "delta-uv-ignores-translation", "src/gcschub/pluecker.py",
         "sorted(u.image(i) for i in vanishing[level])",
         "sorted(i for i in vanishing[level])",
