@@ -20,7 +20,7 @@ from . import __version__
 from .coeffs import build_modified_partition, structure_constant
 from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram
-from .pluecker import delta_schubert_bottom, delta_uv
+from .pluecker import delta_uv
 from .weyl import (
     InputError,
     ParabolicShape,
@@ -30,6 +30,8 @@ from .weyl import (
     cyclic_shift,
     grassmannian_perm,
     length,
+    longest_element,
+    min_coset_rep,
     partition_of_perm,
 )
 
@@ -80,12 +82,15 @@ def evaluate(
     w: Permutation,
     us: list[Permutation],
 ) -> Certificate | EvaluationFailure:
-    """Compute S = cap_i Delta(u_i, v_i) cap Delta(w_0, pi(w_0 w)) and turn
-    it into a certificate when it is a set of flag-variety vertices.
+    """Compute S = Delta(w_0, pi(w_0 w)) cap_i Delta(u_i, v_i) and turn it
+    into a certificate when it is a set of flag-variety vertices.
 
-    Each Delta is built once per polytope and kept in its ``delta_cache``
-    as the tight masks of its maximal faces, which are wrapped as faces
-    again for ``Polytope.meet``.
+    Every piece is a translated Schubert variety u X^v, the target one too:
+    X_w = w_0 X^{pi(w_0 w)}, so it comes first as the pair (w_0, pi(w_0 w)).
+    Each Delta(u, v) depends on (u, v) alone: it is built once per
+    polytope and kept in its ``delta_cache`` under the two windows, as the
+    tight masks of its maximal faces, which are wrapped as faces again for
+    ``Polytope.meet``.
     """
     shape = poly.shape
     for x in list(vs) + [w] + list(us):
@@ -99,17 +104,16 @@ def evaluate(
     if sum(length(v) for v in vs) != length(w):
         raise InputError("lengths of the factors must add up to the length of w")
 
+    w0 = longest_element(poly.n)
+    pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
     cache = poly.delta_cache
-    bottom_key = (None, w.window)  # apart from the (u, v) keys of the factors
-    if bottom_key not in cache:
-        cache[bottom_key] = tuple(f.mask for f in delta_schubert_bottom(poly, w))
-    keys = [bottom_key]
-    for u, v in zip(us, vs):
+    unions = []
+    for u, v in pieces:
         key = (u.window, v.window)
         if key not in cache:
             cache[key] = tuple(f.mask for f in delta_uv(poly, u, v))
-        keys.append(key)
-    inter = poly.meet([[Face(poly, mask) for mask in cache[key]] for key in keys])
+        unions.append([Face(poly, mask) for mask in cache[key]])
+    inter = poly.meet(unions)
 
     oracle = structure_constant(list(vs), w)
     if not inter:
@@ -140,19 +144,16 @@ def evaluate(
 
 
 @dataclass
-class SearchStats:
-    tried: int = 0
-    failures: dict[str, int] = field(default_factory=dict)
-    cursor: int = 0
-
-    def record(self, failure: EvaluationFailure):
-        self.failures[failure.kind] = self.failures.get(failure.kind, 0) + 1
-
-
-@dataclass(frozen=True)
 class SearchResult:
-    certificate: Certificate | None
-    stats: SearchStats
+    """What a search found and what it cost: the certificate or None, the
+    number of tuples evaluated, and the failures by kind.  When the budget
+    runs out, ``cursor`` is the tier-3 index of the next untried tuple; it
+    is 0 when tier 3 was never reached."""
+
+    certificate: Certificate | None = None
+    tried: int = 0
+    cursor: int = 0
+    failures: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -242,11 +243,11 @@ def search(
     appears or the budget runs out.  Factors that fail the Bruhat test
     against w are settled by a single untranslated evaluation, whose shadow
     comes out empty."""
-    stats = SearchStats()
+    result = SearchResult()
     idt = Permutation.identity(poly.n)
 
-    def attempt(us) -> Certificate | None:
-        stats.tried += 1
+    def attempt(us) -> bool:
+        result.tried += 1
         res = evaluate(poly, vs, w, list(us))
         if isinstance(res, Certificate):
             if res.status == "mismatch":
@@ -254,9 +255,10 @@ def search(
                     f"certificate mismatch for vs={vs} w={w} us={us}: "
                     f"{res.count} vs oracle {res.oracle}"
                 )
-            return res
-        stats.record(res)
-        return None
+            result.certificate = res
+            return True
+        result.failures[res.kind] = result.failures.get(res.kind, 0) + 1
+        return False
 
     def candidates(tier: int):
         if tier == 1:
@@ -265,22 +267,18 @@ def search(
             yield from _tier2(poly, vs)
         elif tier == 3:
             for idx, us in _tier3(poly, vs):
-                stats.cursor = idx
+                result.cursor = idx
                 yield us
 
     if any(not bruhat_leq(v, w) for v in vs):
-        found = attempt(tuple(idt for _ in vs))
-        if found:
-            return SearchResult(found, stats)
+        if attempt(tuple(idt for _ in vs)):
+            return result
 
     for tier in tiers:
         for us in candidates(tier):
-            if stats.tried >= budget:
-                return SearchResult(None, stats)
-            found = attempt(us)
-            if found:
-                return SearchResult(found, stats)
-    return SearchResult(None, stats)
+            if result.tried >= budget or attempt(us):
+                return result
+    return result
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -324,23 +322,16 @@ def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
     poly = Polytope(LadderDiagram(shape))
 
     def resolve(cls) -> ClassReport:
-        if cls.kind == "zero":
-            for (u, v, w) in cls.members:
-                got = structure_constant([u, v], w)
-                if got != 0:
-                    raise AssertionError(
-                        f"zero class contains nonzero triple {(u, v, w)}: {got}"
-                    )
-            return ClassReport("zero", len(cls.members), cls.members[0], None)
-        constant = structure_constant(
-            [cls.members[0][0], cls.members[0][1]], cls.members[0][2]
-        )
+        first = cls.members[0]
+        constant = 0 if cls.kind == "zero" else structure_constant([first[0], first[1]], first[2])
         for (u, v, w) in cls.members:
             got = structure_constant([u, v], w)
             if got != constant:
                 raise AssertionError(
                     f"class constant differs at {(u, v, w)}: {got} vs {constant}"
                 )
+        if cls.kind == "zero":
+            return ClassReport("zero", len(cls.members), first, None)
         witness = None
         candidates: list[tuple] = sorted(
             cls.members, key=lambda t: (length(t[-1]), t)
@@ -354,7 +345,7 @@ def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
         return ClassReport(
             "certified" if witness else "unresolved",
             len(cls.members),
-            cls.members[0],
+            first,
             witness,
         )
 

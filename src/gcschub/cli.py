@@ -86,6 +86,14 @@ def _perm(text: str, n: int, option: str) -> Permutation:
         raise click.BadParameter(str(exc), param_hint=f"'{option}'") from exc
 
 
+def _padded(shape: ParabolicShape, part):
+    """A partition of a Grassmannian shape Gr(m, n) padded with zeros up to
+    m parts; a longer one is left for the engine to reject."""
+    if part is None or not shape.is_grassmannian():
+        return part
+    return part + (0,) * (shape.cuts[0] - len(part))
+
+
 def _partition_text(part) -> str:
     return "(" + ",".join(map(str, part)) + ")"
 
@@ -162,8 +170,7 @@ def constant(shape, u_texts, v_text, w_text, mu, nu, eta, fmt):
             raise click.UsageError("give either --u/--v/--w or --mu/--nu/--eta, not both")
         if None in parts or not shape.is_grassmannian():
             raise click.UsageError("--mu/--nu/--eta need a Grassmannian shape and all three values")
-        m = shape.cuts[0]
-        *us, w = [grassmannian_perm(p + (0,) * (m - len(p)), m, n) for p in parts]
+        *us, w = [grassmannian_perm(_padded(shape, p), shape.cuts[0], n) for p in parts]
     else:
         if not u_texts or v_text is None or w_text is None:
             raise click.UsageError("give --u/--v/--w or --mu/--nu/--eta")
@@ -227,10 +234,9 @@ def search_cmd(shape, v_texts, w_text, budget, store, fmt):
         if result.certificate is None:
             # a tuple the engine cannot judge on this shape makes the whole
             # search unsupported, not a failed assertion
-            stats = result.stats
-            status = "unsupported_shape" if "unsupported_shape" in stats.failures else "exhausted"
-            return {"status": status, "tried": stats.tried,
-                    "cursor": stats.cursor, "failures": stats.failures}
+            status = "unsupported_shape" if "unsupported_shape" in result.failures else "exhausted"
+            return {"status": status, "tried": result.tried,
+                    "cursor": result.cursor, "failures": result.failures}
         return result.certificate
 
     _certificate_command(shape, v_texts, w_text, store, fmt, run)
@@ -297,6 +303,7 @@ def faces(shape, mu, dual, delta_k, fmt):
     if delta_k is not None and (mu is not None or dual):
         raise click.UsageError("--delta-k takes neither --mu nor --dual")
     poly = Polytope(LadderDiagram(shape))
+    mu = _padded(shape, mu)
     if delta_k is not None:
         face = poly.delta_k_face(delta_k)
         name = f"delta_({delta_k})"

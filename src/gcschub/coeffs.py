@@ -239,7 +239,7 @@ def apply_identities(triple: Triple) -> frozenset[Triple]:
 
 
 def _star_factors(u: Permutation) -> tuple[Permutation, ...]:
-    return (u,) if u.is_identity() else star_factorize(u).factors
+    return (u,) if u.is_identity() else star_factorize(u)
 
 
 def split_by_star(tup: tuple[Permutation, ...]) -> tuple[Permutation, ...]:

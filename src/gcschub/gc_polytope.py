@@ -52,8 +52,8 @@ caches, which live as long as it does:
 * ``_vertices``: the vertex masks, sorted by values;
 * ``_facets``: effective edge -> tight mask of its facet;
 * ``_meet_of_union``: union of two tight masks -> tight mask of their meet;
-* ``delta_cache``: translation data -> the tight masks of the maximal faces
-  of a divisor facet union, filled by ``certify.evaluate``.
+* ``delta_cache``: (u, v) windows -> masks, the tight masks of the maximal
+  faces of Delta(u, v), filled by ``certify.evaluate``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.
@@ -204,8 +204,8 @@ class Polytope:
         self._facets: dict[EdgeKey, int] = {}
         # union of two tight masks -> tight mask of the saturated intersection
         self._meet_of_union: dict[int, int] = {}
-        # divisor facet unions by translation data, as the masks of their
-        # maximal faces, filled by certify.evaluate
+        # (u, v) windows -> the masks of the maximal faces of Delta(u, v),
+        # filled by certify.evaluate
         self.delta_cache: dict[tuple, tuple[int, ...]] = {}
 
     def _node(self, cell: Cell) -> int:
@@ -490,12 +490,12 @@ class Polytope:
         n = self.n
         if not 1 <= k <= n - 2:
             raise InputError(f"k must be within 1..{n - 2}: {k}")
-        atoms = [((1, k), (1, k + 1)), ((2, k - 1), (2, k)) if k > 1 else None]
-        atoms = [a for a in atoms if a is not None]
-        face = self.face_from_atoms(atoms)
-        if k == 1:
-            face = self.intersect(face, self.face_from_pins({(2, 1): 2}))
-        return face
+        merges = [(self._node((1, k)), self._node((1, k + 1)))]
+        if k > 1:
+            merges.append((self._node((2, k - 1)), self._node((2, k))))
+        else:  # box (2, 1) pinned to b
+            merges.append((self.box_index[(2, 1)], len(self.boxes) + 1))
+        return self._checked(merges)
 
     # -- lattice points --------------------------------------------------------------
 

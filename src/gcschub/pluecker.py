@@ -5,11 +5,14 @@ intersection Delta(u, v).
 A Schubert variety is cut out of the ambient product of projective spaces by
 coordinate hyperplanes; at each cut level n_i the coordinate p_I vanishes on
 X^v iff the path of I does not run above the path of sort(v([1..n_i])), and
-on X_w iff it does not run below the path of sort(w([1..n_i])).  A vanishing
-set maps each cut level to the sorted index tuples I with p_I = 0.  An
-index tuple is also the positive path whose horizontal steps are at I
-(``ladder.Path``), so the divisor {p_I = 0} and the facets on its path are
-read off the same tuple.
+on X_w iff it does not run below the path of sort(w([1..n_i])).  X_w is a
+translated Schubert variety too, X_w = w_0 X^{pi(w_0 w)} (Brion, Lectures
+on the geometry of flag varieties, 2005), so its shadow is
+Delta(w_0, pi(w_0 w)) and ``delta_uv`` builds every piece of a certificate.
+A vanishing set maps each cut level to the sorted index tuples I with
+p_I = 0.  An index tuple is also the positive path whose horizontal steps
+are at I (``ladder.Path``), so the divisor {p_I = 0} and the facets on its
+path are read off the same tuple.
 Translating by u sends p_I to p_{u.image(I)}, the sorted image of I; Plücker
 signs are dropped since only vanishing matters.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram, Path, path_leq, path_of_partition
-from .weyl import Permutation, longest_element, min_coset_rep
+from .weyl import Permutation
 
 # cut level -> the index tuples I with p_I = 0 at that level
 Vanishing = dict[int, frozenset[Path]]
@@ -76,13 +79,6 @@ def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[Face, ...]
         for idx in sorted(u.image(i) for i in vanishing[level])
     ]
     return fold_paths(poly, paths)
-
-
-def delta_schubert_bottom(poly: Polytope, w: Permutation) -> tuple[Face, ...]:
-    """Delta(w_0, pi(w_0 w)): the toric shadow of X_w."""
-    w0 = longest_element(w.n)
-    rep = min_coset_rep(w0 * w, poly.shape)
-    return delta_uv(poly, w0, rep)
 
 
 def toric_divisor_equations(diagram: LadderDiagram, edge) -> Vanishing:

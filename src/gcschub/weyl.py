@@ -199,11 +199,6 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def descents(w: Permutation) -> list[int]:
-    """Right descents: i with w(i) > w(i+1)."""
-    return [i for i in range(1, w.n) if w(i) > w(i + 1)]
-
-
 @lru_cache(maxsize=None)
 def _reduced_word_cached(window: tuple[int, ...]) -> tuple[int, ...]:
     w = Permutation(window)
@@ -260,24 +255,13 @@ def partition_of_perm(w: Permutation, m: int) -> tuple[int, ...]:
     return tuple(w(m + 1 - r) - (m + 1 - r) for r in range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class StarFactorization:
-    """Factorization u = u_1 ... u_m with pairwise disjoint, pairwise
-    commuting reduced-word supports Xi_i on the Dynkin line."""
+def star_factorize(u: Permutation) -> tuple[Permutation, ...]:
+    """Split u = u_1 ... u_m along the connected components of its
+    reduced-word support: the factors have pairwise disjoint, pairwise
+    commuting supports on the Dynkin line.
 
-    factors: tuple[Permutation, ...]
-    supports: tuple[frozenset[int], ...]
-
-    @property
-    def level(self) -> int:
-        return len(self.factors)
-
-
-def star_factorize(u: Permutation) -> StarFactorization:
-    """Split u along the connected components of its reduced-word support.
-
-    The component split realizes the maximal level: any valid factorization
-    must keep adjacent simple reflections in one factor.
+    The component split gives the most factors (the maximal level): any
+    valid factorization must keep adjacent simple reflections in one factor.
     """
     if u.is_identity():
         raise ValueError("identity admits no factorization")
@@ -289,11 +273,9 @@ def star_factorize(u: Permutation) -> StarFactorization:
             components[-1].append(s)
         else:
             components.append([s])
-    factors = []
-    for comp in components:
-        comp_set = set(comp)
-        factors.append(Permutation.from_word([i for i in word if i in comp_set], u.n))
-    return StarFactorization(tuple(factors), tuple(frozenset(c) for c in components))
+    return tuple(
+        Permutation.from_word([i for i in word if i in comp], u.n) for comp in components
+    )
 
 
 _LETTER = re.compile(r"s([0-9]+)")

@@ -22,6 +22,8 @@ from gcschub.weyl import (
     Permutation,
     grassmannian_perm,
     length,
+    longest_element,
+    min_coset_rep,
 )
 
 
@@ -45,6 +47,24 @@ class TestEvaluate:
         assert isinstance(cert, Certificate)
         assert cert.ok and cert.count == 1 == cert.oracle
         assert len(cert.vertices) == 1
+
+    def test_every_piece_cached_under_its_pair(self):
+        # X_w = w_0 X^{pi(w_0 w)}: the target piece is cached under the pair
+        # (w_0, pi(w_0 w)) like every factor, and a factor equal to it
+        # shares its entry
+        poly = make(2, 4)
+        idt = Permutation.identity(4)
+        one = grassmannian_perm((1, 0), 2, 4)
+        eta = grassmannian_perm((1, 1), 2, 4)
+        w0 = longest_element(4)
+        rep = min_coset_rep(w0 * eta, poly.shape)
+        evaluate(poly, [one, one], eta, [one, idt])
+        bottom = (w0.window, rep.window)
+        assert set(poly.delta_cache) == {bottom, (one.window, one.window),
+                                         (idt.window, one.window)}
+        evaluate(poly, [rep, idt], eta, [w0, idt])
+        assert set(poly.delta_cache) == {bottom, (one.window, one.window),
+                                         (idt.window, one.window), (idt.window, idt.window)}
 
     def test_empty_intersection_is_zero_certificate(self):
         n = 5
@@ -148,14 +168,15 @@ class TestSearch:
         vs = [v, Permutation.identity(4)]
         res = search(GR24, vs, w)
         assert res.ok and res.certificate.count == 0
-        assert res.stats.tried == 1
+        assert res.tried == 1
         assert res.certificate.vertices == ()
 
     def test_chevalley_found_at_tier2(self):
         one = grassmannian_perm((1, 0), 2, 4)
         eta = grassmannian_perm((1, 1), 2, 4)
         res = search(GR24, [one, one], eta, tiers=(2,))
-        assert res.ok and res.stats.tried <= 4
+        assert res.ok and res.tried <= 4
+        assert res.cursor == 0  # tier 3 never reached
 
     def test_special_found_at_tier2(self):
         vr = grassmannian_perm((2, 0), 2, 5)
@@ -167,10 +188,14 @@ class TestSearch:
     def test_budget_exhaustion_reports_cursor(self):
         mu = grassmannian_perm((1, 0), 2, 4)
         eta = grassmannian_perm((2, 0), 2, 4)
+        # tier 3 certifies at its third tuple, index 2
+        res = search(GR24, [mu, mu], eta, budget=2, tiers=(3,))
+        assert not res.ok and res.certificate is None
+        assert res.tried == 2
+        assert res.cursor == 2
+        assert res.failures == {"positive_dimension": 2}
         res = search(GR24, [mu, mu], eta, budget=3, tiers=(3,))
-        if not res.ok:
-            assert res.stats.tried == 3
-            assert res.stats.cursor >= 0
+        assert res.ok and res.tried == 3
 
     def test_deterministic(self):
         one = grassmannian_perm((1, 0), 2, 4)

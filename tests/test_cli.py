@@ -108,6 +108,16 @@ class TestCertifyCmd:
         assert res.exit_code == 0
         assert json.loads(res.output)["status"] == "certified"
 
+    def test_search_exhausted_payload(self, run):
+        args = ("search", "--shape", "2,4", "--v", "1324", "--v", "1324", "--w", "1423")
+        res = run(*args, "--budget", "2")
+        assert res.exit_code == 1, res.output
+        assert json.loads(res.output) == {
+            "status": "exhausted", "tried": 2, "cursor": 0,
+            "failures": {"positive_dimension": 2},
+        }
+        assert run(*args, "--budget", "3").exit_code == 0
+
     def test_unsupported_shape_distinct_exit(self, run):
         res = run("certify", "--shape", "1,3,4", "--v", "2,1,3,4", "--v", "id",
                   "--w", "2,1,3,4", "--u", "id", "--u", "id")
@@ -157,6 +167,13 @@ class TestFacesCmd:
         payload = json.loads(res.output)
         assert payload["dim"] == 3
         assert payload["edges"]
+
+    def test_short_partition_padded_like_constant(self, run):
+        # faces pads --mu with zeros up to m parts, as constant does
+        short = run("faces", "--shape", "2,4", "--mu", "(1)")
+        assert short.exit_code == 0, short.output
+        assert short.output == run("faces", "--shape", "2,4", "--mu", "(1,0)").output
+        assert run("faces", "--shape", "2,4", "--mu", "(1,0,0)").exit_code == 2
 
     def test_delta_k(self, run):
         res = run("faces", "--shape", "2,5", "--delta-k", "2")

@@ -83,6 +83,18 @@ MUTANTS = (
         ("tests/test_certify.py",),
     ),
     Mutant(
+        "evaluate-bottom-untranslated", "src/gcschub/certify.py",
+        "    pieces = [(w0, min_coset_rep(",
+        "    pieces = [(w0 * w0, min_coset_rep(",
+        ("tests/test_certify.py",),
+    ),
+    Mutant(
+        "search-budget-checked-late", "src/gcschub/certify.py",
+        "            if result.tried >= budget or attempt(us):\n",
+        "            if result.tried > budget or attempt(us):\n",
+        ("tests/test_certify.py",),
+    ),
+    Mutant(
         "facets-reverse-subset", GC,
         "if m & ~mask == 0]",
         "if mask & ~m == 0]",
