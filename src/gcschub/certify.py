@@ -2,10 +2,17 @@
 search over them, and sweep whole families of structure constants.
 
 A certificate for (v_1..v_{m+1}, w) with translations (u_1..u_{m+1}) is
-valid when the intersection of the divisor facet unions of the u_i X^{v_i}
+valid when the intersection S of the divisor facet unions of the u_i X^{v_i}
 and of X_w collapses to finitely many polytope vertices, all lying on the
 flag variety; the constant then equals the vertex count, which the engine
 always cross-checks against the structure-constant oracle.
+
+S is decided on vertex bitsets.  Its vertices are the AND of the vertex
+bitsets of the pieces.  S is finite unless it holds a face of positive
+dimension, and such a face holds an edge, whose two vertices lie in S.  A
+face inside a union of finitely many faces lies in one of them, so two
+vertices of S lie on one face inside S exactly when every divisor has a
+facet that holds both: the face they span is then in S.
 """
 
 from __future__ import annotations
@@ -88,9 +95,10 @@ def evaluate(
     Every piece is a translated Schubert variety u X^v, the target one too:
     X_w = w_0 X^{pi(w_0 w)}, so it comes first as the pair (w_0, pi(w_0 w)).
     Each Delta(u, v) depends on (u, v) alone: it is built once per
-    polytope and kept in its ``delta_cache`` under the two windows, as the
-    tight masks of its maximal faces, which are wrapped as faces again for
-    ``Polytope.meet``.
+    polytope and kept in its ``delta_cache`` under the two windows, as a
+    ``pluecker.Piece`` of vertex bitsets.  A shape with more vertices than
+    ``gc_polytope.MAX_VERTICES`` raises UnsupportedShapeError from the
+    count, before any piece is built.
     """
     shape = poly.shape
     for x in list(vs) + [w] + list(us):
@@ -107,25 +115,28 @@ def evaluate(
     w0 = longest_element(poly.n)
     pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
     cache = poly.delta_cache
-    unions = []
+    inter = -1
+    divisors = []
     for u, v in pieces:
         key = (u.window, v.window)
-        if key not in cache:
-            cache[key] = tuple(f.mask for f in delta_uv(poly, u, v))
-        unions.append([Face(poly, mask) for mask in cache[key]])
-    inter = poly.meet(unions)
+        piece = cache.get(key)
+        if piece is None:
+            piece = cache[key] = delta_uv(poly, u, v)
+        inter &= piece.vertices
+        divisors.extend(piece.divisors)
 
     oracle = structure_constant(list(vs), w)
     if not inter:
         status = "certified" if oracle == 0 else "mismatch"
         return Certificate(shape, tuple(vs), w, tuple(us), (), 0, oracle, status)
-    worst = max(inter, key=lambda f: f.dim)
-    if worst.dim > 0:
+    pair = _pair_on_one_face(inter, divisors)
+    if pair is not None:
+        a, b = poly.vertices_in(pair)
         return EvaluationFailure(
             "positive_dimension",
-            f"maximal face of dimension {worst.dim} with key {worst.key}",
+            f"vertices {a.values} and {b.values} span a face inside the intersection",
         )
-    verts = sorted(inter, key=lambda f: f.values)
+    verts = poly.vertices_in(inter)
     try:
         outside = [v for v in verts if not poly.in_VX(v)]
     except UnsupportedShapeError as exc:
@@ -141,6 +152,28 @@ def evaluate(
     count = len(verts)
     status = "certified" if count == oracle else "mismatch"
     return Certificate(shape, tuple(vs), w, tuple(us), tuple(verts), count, oracle, status)
+
+
+def _pair_on_one_face(bits: int, divisors) -> int | None:
+    """The bitset of two vertices of ``bits`` such that every divisor has a
+    facet holding both, or None when no two do."""
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        # the relation is symmetric, so the vertices after this one suffice
+        together = rest
+        for facets in divisors:
+            near = 0
+            for f in facets:
+                if f & low:
+                    near |= f
+            together &= near
+            if not together:
+                break
+        if together:
+            return low | (together & -together)
+    return None
 
 
 @dataclass

@@ -17,14 +17,10 @@ containment exact for these systems, and the vertex-rank oracle double
 checks that in the tests.
 
 A face is its tight mask, the set of adjacent-pair inequalities it makes
-tight, kept as a bitmask, and stores nothing else: containment is a subset
-test on masks, and the intersection of two faces is the saturation of the
-union of their masks.  The saturated key is derived from the mask on
-demand, by merging the tight pairs; a vertex key is read off its pattern.
-
-A union of faces is the tuple of its maximal faces, sorted by mask, as
-``_antichain`` returns it.  ``Polytope.meet`` is the one fold of an
-intersection of such unions.
+tight, kept as a bitmask, and stores nothing else: a face lies in another
+when the other's mask is a subset of its own.  The saturated key is
+derived from the mask on demand, by merging the tight pairs; a vertex key
+is read off its pattern.
 
 A vertex is a 0-dimensional face, the face of its tight mask.  On the
 lattice points whose top row takes the value k+2-l on block l, a point is
@@ -41,7 +37,9 @@ row are found once per call, with the number of patterns under it; the
 count is known before any face is built, and ``vertices`` refuses a
 polytope with more than ``MAX_VERTICES``.  Each vertex key is read off its
 pattern.  The facets through a face are read off the masks, those whose
-mask is a subset of its own.
+mask is a subset of its own.  A set of vertices is a bitset, bit i standing
+for the i-th vertex of ``vertices``; ``vertex_bitsets`` gives the whole
+vertex set and the vertices on each facet.
 
 A face refers to its polytope, so the polytope caches masks and keys, never
 faces, and reference counting alone frees it.  Each polytope owns these
@@ -51,9 +49,11 @@ caches, which live as long as it does:
   ``vertices`` and by the first read of a face's ``key``;
 * ``_vertices``: the vertex masks, sorted by values;
 * ``_facets``: effective edge -> tight mask of its facet;
-* ``_meet_of_union``: union of two tight masks -> tight mask of their meet;
-* ``delta_cache``: (u, v) windows -> masks, the tight masks of the maximal
-  faces of Delta(u, v), filled by ``certify.evaluate``.
+* ``_facet_bits``: effective edge -> vertex bitset of its facet, built once
+  from the vertex masks;
+* ``delta_cache``: (u, v) windows -> the piece Delta(u, v), its vertex
+  bitset and, per divisor path, the vertex bitsets of the facets on that
+  path (``pluecker.Piece``), filled by ``certify.evaluate``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.
@@ -117,11 +117,6 @@ class Face:
         if self.is_empty:
             return -1
         return len({v for v in self.key if v > 0})
-
-    def contains(self, other: "Face") -> bool:
-        """Point-set containment: other is a subset of self, that is every
-        inequality tight on self is tight on other."""
-        return self.mask & ~other.mask == 0
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -202,11 +197,11 @@ class Polytope:
         self._vertices: list[int] | None = None
         # effective edge -> tight mask of its facet
         self._facets: dict[EdgeKey, int] = {}
-        # union of two tight masks -> tight mask of the saturated intersection
-        self._meet_of_union: dict[int, int] = {}
-        # (u, v) windows -> the masks of the maximal faces of Delta(u, v),
-        # filled by certify.evaluate
-        self.delta_cache: dict[tuple, tuple[int, ...]] = {}
+        # effective edge -> vertex bitset of its facet
+        self._facet_bits: dict[EdgeKey, int] = {}
+        # (u, v) windows -> the piece Delta(u, v), a pluecker.Piece, filled
+        # by certify.evaluate
+        self.delta_cache: dict[tuple, tuple] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -340,40 +335,6 @@ class Polytope:
             return -1
         return self._tight_pairs(reach)
 
-    # -- face operations --------------------------------------------------------
-
-    def intersect(self, f: Face, g: Face) -> Face:
-        """The face where the tight inequalities of f and of g all hold.
-        Each distinct union of tight masks is saturated once."""
-        if f.poly is not self or g.poly is not self:
-            raise ValueError("faces belong to a different polytope")
-        fm, gm = f.mask, g.mask
-        if fm & ~gm == 0:  # g lies in f; this covers an empty g
-            return g
-        if gm & ~fm == 0:
-            return f
-        union = fm | gm
-        meet = self._meet_of_union.get(union)
-        if meet is None:
-            meet = self._saturate([p for i, p in enumerate(self._pairs) if union >> i & 1])
-            self._meet_of_union[union] = meet
-        return Face(self, meet)
-
-    def meet(self, face_sets) -> tuple[Face, ...]:
-        """Maximal faces of the intersection of the unions of the given face
-        sets, which need not be antichains.  The fold starts from the whole
-        polytope and takes the sets with fewest faces first, purely to keep
-        the intermediate antichains small, since the maximal faces of the
-        result do not depend on the order; it stops at the first empty
-        result."""
-        union = (self.whole_face(),)
-        for faces in sorted(face_sets, key=len):
-            meets = [self.intersect(f, g) for f in union for g in faces]
-            union = _antichain([h for h in meets if not h.is_empty])
-            if not union:
-                break
-        return union
-
     # -- vertices -----------------------------------------------------------------
 
     def vertices(self) -> list[Face]:
@@ -401,10 +362,29 @@ class Polytope:
             self._keys.update(zip(self._vertices, keys))
         return [Face(self, mask) for mask in self._vertices]
 
-    def vertices_of_face(self, face: Face) -> list[Face]:
-        if face.is_empty:
-            return []
-        return [v for v in self.vertices() if face.contains(v)]
+    def vertex_bitsets(self) -> tuple[int, dict[EdgeKey, int]]:
+        """The bitset of all vertices and the table from effective edge to
+        the vertex bitset of its facet, bit i standing for the i-th vertex
+        of ``vertices()``.  The table is built once, after the vertices are
+        listed, so it raises UnsupportedShapeError above MAX_VERTICES."""
+        if not self._facet_bits:
+            self.vertices()
+            # a vertex lies on a facet when the facet's mask is a subset of
+            # its own; the first digit of a numeral is its top bit
+            masks = self._vertices[::-1]
+            for e, fm in self._facet_masks().items():
+                self._facet_bits[e] = int("".join("1" if m & fm == fm else "0" for m in masks), 2)
+        return (1 << len(self._vertices)) - 1, self._facet_bits
+
+    def vertices_in(self, bits: int) -> list[Face]:
+        """The vertices whose bits are set, sorted by values."""
+        masks = self._vertices
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(Face(self, masks[low.bit_length() - 1]))
+            bits ^= low
+        return out
 
     # -- regularity and membership in the flag variety -----------------------------
 
@@ -594,13 +574,3 @@ def _vertex_patterns(row: tuple[int, ...], table: dict, rows: list[tuple[int, ..
         yield from _vertex_patterns(below, table, rows)
     rows.pop()
 
-
-def _antichain(faces) -> tuple[Face, ...]:
-    """The maximal faces, sorted by mask.  A face lies strictly in another
-    only when its mask has more tight bits, so it is enough to scan by bit
-    count and test each face against the maximal faces kept so far."""
-    kept: list[Face] = []
-    for f in sorted({f for f in faces if not f.is_empty}, key=lambda f: f.mask.bit_count()):
-        if not any(g.contains(f) for g in kept):
-            kept.append(f)
-    return tuple(sorted(kept))

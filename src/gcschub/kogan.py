@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .gc_polytope import Face, Polytope
 from .ladder import EdgeKey, LadderDiagram
-from .weyl import InputError, Permutation, length, longest_element
+from .weyl import InputError, Permutation, length
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,3 @@ def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:
         [poly.diagram.edge_cells(e) for e in kface.edges]
     )
 
-
-def degeneration_union(
-    poly: Polytope, target: Permutation, opposite: bool
-) -> tuple[Face, ...]:
-    """Maximal faces of the union a Schubert variety degenerates to: the
-    reduced dual Kogan faces with word equal to v for X^v (opposite=True),
-    and the reduced Kogan faces with word w_0 u for X_u."""
-    if opposite:
-        faces = enumerate_reduced(poly.diagram, target, dual=True)
-    else:
-        w0 = longest_element(poly.n)
-        faces = enumerate_reduced(poly.diagram, w0 * target, dual=False)
-    return poly.meet([[kogan_face_to_face(poly, f) for f in faces]])

@@ -229,10 +229,6 @@ class LadderDiagram:
 Pattern = tuple[tuple[int, ...], ...]
 
 
-def zero_pattern(n: int) -> Pattern:
-    return tuple(tuple(0 for _ in range(i)) for i in range(1, n + 1))
-
-
 def exponent_vector(p: Path, n: int) -> Pattern:
     """beta_I on a rank-n diagram: 1 on the entries (i_s, s), i.e. on the
     boxes right above the path, and 0 elsewhere."""
@@ -316,16 +312,17 @@ def decompose_weight(
         raise ValueError("not a Gelfand-Cetlin pattern")
     if any(not isinstance(v, int) for row in pattern for v in row):
         raise ValueError("pattern must be integral")
-    b = [list(row) for row in psi(pattern)]
-
-    def column_total(j: int) -> int:
-        return sum(b[i - 1][j - 1] for i in range(j, n + 1))
+    weight = psi(pattern)
+    b = [list(row) for row in weight]
+    # the mass left in each column, and how often each entry was stripped
+    left = [sum(b[i - 1][j - 1] for i in range(j, n + 1)) for j in range(1, n + 1)]
+    stripped = [[0] * i for i in range(1, n + 1)]
 
     paths: list[Path] = []
     while True:
         steps = []
         for j in range(1, n + 1):
-            if column_total(j) == 0:
+            if left[j - 1] == 0:
                 break
             i = next(i for i in range(j, n + 1) if b[i - 1][j - 1] > 0)
             steps.append(i)
@@ -333,18 +330,22 @@ def decompose_weight(
             break
         for s, i_s in enumerate(steps, start=1):
             b[i_s - 1][s - 1] -= 1
+            left[s - 1] -= 1
+            stripped[i_s - 1][s - 1] += 1
         paths.append(tuple(steps))
 
-    # re-summation check and level multiplicities
-    total = zero_pattern(n)
-    for p in paths:
-        total = add_patterns(total, exponent_vector(p, n))
-    if total != psi(pattern):
+    # re-summation check and level multiplicities, both read off the table
+    # of stripped entries: the paths re-sum to the weight when the table is
+    # the weight, and as a path of level j runs through columns 1..j, the
+    # level-j paths are the strips of column j less those of column j+1
+    if tuple(map(tuple, stripped)) != weight:
         raise AssertionError("decomposition does not re-sum to the weight")
+    strips = [sum(stripped[i - 1][j - 1] for i in range(j, n + 1)) for j in range(1, n + 1)]
+    strips.append(0)
     lam_ext = tuple(lam) + (0,)
     for j in range(1, n + 1):
         want = lam_ext[j - 1] - lam_ext[j]
-        got = sum(1 for p in paths if len(p) == j)
+        got = strips[j - 1] - strips[j]
         if want != got:
             raise AssertionError(f"level {j}: expected {want} paths, got {got}")
     return paths

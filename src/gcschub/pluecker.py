@@ -1,6 +1,6 @@
 """Plücker-index combinatorics of translated Schubert varieties and their
-toric shadows: vanishing sets, divisor facet unions and the face-union
-intersection Delta(u, v).
+toric shadows: vanishing sets, and the shadow Delta(u, v) on vertex
+bitsets.
 
 A Schubert variety is cut out of the ambient product of projective spaces by
 coordinate hyperplanes; at each cut level n_i the coordinate p_I vanishes on
@@ -15,11 +15,16 @@ are at I (``ladder.Path``), so the divisor {p_I = 0} and the facets on its
 path are read off the same tuple.
 Translating by u sends p_I to p_{u.image(I)}, the sorted image of I; Plücker
 signs are dropped since only vanishing matters.
+
+The shadow of u X^v, the intersection over its divisors of the union of
+the facets on each divisor path, is kept on vertex bitsets as a ``Piece``.
 """
 
 from __future__ import annotations
 
-from .gc_polytope import Face, Polytope
+from typing import NamedTuple
+
+from .gc_polytope import Polytope
 from .ladder import LadderDiagram, Path, path_leq, path_of_partition
 from .weyl import Permutation
 
@@ -57,21 +62,31 @@ def vanishing_schubert(
     return data
 
 
-def divisor_facets(poly: Polytope, path: Path) -> tuple[Face, ...]:
-    """The facets of the effective edges on a divisor path."""
-    return tuple(poly.facet_face(e) for e in poly.diagram.effective_edges_on(path))
+class Piece(NamedTuple):
+    """An intersection of divisor facet unions on vertex bitsets: the
+    vertices in it, and per divisor path the vertex bitsets of the facets
+    on that path."""
+
+    vertices: int
+    divisors: tuple[tuple[int, ...], ...]
 
 
-def fold_paths(poly: Polytope, paths) -> tuple[Face, ...]:
-    """Intersection of the facet unions of the given divisor paths, as its
-    maximal faces sorted by mask; ``Polytope.meet`` folds them, in an order
-    that does not change the result."""
-    return poly.meet([divisor_facets(poly, p) for p in paths])
+def fold_paths(poly: Polytope, paths) -> Piece:
+    """Intersection of the facet unions of the given divisor paths: the AND,
+    over the paths, of the OR of the facet bitsets on each."""
+    bits, table = poly.vertex_bitsets()
+    divisors = tuple(tuple(table[e] for e in poly.diagram.effective_edges_on(p)) for p in paths)
+    for facets in divisors:
+        union = 0
+        for f in facets:
+            union |= f
+        bits &= union
+    return Piece(bits, divisors)
 
 
-def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[Face, ...]:
+def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> Piece:
     """The set-theoretic intersection, over the divisors cutting out u X^v,
-    of the unions of facets on each divisor path, as its maximal faces."""
+    of the unions of facets on each divisor path."""
     vanishing = vanishing_schubert(poly.diagram, v)
     paths = [
         idx

@@ -35,7 +35,7 @@ from gcschub.weyl import (
     longest_element,
     min_coset_rep,
 )
-from reference_faces import face_dimension_by_rank
+from reference_faces import face_dimension_by_rank, intersect
 from reference_partition import recursion_step
 
 
@@ -199,16 +199,22 @@ def test_criterion_4_vertex_counts():
 
 def test_criterion_5_degeneration_combinatorics():
     from gcschub.pluecker import delta_uv, fold_paths
+    from reference_faces import delta_uv_by_faces, fold_paths_by_faces, vertex_bits
 
+    # each shadow as maximal faces by the reference fold, and as the vertex
+    # bitset of the package
     for (m, n) in ((2, 4), (2, 5)):
         poly = make(m, n)
         for mu in box_partitions(2, n - 2):
-            fu = delta_uv(poly, Permutation.identity(n), grassmannian_perm(mu, 2, n))
-            assert fu == (poly.named_face_F(mu),)
-            w0 = longest_element(n)
             w = grassmannian_perm(mu, 2, n)
-            fv = delta_uv(poly, w0, min_coset_rep(w0 * w, poly.shape))
+            fu = delta_uv_by_faces(poly, Permutation.identity(n), w)
+            assert fu == (poly.named_face_F(mu),)
+            assert delta_uv(poly, Permutation.identity(n), w).vertices == vertex_bits(poly, fu)
+            w0 = longest_element(n)
+            rep = min_coset_rep(w0 * w, poly.shape)
+            fv = delta_uv_by_faces(poly, w0, rep)
             assert fv == (poly.named_face_Fvee(mu),)
+            assert delta_uv(poly, w0, rep).vertices == vertex_bits(poly, fv)
     poly5 = make(2, 5)
     for k in (1, 2, 3):
         paths = [
@@ -216,7 +222,9 @@ def test_criterion_5_degeneration_combinatorics():
             for j in range(1, 6)
             if j != k + 1
         ]
-        assert fold_paths(poly5, paths) == (poly5.delta_k_face(k),)
+        fu = fold_paths_by_faces(poly5, paths)
+        assert fu == (poly5.delta_k_face(k),)
+        assert fold_paths(poly5, paths).vertices == vertex_bits(poly5, fu)
     report(5, "degeneration: Delta(id,w_mu)=F_mu, Delta(w0,.)=F_mu^vee on "
               "Gr(2,4)/Gr(2,5); shifted-face identity holds for k=1..3")
 
@@ -331,7 +339,7 @@ def test_criterion_9_property_suite():
             new = []
             for f in frontier:
                 for e in poly.diagram.effective_edges:
-                    g = poly.intersect(f, poly.facet_face(e))
+                    g = intersect(poly, f, poly.facet_face(e))
                     if not g.is_empty and g not in seen:
                         seen.add(g)
                         new.append(g)

@@ -325,6 +325,8 @@ BAD_INPUTS = [
     (("sweep", "--shape", "1,2,3", "--budget", "1_0"), 2),
     # lattice points are counted before they are listed
     (("lattice-points", "--shape", "1,2,3,4,5,6", "--lam", "(12,10,8,6,4,2)"), 3),
+    # certification lists the vertices, so it stops at the same bound
+    (("certify", "--shape", "1,2,3,4,5,6,7,8", "--v", "s1", "--w", "s1", "--u", "id"), 3),
 ]
 
 # a rejected permutation: the error names the option that carried it

@@ -3,8 +3,8 @@ references they replaced: key-walking containment, vertex-set containment,
 a fresh key-based saturation of every intersection and of every merge list
 by bound propagation, the anchored component test for vertices, the column
 sweep for the candidate points, the value-based facet test for vertices,
-and a hand-ordered fold for ``Polytope.meet``, each step the antichain of
-the pairwise intersections."""
+and a hand-ordered fold for the reference ``meet``, each step the antichain
+of the pairwise intersections."""
 
 import itertools
 
@@ -13,11 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcschub import gc_polytope
-from gcschub.gc_polytope import Polytope, _antichain, _canonical_key
-from gcschub.kogan import degeneration_union
+from gcschub.gc_polytope import Polytope, _canonical_key
 from gcschub.ladder import LadderDiagram
-from gcschub.pluecker import delta_uv, divisor_facets, vanishing_schubert
+from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
+from reference_faces import (
+    antichain,
+    contains,
+    degeneration_union,
+    delta_uv_by_faces,
+    divisor_facets,
+    intersect,
+    meet,
+)
 
 
 class _UnionFind:
@@ -242,7 +250,7 @@ def reachable_faces(poly):
         new = []
         for f in frontier:
             for e in poly.diagram.effective_edges:
-                g = poly.intersect(f, poly.facet_face(e))
+                g = intersect(poly, f, poly.facet_face(e))
                 if not g.is_empty and g not in seen:
                     seen.add(g)
                     new.append(g)
@@ -263,7 +271,7 @@ def check_containment(poly, faces):
     verts = {f: vertex_set(poly, f) for f in faces}
     pairs = 0
     for f, g in itertools.product(faces, repeat=2):
-        by_mask = f.contains(g)
+        by_mask = contains(f, g)
         assert by_mask == key_contains(f, g), (f, g)
         assert by_mask == (verts[g] <= verts[f]), (f, g)
         pairs += 1
@@ -275,7 +283,7 @@ def check_intersections(poly, pairs):
     the key and the mask of a fresh saturation."""
     for f, g in pairs:
         expected = fresh_intersect(poly, f, g)
-        for got in (poly.intersect(f, g), poly.intersect(g, f)):
+        for got in (intersect(poly, f, g), intersect(poly, g, f)):
             assert (got.key, got.mask) == expected, (f, g)
 
 
@@ -352,7 +360,7 @@ FL5_EDGES = FL5.diagram.effective_edges
 def fl5_face(edges):
     face = FL5.whole_face()
     for e in edges:
-        face = FL5.intersect(face, FL5.facet_face(e))
+        face = intersect(FL5, face, FL5.facet_face(e))
     return face
 
 
@@ -526,9 +534,9 @@ def test_memo_hit_derives_no_key():
     # polytope's key table only when asked for
     gr25 = make(2, 5)
     f, g = (gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2])
-    assert not f.contains(g) and not g.contains(f)
-    miss = gr25.intersect(f, g)
-    hit = gr25.intersect(g, f)
+    assert not contains(f, g) and not contains(g, f)
+    miss = intersect(gr25, f, g)
+    hit = intersect(gr25, g, f)
     assert hit == miss and hit.mask not in gr25._keys
     assert hit.key == gr25._keys[hit.mask] == gr25._key_of_mask(hit.mask)
     assert miss.key == hit.key
@@ -567,11 +575,11 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
             for idx in sorted(u.image(i) for i in vs[level])
         ]
         order = data.draw(st.permutations([divisor_facets(poly, p) for p in paths]))
-        expected = delta_uv(poly, u, v)
-        assert poly.meet(order) == expected
+        expected = delta_uv_by_faces(poly, u, v)
+        assert meet(poly, order) == expected
         union = (poly.whole_face(),)
         for faces in order:
-            union = _antichain([poly.intersect(f, g) for f in union for g in faces])
+            union = antichain([intersect(poly, f, g) for f in union for g in faces])
         assert union == expected
 
     check()
@@ -580,6 +588,6 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
 def test_meet_of_no_sets_and_of_an_empty_set():
     gr25 = make(2, 5)
     facets = [gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2]]
-    assert gr25.meet([]) == (gr25.whole_face(),)
-    assert gr25.meet([facets]) == _antichain(facets)
-    assert gr25.meet([facets, ()]) == ()
+    assert meet(gr25, []) == (gr25.whole_face(),)
+    assert meet(gr25, [facets]) == antichain(facets)
+    assert meet(gr25, [facets, ()]) == ()

@@ -9,13 +9,12 @@ from gcschub import gc_polytope
 from gcschub.gc_polytope import (
     Polytope,
     UnsupportedShapeError,
-    _antichain,
     lattice_point_count,
 )
 from gcschub.ladder import LadderDiagram, validate_lambda
 from gcschub.kogan import enumerate_reduced
 from gcschub.weyl import ParabolicShape, Permutation, grassmannian_perm
-from reference_faces import face_dimension_by_rank
+from reference_faces import antichain, contains, face_dimension_by_rank, intersect, meet
 
 
 def make(*cuts_n):
@@ -76,6 +75,17 @@ class TestVertices:
         for poly in (GR24, GR25, FL3, FL4, make(1, 3, 4)):
             values = [v.values for v in poly.vertices()]
             assert values == sorted(values) and len(set(values)) == len(values)
+
+    def test_vertex_bitsets(self):
+        # bit i stands for the i-th vertex: the whole bitset reads back as
+        # the vertex list, and a facet's bitset as the vertices on it
+        for poly in (GR25, FL4, make(1, 3, 4)):
+            verts = poly.vertices()
+            whole, table = poly.vertex_bitsets()
+            assert poly.vertices_in(whole) == verts
+            assert list(table) == list(poly.diagram.effective_edges)
+            for e, bits in table.items():
+                assert poly.vertices_in(bits) == [v for v in verts if e in v.facets()], e
 
     def test_positive_dimension_is_not_a_vertex(self):
         f = GR24.named_face_F((1, 0))
@@ -147,23 +157,23 @@ class TestCoordinatePoints:
 class TestFaceArithmetic:
     def test_intersect_with_whole(self):
         f = GR24.named_face_F((1, 0))
-        assert GR24.intersect(f, GR24.whole_face()) == f
+        assert intersect(GR24, f, GR24.whole_face()) == f
 
     def test_contradictory_pins_empty(self):
         a = GR24.face_from_pins({(1, 1): 1})
         b = GR24.face_from_pins({(1, 1): 2})
-        assert GR24.intersect(a, b).is_empty
-        assert GR24.intersect(a, b).dim == -1
+        assert intersect(GR24, a, b).is_empty
+        assert intersect(GR24, a, b).dim == -1
 
     def test_richardson_segment_and_chevalley_point(self):
         # the face pair differs by one box: a one-dimensional face, which a
         # single divisor facet on the path of (1,0) cuts down to a vertex
-        f = GR24.intersect(GR24.named_face_F((1, 0)), GR24.named_face_Fvee((1, 1)))
+        f = intersect(GR24, GR24.named_face_F((1, 0)), GR24.named_face_Fvee((1, 1)))
         assert f.dim == 1
         from gcschub.ladder import path_of_partition
 
         fin = [
-            GR24.intersect(f, GR24.facet_face(e))
+            intersect(GR24, f, GR24.facet_face(e))
             for e in GR24.diagram.effective_edges_on(path_of_partition((1, 0), 2, 4))
         ]
         nonempty = [g for g in fin if not g.is_empty]
@@ -179,7 +189,7 @@ class TestFaceArithmetic:
                 nxt = []
                 for f in frontier:
                     for e in edges:
-                        g = poly.intersect(f, poly.facet_face(e))
+                        g = intersect(poly, f, poly.facet_face(e))
                         if not g.is_empty and g not in seen:
                             seen.add(g)
                             nxt.append(g)
@@ -196,7 +206,7 @@ class TestFaceArithmetic:
         for eid in ids:
             kind = eid[0]
             a, b = eid[2:-1].split(",")
-            regen = GR24.intersect(regen, GR24.facet_face((kind, int(a), int(b))))
+            regen = intersect(GR24, regen, GR24.facet_face((kind, int(a), int(b))))
         assert regen == f
 
 
@@ -221,7 +231,7 @@ class TestNamedFaces:
         parts = [(a, b) for a in range(4) for b in range(a + 1)]
         for mu in parts:
             for eta in parts:
-                f = GR25.intersect(GR25.named_face_F(mu), GR25.named_face_Fvee(eta))
+                f = intersect(GR25, GR25.named_face_F(mu), GR25.named_face_Fvee(eta))
                 if all(x <= y for x, y in zip(mu, eta)):
                     assert f.dim == sum(eta) - sum(mu)
                 else:
@@ -239,22 +249,22 @@ class TestNamedFaces:
 class TestUnionsOfFaces:
     def test_antichain_reduction(self):
         big = GR24.named_face_F((1, 0))
-        small = GR24.intersect(big, GR24.named_face_Fvee((2, 1)))
-        assert _antichain([small, big, big]) == (big,)
+        small = intersect(GR24, big, GR24.named_face_Fvee((2, 1)))
+        assert antichain([small, big, big]) == (big,)
 
     def test_union_intersection_matches_pointwise(self):
         f1 = GR24.facet_face(("H", 1, 1))
         f2 = GR24.facet_face(("V", 1, 2))
         g = GR24.facet_face(("H", 1, 2))
-        for face in GR24.meet([[f1, f2], [g]]):
-            assert face.contains(face)
-            assert g.contains(face)
+        for face in meet(GR24, [[f1, f2], [g]]):
+            assert contains(face, face)
+            assert contains(g, face)
 
     def test_antichain_sorts_by_mask_not_by_values(self):
         # a union keeps its faces in mask order, which is not the order of
         # the values, so a vertex list is sorted by values where it is made
         for poly in (GR25, FL4):
-            union = _antichain(poly.vertices())
+            union = antichain(poly.vertices())
             assert union == tuple(sorted(poly.vertices()))
             assert union != tuple(poly.vertices())
             assert sorted(union, key=lambda f: f.values) == poly.vertices()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gcschub.gc_polytope import Polytope
 from gcschub.kogan import (
-    degeneration_union,
     enumerate_reduced,
     face_from_positions,
     kogan_face_to_face,
@@ -17,7 +16,13 @@ from gcschub.kogan import (
 from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import delta_uv
 from gcschub.weyl import ParabolicShape, Permutation, length, longest_element, min_coset_rep
-from reference_faces import reduced_faces_by_subsets
+from reference_faces import (
+    contains,
+    degeneration_union,
+    delta_uv_by_faces,
+    reduced_faces_by_subsets,
+    vertex_bits,
+)
 
 
 def flag(n):
@@ -28,7 +33,7 @@ def flag(n):
 def delta_bottom(poly, w):
     """The shadow of X_w, the translated Schubert variety w_0 X^{pi(w_0 w)}."""
     w0 = longest_element(w.n)
-    return delta_uv(poly, w0, min_coset_rep(w0 * w, poly.shape))
+    return delta_uv_by_faces(poly, w0, min_coset_rep(w0 * w, poly.shape))
 
 
 D6, P6 = flag(6)
@@ -149,13 +154,13 @@ class TestDegenerationUnions:
     def test_s1_divisor_matches_delta(self):
         v = Permutation((2, 1, 3))
         fu = degeneration_union(P3, v, opposite=True)
-        assert fu == delta_uv(P3, Permutation.identity(3), v)
+        assert fu == delta_uv_by_faces(P3, Permutation.identity(3), v)
 
     def test_dual_unions_match_delta_fl3(self):
         d, poly = flag(3)
         for p in itertools.permutations(range(1, 4)):
             v = Permutation(p)
-            assert degeneration_union(poly, v, opposite=True) == delta_uv(
+            assert degeneration_union(poly, v, opposite=True) == delta_uv_by_faces(
                 poly, Permutation.identity(3), v
             ), v
             assert degeneration_union(poly, v, opposite=False) == (
@@ -171,13 +176,13 @@ class TestDegenerationUnions:
         for p in itertools.permutations(range(1, 5)):
             t = Permutation(p)
             mine = degeneration_union(poly, t, opposite=True)
-            other = delta_uv(poly, Permutation.identity(4), t)
-            assert all(any(g.contains(f) for g in other) for f in mine), t
+            other = delta_uv_by_faces(poly, Permutation.identity(4), t)
+            assert all(any(contains(g, f) for g in other) for f in mine), t
             if mine != other:
                 dual_diff.append(t.window)
             mine2 = degeneration_union(poly, t, opposite=False)
             other2 = delta_bottom(poly, t)
-            assert all(any(g.contains(f) for g in other2) for f in mine2), t
+            assert all(any(contains(g, f) for g in other2) for f in mine2), t
             if mine2 != other2:
                 kogan_diff.append(t.window)
         assert dual_diff == [(3, 1, 2, 4), (3, 2, 1, 4)]
@@ -185,6 +190,11 @@ class TestDegenerationUnions:
 
     def test_reference_faces_equal_deltas_fl6(self):
         fu = degeneration_union(P6, V_REF, opposite=True)
-        assert fu == delta_uv(P6, Permutation.identity(6), V_REF)
+        assert fu == delta_uv_by_faces(P6, Permutation.identity(6), V_REF)
         fu2 = degeneration_union(P6, W_REF, opposite=False)
         assert fu2 == delta_bottom(P6, W_REF)
+        # the package's shadows hold exactly the vertices of the two unions
+        w0 = longest_element(6)
+        assert delta_uv(P6, Permutation.identity(6), V_REF).vertices == vertex_bits(P6, fu)
+        bottom = delta_uv(P6, w0, min_coset_rep(w0 * W_REF, P6.shape))
+        assert bottom.vertices == vertex_bits(P6, fu2)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gcschub.gc_polytope import Polytope, _antichain
+from gcschub.gc_polytope import Polytope
 from gcschub.ladder import (
     LadderDiagram,
     incomparable,
@@ -11,7 +11,6 @@ from gcschub.ladder import (
 )
 from gcschub.pluecker import (
     delta_uv,
-    divisor_facets,
     fold_paths,
     toric_divisor_equations,
     toric_subvariety_equations,
@@ -25,6 +24,14 @@ from gcschub.weyl import (
     grassmannian_perm,
     longest_element,
     min_coset_rep,
+)
+from reference_faces import (
+    antichain,
+    delta_uv_by_faces,
+    divisor_facets,
+    fold_paths_by_faces,
+    intersect,
+    vertex_bits,
 )
 
 
@@ -142,23 +149,32 @@ class TestVanishing:
 
 
 class TestDeltaUV:
+    """Each shadow twice: its maximal faces by the reference fold, and its
+    vertex bitset by ``delta_uv``."""
+
     def test_id_id_is_whole(self):
-        fu = delta_uv(P24, Permutation.identity(4), Permutation.identity(4))
+        idt = Permutation.identity(4)
+        fu = delta_uv_by_faces(P24, idt, idt)
         assert fu == (P24.whole_face(),)
+        assert delta_uv(P24, idt, idt).vertices == vertex_bits(P24, fu)
 
     def test_F_mu_for_all_mu(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
             for mu in box_partitions(2, n - 2):
-                fu = delta_uv(poly, Permutation.identity(n), grassmannian_perm(mu, m, n))
+                v = grassmannian_perm(mu, m, n)
+                fu = delta_uv_by_faces(poly, Permutation.identity(n), v)
                 assert fu == (poly.named_face_F(mu),), (mu, fu)
+                assert delta_uv(poly, Permutation.identity(n), v).vertices == vertex_bits(poly, fu)
 
     def test_Fvee_eta_for_all_eta(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
             for eta in box_partitions(2, n - 2):
                 w0 = longest_element(n)
                 w = grassmannian_perm(eta, m, n)
-                fu = delta_uv(poly, w0, min_coset_rep(w0 * w, poly.shape))
+                rep = min_coset_rep(w0 * w, poly.shape)
+                fu = delta_uv_by_faces(poly, w0, rep)
                 assert fu == (poly.named_face_Fvee(eta),), (eta, fu)
+                assert delta_uv(poly, w0, rep).vertices == vertex_bits(poly, fu)
 
     def test_fold_order_independent(self):
         import random
@@ -167,14 +183,15 @@ class TestDeltaUV:
         v = grassmannian_perm((2, 1), 2, 5)
         vs = vanishing_schubert(D25, v)
         vanishing = [idx for level in sorted(vs) for idx in sorted(vs[level])]
-        reference = fold_paths(P25, vanishing)
+        reference = fold_paths_by_faces(P25, vanishing)
+        assert fold_paths(P25, vanishing).vertices == vertex_bits(P25, reference)
         for _ in range(5):
             shuffled = vanishing[:]
             rng.shuffle(shuffled)
             union = (P25.whole_face(),)
             for p in shuffled:
                 facets = divisor_facets(P25, p)
-                union = _antichain([P25.intersect(f, g) for f in union for g in facets])
+                union = antichain([intersect(P25, f, g) for f in union for g in facets])
             assert union == reference
 
 
@@ -219,8 +236,9 @@ class TestToricEquations:
             poly = P25 if n == 5 else setup(2, n)[1]
             for k in range(1, n - 1):
                 paths = [tuple(sorted((k + 1, j))) for j in range(1, n + 1) if j != k + 1]
-                fu = fold_paths(poly, paths)
+                fu = fold_paths_by_faces(poly, paths)
                 assert fu == (poly.delta_k_face(k),), (n, k, fu)
+                assert fold_paths(poly, paths).vertices == vertex_bits(poly, fu), (n, k)
 
     def test_straightening_lattice_compatibility(self):
         # an effective edge lies on one of two incomparable paths iff it

@@ -41,7 +41,9 @@ class Mutant(NamedTuple):
 
 GC = "src/gcschub/gc_polytope.py"
 COEFFS = "src/gcschub/coeffs.py"
+REFERENCE_FACES = "tests/reference_faces.py"
 FACE_MASKS = ("tests/test_face_masks.py",)
+BITSETS = ("tests/test_evaluate_bitsets.py",)
 COEFFS_TESTS = ("tests/test_coeffs.py",)
 
 MUTANTS = (
@@ -64,23 +66,35 @@ MUTANTS = (
         FACE_MASKS,
     ),
     Mutant(
-        "meet-skip-first-set", GC,
-        "        for faces in sorted(face_sets, key=len):\n",
-        "        for faces in sorted(face_sets, key=len)[1:]:\n",
-        FACE_MASKS,
+        "meet-skip-first-set", REFERENCE_FACES,
+        "    for faces in sorted(face_sets, key=len):\n",
+        "    for faces in sorted(face_sets, key=len)[1:]:\n",
+        BITSETS + FACE_MASKS,
     ),
     Mutant(
-        "antichain-keeps-contained-faces", GC,
-        "        if not any(g.contains(f) for g in kept):\n",
+        "antichain-keeps-contained-faces", REFERENCE_FACES,
+        "        if not any(contains(g, f) for g in kept):\n",
         "        if True:\n",
         ("tests/test_gc_polytope.py", "tests/test_kogan.py", "tests/test_pluecker.py",
          "tests/test_acceptance.py::test_criterion_5_degeneration_combinatorics"),
     ),
     Mutant(
         "evaluate-vertices-in-mask-order", "src/gcschub/certify.py",
-        "    verts = sorted(inter, key=lambda f: f.values)\n",
-        "    verts = list(inter)\n",
+        "    verts = poly.vertices_in(inter)\n",
+        "    verts = sorted(poly.vertices_in(inter))\n",
         ("tests/test_certify.py",),
+    ),
+    Mutant(
+        "evaluate-skips-pair-scan", "src/gcschub/certify.py",
+        "    pair = _pair_on_one_face(inter, divisors)\n",
+        "    pair = None\n",
+        ("tests/test_certify.py::TestEvaluate::test_positive_dimension_reported",),
+    ),
+    Mutant(
+        "fold-or-drops-last-facet", "src/gcschub/pluecker.py",
+        "        for f in facets:\n            union |= f\n",
+        "        for f in facets[:-1]:\n            union |= f\n",
+        ("tests/test_evaluate_bitsets.py::test_every_piece_holds_the_vertices_of_the_reference_faces",),
     ),
     Mutant(
         "evaluate-bottom-untranslated", "src/gcschub/certify.py",
