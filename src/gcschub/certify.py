@@ -22,6 +22,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import __version__
 from .coeffs import build_modified_partition, structure_constant
@@ -193,9 +194,10 @@ class SearchResult:
         return self.certificate is not None and self.certificate.ok
 
 
-def _all_perms(n: int) -> list[Permutation]:
+@lru_cache(maxsize=None)
+def _all_perms(n: int) -> tuple[Permutation, ...]:
     perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-    return sorted(perms, key=lambda p: (length(p), p.window))
+    return tuple(sorted(perms, key=lambda p: (length(p), p.window)))
 
 
 def _tier1(poly: Polytope, vs):
@@ -205,9 +207,7 @@ def _tier1(poly: Polytope, vs):
     idt = Permutation.identity(n)
     yield tuple([idt] * m1)
     for slot in range(m1):
-        for u in _all_perms(n):
-            if u.is_identity():
-                continue
+        for u in _all_perms(n)[1:]:  # the identity comes first
             us = [idt] * m1
             us[slot] = u
             yield tuple(us)

@@ -11,12 +11,12 @@ The first oracle reads a constant off a lazily memoised row table: the row
 of (u, y) is the Schubert expansion of S_u * S_y truncated to S_n, keyed by
 full windows.  A row is filled by the transition, which writes S_u as
 x_r * S_v plus classes of the length of u, and by Monk's rule for x_r *
-S_z.  Products of three or more factors fold left over rows.  Truncation is
-exact: a nonzero c_{x,y}^z has x <= z in Bruhat order, S_n is a lower
-Bruhat ideal of S_infinity, and every Monk term lies above the class it
-multiplies, so a class outside S_n never feeds a class inside it.  The
-polynomial oracle the table replaced is kept in ``tests/reference_oracle.py``
-as the reference.
+S_z.  A two-factor constant is one row lookup; products of three or more
+factors fold left over rows.  Truncation is exact: a nonzero c_{x,y}^z has
+x <= z in Bruhat order, S_n is a lower Bruhat ideal of S_infinity, and
+every Monk term lies above the class it multiplies, so a class outside S_n
+never feeds a class inside it.  The polynomial oracle the table replaced
+is kept in ``tests/reference_oracle.py`` as the reference.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from functools import lru_cache
 from .weyl import (
     Permutation,
     UnsupportedShapeError,
+    _inversions,
     length,
     longest_element,
     star_factorize,
@@ -90,9 +91,12 @@ def _row(u: tuple[int, ...], y: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 def _fold(windows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
     """The product of the classes of one or more windows of S_n, truncated
-    to S_n: the rows folded left."""
-    acc = {windows[0]: 1}
-    for y in windows[1:]:
+    to S_n: the rows folded left from the row of the first two.  Two
+    windows give that shared row itself, so callers never mutate it."""
+    if len(windows) == 1:
+        return {windows[0]: 1}
+    acc = _row(windows[0], windows[1])
+    for y in windows[2:]:
         nxt: dict[tuple[int, ...], int] = {}
         for z, c in acc.items():
             for t, d in _row(z, y).items():
@@ -103,13 +107,14 @@ def _fold(windows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
 
 def structure_constant(us: list[Permutation], w: Permutation) -> int:
     """Coefficient of the class of w in the product of the classes of us."""
-    if any(u.n != w.n for u in us):
+    target = w.window
+    windows = [u.window for u in us]
+    if any(len(x) != len(target) for x in windows):
         raise ValueError("all permutations must share one rank")
-    if sum(map(length, us)) != length(w):
+    if sum(map(_inversions, windows)) != _inversions(target):
         return 0
     # the empty product is the class of the identity
-    windows = [u.window for u in us] or [Permutation.identity(w.n).window]
-    return _fold(windows).get(w.window, 0)
+    return _fold(windows or [tuple(range(1, len(target) + 1))]).get(target, 0)
 
 
 # -- Littlewood-Richardson oracle ------------------------------------------------
@@ -379,39 +384,40 @@ def build_modified_partition(n: int, bound: int = 5) -> list[TripleClass]:
     triples = tab.triples
     zero_root = len(triples)
     uf = list(range(zero_root + 1))
-
-    def find(a: int) -> int:
+    index, moves, below, conj, w0_left = tab.index, tab.moves, tab.below, tab.conj, tab.w0_left
+    for t, (u, v, w) in enumerate(triples):
+        if below[w] >> u & below[w] >> v & 1:
+            steps, vanishes = moves(u, v, w)
+            partners = [index(v, u, w), index(conj[u], conj[v], conj[w]),
+                        index(u, w0_left[w], w0_left[v]), *steps]
+            if vanishes:
+                partners.append(zero_root)
+        else:
+            partners = [zero_root]
+        # merge the class of t with each partner's: path halving, and the
+        # smaller root wins, so a stays the root of t's class
+        a = t
         while uf[a] != a:
             uf[a] = uf[uf[a]]
             a = uf[a]
-        return a
+        for b in partners:
+            while uf[b] != b:
+                uf[b] = uf[uf[b]]
+                b = uf[b]
+            if b < a:
+                uf[a] = b
+                a = b
+            elif a < b:
+                uf[b] = a
 
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra < rb:
-            uf[rb] = ra
-        elif rb < ra:
-            uf[ra] = rb
-
-    index, moves, below, conj, w0_left = tab.index, tab.moves, tab.below, tab.conj, tab.w0_left
-    for t, (u, v, w) in enumerate(triples):
-        steps, vanishes = moves(u, v, w)
-        if vanishes:
-            union(t, zero_root)
-        if not (below[w] >> u & below[w] >> v & 1):
-            union(t, zero_root)
-            continue
-        union(t, index(v, u, w))
-        union(t, index(conj[u], conj[v], conj[w]))
-        union(t, index(u, w0_left[w], w0_left[v]))
-        for step in steps:
-            union(t, step)
-
-    # every root is the smallest triple index of its class
+    # every root is the smallest triple index of its class and every parent
+    # precedes its child, so one pass in index order points each at its root
+    for t in range(zero_root + 1):
+        uf[t] = uf[uf[t]]
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for t, triple in enumerate(triples):
-        groups.setdefault(find(t), []).append(triple)
-    zero = find(zero_root)
+        groups.setdefault(uf[t], []).append(triple)
+    zero = uf[zero_root]
     perms, star = tab.perms, tab.star
     classes = []
     for root, members in sorted(groups.items()):

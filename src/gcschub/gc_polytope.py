@@ -60,7 +60,9 @@ The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 They are pure functions of permutation windows, shared by every polytope,
 so they stay process-wide.  After the Fl5 partition and its 74,199 oracle
 calls they held 476, 8,165, 120 and 119 entries, and clearing the two
-``coeffs`` caches freed 1.98 MiB.
+``coeffs`` caches freed 1.98 MiB.  ``certify._all_perms`` holds S_n in
+search order once per n, and ``ladder._check_lambda`` remembers up to 256
+weights that passed ``validate_lambda``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ left block corner.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .weyl import InputError, ParabolicShape, grassmannian_perm
 
@@ -270,7 +271,13 @@ def psi(pattern: Pattern) -> Pattern:
 
 def validate_lambda(shape: ParabolicShape, lam: tuple[int, ...]) -> None:
     """lam must be weakly decreasing, constant on blocks and strictly
-    decreasing across cuts."""
+    decreasing across cuts.  A passing (shape, lam) is remembered; a
+    failing one raises InputError on every call."""
+    _check_lambda(shape, tuple(lam))
+
+
+@lru_cache(maxsize=256)
+def _check_lambda(shape: ParabolicShape, lam: tuple[int, ...]) -> None:
     if len(lam) != shape.n:
         raise InputError(f"lambda needs {shape.n} entries: {lam}")
     b = shape.bounds

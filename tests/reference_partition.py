@@ -1,16 +1,18 @@
-"""The slow reference for the modified partition of the triple set.
+"""The references for the modified partition of the triple set.
 
 The package builds the partition on integer tables of S_n
-(``gcschub.coeffs.SnTables``).  This module keeps the construction it
-replaced, on ``Permutation`` objects with the right-multiplication move
-written out as ``recursion_step``, so that tests can compare the two.
+(``gcschub.coeffs.SnTables``) with one inline union-find pass.  This module
+keeps the two constructions it replaced: the slow one on ``Permutation``
+objects, with the right-multiplication move written out as
+``recursion_step``, and the one on the same tables with ``find`` and
+``union`` closures, fast enough to compare on S_5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gcschub.coeffs import Triple, TripleClass, all_triples, split_by_star
+from gcschub.coeffs import SnTables, Triple, TripleClass, all_triples, split_by_star
 from gcschub.weyl import bruhat_leq, length, longest_element
 
 
@@ -92,4 +94,63 @@ def build_modified_partition_reference(n: int) -> list[TripleClass]:
         classes.append(
             TripleClass(kind, tuple(sorted(members)), tuple(sorted(extended)))
         )
+    return classes
+
+
+def build_modified_partition_closures(n: int) -> list[TripleClass]:
+    """The partition on the index triples of ``SnTables``, closed by
+    ``find`` and ``union`` closures with the moves computed for every
+    triple."""
+    tab = SnTables(n)
+    triples = tab.triples
+    zero_root = len(triples)
+    uf = list(range(zero_root + 1))
+
+    def find(a: int) -> int:
+        while uf[a] != a:
+            uf[a] = uf[uf[a]]
+            a = uf[a]
+        return a
+
+    def union(a: int, b: int):
+        ra, rb = find(a), find(b)
+        if ra < rb:
+            uf[rb] = ra
+        elif rb < ra:
+            uf[ra] = rb
+
+    index, moves, below, conj, w0_left = tab.index, tab.moves, tab.below, tab.conj, tab.w0_left
+    for t, (u, v, w) in enumerate(triples):
+        steps, vanishes = moves(u, v, w)
+        if vanishes:
+            union(t, zero_root)
+        if not (below[w] >> u & below[w] >> v & 1):
+            union(t, zero_root)
+            continue
+        union(t, index(v, u, w))
+        union(t, index(conj[u], conj[v], conj[w]))
+        union(t, index(u, w0_left[w], w0_left[v]))
+        for step in steps:
+            union(t, step)
+
+    # every root is the smallest triple index of its class
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for t, triple in enumerate(triples):
+        groups.setdefault(find(t), []).append(triple)
+    zero = find(zero_root)
+    perms, star = tab.perms, tab.star
+    classes = []
+    for root, members in sorted(groups.items()):
+        kind = "zero" if root == zero else "regular"
+        extended = set()
+        if kind == "regular":
+            for u, v, w in members:
+                split = star[u] + star[v] + (w,)
+                if len(split) > 3:
+                    extended.add(split)
+        classes.append(TripleClass(
+            kind,
+            tuple((perms[u], perms[v], perms[w]) for u, v, w in sorted(members)),
+            tuple(tuple(perms[k] for k in split) for split in sorted(extended)),
+        ))
     return classes

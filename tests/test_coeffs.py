@@ -33,7 +33,11 @@ from reference_oracle import (
     structure_constant_reference,
     truncated_product,
 )
-from reference_partition import build_modified_partition_reference, recursion_step
+from reference_partition import (
+    build_modified_partition_closures,
+    build_modified_partition_reference,
+    recursion_step,
+)
 
 S3 = [Permutation(p) for p in itertools.permutations(range(1, 4))]
 S4 = [Permutation(p) for p in itertools.permutations(range(1, 5))]
@@ -415,6 +419,12 @@ class TestModifiedPartition:
     def test_matches_reference(self, n):
         # kind, members, extended tuples and class order
         assert build_modified_partition(n) == build_modified_partition_reference(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_closure_reference(self, n):
+        # the inline union-find pass against the find/union closures it
+        # replaced: kind, members, extended tuples and class order
+        assert build_modified_partition(n) == build_modified_partition_closures(n)
 
     def test_n5_totals(self):
         classes = build_modified_partition(5)

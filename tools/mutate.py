@@ -165,9 +165,33 @@ MUTANTS = (
     ),
     Mutant(
         "partition-drop-vanishing-merge", COEFFS,
-        "        if vanishes:\n            union(t, zero_root)\n",
+        "            if vanishes:\n                partners.append(zero_root)\n",
         "",
         COEFFS_TESTS,
+    ),
+    Mutant(
+        "partition-union-by-larger-root", COEFFS,
+        "            if b < a:\n"
+        "                uf[a] = b\n"
+        "                a = b\n"
+        "            elif a < b:\n",
+        "            if b > a:\n"
+        "                uf[a] = b\n"
+        "                a = b\n"
+        "            elif a > b:\n",
+        ("tests/test_coeffs.py::TestModifiedPartition::test_matches_reference",
+         "tests/test_coeffs.py::TestModifiedPartition::test_matches_closure_reference"),
+        equivalent="for n <= 5 the partition has two classes, the regular one holding "
+        "triple 0 and the zero one the sentinel, so the largest roots list them in the same order",
+    ),
+    Mutant(
+        "partition-link-smaller-root-under-larger", COEFFS,
+        "            if b < a:\n"
+        "                uf[a] = b\n"
+        "                a = b\n",
+        "            if b < a:\n"
+        "                uf[b] = a\n",
+        ("tests/test_coeffs.py::TestModifiedPartition::test_matches_reference",),
     ),
     Mutant(
         "bruhat-table-first-prefix-only", COEFFS,
@@ -183,8 +207,8 @@ MUTANTS = (
     ),
     Mutant(
         "partition-drop-w0-symmetry", COEFFS,
-        "        union(t, index(u, w0_left[w], w0_left[v]))\n",
-        "",
+        "                        index(u, w0_left[w], w0_left[v]), *steps]\n",
+        "                        *steps]\n",
         COEFFS_TESTS,
         equivalent="for n <= 5 the other moves already give the same classes "
         "(2 on S_5); kept as a symmetry of the constants",
@@ -228,6 +252,12 @@ MUTANTS = (
         "        terms.append((z[:r - 1] + (len(z) + 1,) + z[r:] + (zr,), 1))\n"
         "    between = 0\n",
         COEFFS_TESTS,
+    ),
+    Mutant(
+        "fold-skips-third-factor", COEFFS,
+        "    for y in windows[2:]:\n",
+        "    for y in windows[3:]:\n",
+        ("tests/test_coeffs.py::TestRowTable",),
     ),
     Mutant(
         "row-drop-positivity-check", COEFFS,
