@@ -275,7 +275,11 @@ def search(
     """Try translation tuples in deterministic order until a certificate
     appears or the budget runs out.  Factors that fail the Bruhat test
     against w are settled by a single untranslated evaluation, whose shadow
-    comes out empty."""
+    comes out empty.  A tier other than 1, 2 and 3 raises InputError before
+    any evaluation."""
+    unknown = [t for t in tiers if t not in (1, 2, 3)]
+    if unknown:
+        raise InputError(f"unknown search tiers {unknown}: the tiers are 1, 2 and 3")
     result = SearchResult()
     idt = Permutation.identity(poly.n)
 

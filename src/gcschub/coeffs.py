@@ -2,10 +2,10 @@
 
 Two independent oracles guard against implementation error: Monk's rule
 with the Lascoux-Schutzenberger transition on S_n (any type-A constant) and
-the Littlewood-Richardson tableau rule (Grassmannian constants).  On top sit
-the triple symmetries, the commuting-support splitting, and the modified
-partition of the triple set used by the certificate sweeps, built on
-integer tables of S_n.
+the Littlewood-Richardson tableau rule (Grassmannian constants).  On top
+sits the modified partition of the triple set used by the certificate
+sweeps, closed under the triple symmetries and extended by the
+commuting-support splitting, built on integer tables of S_n.
 
 The first oracle reads a constant off a lazily memoised row table: the row
 of (u, y) is the Schubert expansion of S_u * S_y truncated to S_n, keyed by
@@ -30,7 +30,6 @@ from .weyl import (
     UnsupportedShapeError,
     _inversions,
     length,
-    longest_element,
     star_factorize,
 )
 
@@ -192,7 +191,7 @@ def gr_structure_constant(
     return lr_coefficient(mu, nu, eta)
 
 
-# -- rules --------------------------------------------------------------------
+# -- the Chevalley rule --------------------------------------------------------
 
 
 def chevalley(mu: tuple[int, ...], m: int, n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -208,50 +207,11 @@ def chevalley(mu: tuple[int, ...], m: int, n: int) -> list[tuple[tuple[int, ...]
     return out
 
 
-def pieri_gr2(mu: tuple[int, int], n: int) -> tuple[int, int] | None:
-    """sigma^{(1,1)} . sigma^mu in Gr(2, n): the shifted partition, or None
-    when mu_1 = n - 2 kills the product."""
-    mu = tuple(mu)
-    if len(mu) != 2 or mu[0] < mu[1] or mu[1] < 0:
-        raise ValueError(f"need a partition with two parts: {mu}")
-    if mu[0] > n - 2:
-        raise ValueError(f"partition {mu} does not fit in 2x{n - 2}")
-    if mu[0] < n - 2:
-        return (mu[0] + 1, mu[1] + 1)
-    return None
-
-
 Triple = tuple[Permutation, Permutation, Permutation]
-
-
-def apply_identities(triple: Triple) -> frozenset[Triple]:
-    """Orbit of (u, v, w) under the swap, the w0-conjugation and the
-    (u, v, w) -> (u, w0 w, w0 v) symmetry."""
-    u, v, w = triple
-    w0 = longest_element(w.n)
-    seen: set[Triple] = set()
-    stack = [triple]
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        a, b, c = t
-        stack.append((b, a, c))
-        stack.append((w0 * a * w0, w0 * b * w0, w0 * c * w0))
-        stack.append((a, w0 * c, w0 * b))
-    return frozenset(seen)
 
 
 def _star_factors(u: Permutation) -> tuple[Permutation, ...]:
     return (u,) if u.is_identity() else star_factorize(u)
-
-
-def split_by_star(tup: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
-    """Replace the first m+1 factors of (u_1, .., u_m, w) by their maximal
-    commuting-support factorizations; the constant is unchanged."""
-    *us, w = tup
-    return tuple(f for u in us for f in _star_factors(u)) + (w,)
 
 
 # -- the modified partition -----------------------------------------------------
@@ -271,21 +231,6 @@ class TripleClass:
     extended: tuple[tuple[Permutation, ...], ...]
 
 
-def all_triples(n: int) -> list[Triple]:
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-    by_len: dict[int, list[Permutation]] = {}
-    for p in perms:
-        by_len.setdefault(length(p), []).append(p)
-    out = []
-    for w in perms:
-        lw = length(w)
-        for lu in range(lw + 1):
-            for u in by_len.get(lu, []):
-                for v in by_len.get(lw - lu, []):
-                    out.append((u, v, w))
-    return out
-
-
 class SnTables:
     """Integer tables of S_n.  A permutation is named by its index in
     lexicographic window order, which is ``Permutation`` order, so sorting
@@ -300,8 +245,8 @@ class SnTables:
       compared by sorted prefixes (Bjorner-Brenti, Thm 2.6.3);
     * ``star[k]``: the commuting-support factors of perms[k], or perms[k]
       itself when it is the identity;
-    * ``triples``: the degree-compatible index triples (u, v, w) in the
-      order of ``all_triples(n)``: w, then length(u), then u, then v.
+    * ``triples``: the degree-compatible index triples (u, v, w), ordered
+      by w, then length(u), then u, then v.
     """
 
     def __init__(self, n: int):
@@ -376,7 +321,7 @@ def build_modified_partition(n: int, bound: int = 5) -> list[TripleClass]:
     right-multiplication steps, merge every class that witnesses a vanishing
     move into the zero class, and attach the commuting-split tuples.  Runs
     on the index triples of ``SnTables``; a class is listed at its first
-    member in ``all_triples`` order.  Shapes with n above ``bound`` raise
+    member in the order of ``SnTables.triples``.  Shapes with n above ``bound`` raise
     UnsupportedShapeError."""
     if n > bound:
         raise UnsupportedShapeError(f"n={n} exceeds the configured bound {bound}")

@@ -128,26 +128,6 @@ class Face:
             raise ValueError(f"face of dimension {self.dim} is not a vertex")
         return tuple(-v for v in key)
 
-    def value_of(self, cell: Cell) -> int:
-        """Block-value index of any cell the face fixes, box or forced."""
-        poly = self.poly
-        i = poly.box_index.get(cell)
-        if i is None:
-            return poly.diagram.forced_value(cell)
-        key = self.key
-        if key is None or key[i] > 0:
-            raise ValueError(f"{self} does not fix box {cell}")
-        return -key[i]
-
-    def pattern(self, lam: tuple[int, ...]) -> Pattern:
-        """Numeric Gelfand-Cetlin pattern at this vertex."""
-        validate_lambda(self.poly.shape, lam)
-        block_val = [lam[c - 1] for c in self.poly.shape.bounds[1:]]
-        return tuple(
-            tuple(block_val[self.value_of((j, i - j + 1)) - 1] for j in range(1, i + 1))
-            for i in range(1, self.poly.n + 1)
-        )
-
     def facets(self) -> list[EdgeKey]:
         """The effective edges whose facets contain this face: those whose
         facet mask is a subset of this face's mask."""
@@ -194,7 +174,6 @@ class Polytope:
         # the caches hold masks and keys, never faces (see the module
         # docstring); the key table maps a tight mask to its key
         self._keys: dict[int, tuple[int, ...] | None] = {}
-        self._whole = self._saturate([])
         # vertex masks, sorted by values
         self._vertices: list[int] | None = None
         # effective edge -> tight mask of its facet
@@ -219,18 +198,6 @@ class Polytope:
         return len(self.diagram.effective_edges)
 
     # -- face construction ---------------------------------------------------
-
-    def whole_face(self) -> Face:
-        return Face(self, self._whole)
-
-    def empty_face(self) -> Face:
-        return Face(self, -1)
-
-    def facet_face(self, edge: EdgeKey) -> Face:
-        masks = self._facet_masks()
-        if edge not in masks:
-            raise ValueError(f"edge {edge} is not effective")
-        return Face(self, masks[edge])
 
     def _facet_masks(self) -> dict[EdgeKey, int]:
         """The tight mask of the facet of every effective edge, in the
@@ -418,22 +385,6 @@ class Polytope:
                         == values[node((j + 1, r))] == values[node((j + 1, r + 1))]):
                     return False
         return True
-
-    def coordinate_point(self, v: Face) -> dict[int, tuple[int, ...]]:
-        """Per level, the unique nonvanishing coordinate index: the path
-        separating values > a_{i+1} from values <= a_{i+1}."""
-        out = {}
-        for i, level in enumerate(self.shape.cuts, start=1):
-            steps = []
-            for c in range(1, level + 1):
-                low = sum(
-                    1
-                    for r in range(1, self.n + 2 - c)
-                    if v.value_of((c, r)) >= i + 1
-                )
-                steps.append(c + low)
-            out[level] = tuple(steps)
-        return out
 
     # -- named faces (Grassmannian) ----------------------------------------------
 

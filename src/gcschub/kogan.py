@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gc_polytope import Face, Polytope
 from .ladder import EdgeKey, LadderDiagram
 from .weyl import InputError, Permutation, length
 
@@ -155,11 +154,3 @@ def _reduced_positions(word, target: Permutation, start: int, prefix: Permutatio
             taken.append(p)
             yield from _reduced_positions(word, target, p + 1, step, taken)
             taken.pop()
-
-
-def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:
-    """The equality system of the Kogan face inside the polytope."""
-    return poly.face_from_atoms(
-        [poly.diagram.edge_cells(e) for e in kface.edges]
-    )
-

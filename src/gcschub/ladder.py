@@ -1,4 +1,4 @@
-"""Ladder diagrams and their positive-path lattice.
+"""Ladder diagrams and their positive paths.
 
 Grid conventions used throughout the package:
 
@@ -39,20 +39,6 @@ def path_leq(p: Path, q: Path) -> bool:
     return len(p) >= len(q) and all(a <= b for a, b in zip(p, q))
 
 
-def incomparable(p: Path, q: Path) -> bool:
-    return not path_leq(p, q) and not path_leq(q, p)
-
-
-def meet(p: Path, q: Path) -> Path:
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(map(min, p, q)) + p[len(q):]
-
-
-def join(p: Path, q: Path) -> Path:
-    return tuple(map(max, p, q))
-
-
 def path_edges(p: Path, n: int) -> list[EdgeKey]:
     """All unit edges traversed by the path on a rank-n diagram, in step
     order."""
@@ -74,20 +60,8 @@ def path_corners(p: Path, n: int) -> list[tuple[EdgeKey, EdgeKey]]:
     return [(a, b) for a, b in zip(edges, edges[1:]) if a[0] != b[0]]
 
 
-def partition_of_path(p: Path) -> tuple[int, ...]:
-    """mu = (i_m - m, ..., i_1 - 1) for a level-m path."""
-    return tuple(p[s - 1] - s for s in range(len(p), 0, -1))
-
-
 def path_of_partition(mu: tuple[int, ...], m: int, n: int) -> Path:
     return grassmannian_perm(mu, m, n).image(range(1, m + 1))
-
-
-def complement(mu: tuple[int, ...], m: int, n: int) -> tuple[int, ...]:
-    """mu^vee = (n-m-mu_m, ..., n-m-mu_1); an involution on the m x (n-m) box."""
-    if len(mu) != m or any(v > n - m or v < 0 for v in mu):
-        raise ValueError(f"partition {mu} does not fit in {m}x{n - m}")
-    return tuple(n - m - mu[m - 1 - r] for r in range(m))
 
 
 class LadderDiagram:
@@ -186,9 +160,6 @@ class LadderDiagram:
             out.extend(self.paths_at_level(level))
         return out
 
-    def bottom_path(self) -> Path:
-        return tuple(range(1, self.n + 1))
-
     # -- roof and special paths ----------------------------------------------
 
     def roof_edges(self) -> list[EdgeKey]:
@@ -225,39 +196,14 @@ class LadderDiagram:
         return [self.special_path(e) for e in self.roof_edges()]
 
 
-# -- exponent vectors and the pattern <-> weight maps -------------------------
+# -- the pattern -> weight map and lattice-point decomposition ---------------
 
 Pattern = tuple[tuple[int, ...], ...]
 
 
-def exponent_vector(p: Path, n: int) -> Pattern:
-    """beta_I on a rank-n diagram: 1 on the entries (i_s, s), i.e. on the
-    boxes right above the path, and 0 elsewhere."""
-    rows = [[0] * i for i in range(1, n + 1)]
-    for s, i_s in enumerate(p, start=1):
-        rows[i_s - 1][s - 1] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def add_patterns(a: Pattern, b: Pattern, scale: int = 1) -> Pattern:
-    return tuple(tuple(x + scale * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def phi(b_pattern: Pattern) -> Pattern:
-    """Column partial sums: entry (i, j) becomes b_{ij} + b_{i-1,j} + ... + b_{jj}."""
-    n = len(b_pattern)
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(tuple(
-            sum(b_pattern[ii - 1][j - 1] for ii in range(j, i + 1))
-            for j in range(1, i + 1)
-        ))
-    return tuple(rows)
-
-
 def psi(pattern: Pattern) -> Pattern:
-    """Inverse of phi: b_{ij} = entry(i, j) - entry(i-1, j), reading 0 below
-    the diagonal."""
+    """The weight of a pattern: b_{ij} = entry(i, j) - entry(i-1, j),
+    reading 0 below the diagonal."""
     n = len(pattern)
     rows = []
     for i in range(1, n + 1):

@@ -4,11 +4,12 @@ bitsets.
 
 A Schubert variety is cut out of the ambient product of projective spaces by
 coordinate hyperplanes; at each cut level n_i the coordinate p_I vanishes on
-X^v iff the path of I does not run above the path of sort(v([1..n_i])), and
-on X_w iff it does not run below the path of sort(w([1..n_i])).  X_w is a
-translated Schubert variety too, X_w = w_0 X^{pi(w_0 w)} (Brion, Lectures
-on the geometry of flag varieties, 2005), so its shadow is
-Delta(w_0, pi(w_0 w)) and ``delta_uv`` builds every piece of a certificate.
+X^v iff the path of I does not run above the path of sort(v([1..n_i])).
+Only X^v is computed directly: X_w is a translated Schubert variety too,
+X_w = w_0 X^{pi(w_0 w)} (Brion, Lectures on the geometry of flag varieties,
+2005), so its vanishing set is that of X^{pi(w_0 w)} translated by w_0, its
+shadow is Delta(w_0, pi(w_0 w)), and ``delta_uv`` builds every piece of a
+certificate.
 A vanishing set maps each cut level to the sorted index tuples I with
 p_I = 0.  An index tuple is also the positive path whose horizontal steps
 are at I (``ladder.Path``), so the divisor {p_I = 0} and the facets on its
@@ -25,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .gc_polytope import Polytope
-from .ladder import LadderDiagram, Path, path_leq, path_of_partition
+from .ladder import LadderDiagram, Path, path_leq
 from .weyl import Permutation
 
 # cut level -> the index tuples I with p_I = 0 at that level
@@ -40,11 +41,9 @@ def w_divisor(u: Permutation, level: int) -> Path:
     return u.image(range(1, level + 1))
 
 
-def vanishing_schubert(
-    diagram: LadderDiagram, v: Permutation, opposite: bool = True
-) -> Vanishing:
-    """Vanishing coordinates of X^v (opposite=True) or X_v on the diagram's
-    flag variety, level by level."""
+def vanishing_schubert(diagram: LadderDiagram, v: Permutation) -> Vanishing:
+    """Vanishing coordinates of X^v on the diagram's flag variety, level by
+    level."""
     shape = diagram.shape
     if v.n != shape.n:
         raise ValueError(f"rank mismatch: {v.n} vs {shape.n}")
@@ -55,8 +54,7 @@ def vanishing_schubert(
         ref = w_divisor(v, level)
         dead = set()
         for p in diagram.paths_at_level(level):
-            alive = path_leq(ref, p) if opposite else path_leq(p, ref)
-            if not alive:
+            if not path_leq(ref, p):
                 dead.add(p)
         data[level] = frozenset(dead)
     return data
@@ -94,37 +92,3 @@ def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> Piece:
         for idx in sorted(u.image(i) for i in vanishing[level])
     ]
     return fold_paths(poly, paths)
-
-
-def toric_divisor_equations(diagram: LadderDiagram, edge) -> Vanishing:
-    """Coordinates vanishing on the toric divisor of an effective edge: all
-    p_I whose path contains the edge."""
-    if not diagram.is_effective(edge):
-        raise ValueError(f"edge {edge} is not effective")
-    data = {}
-    for level in diagram.shape.cuts:
-        data[level] = frozenset(
-            p
-            for p in diagram.paths_at_level(level)
-            if edge in diagram.effective_edges_on(p)
-        )
-    return data
-
-
-def toric_subvariety_equations(
-    diagram: LadderDiagram, mu: tuple[int, ...], dual: bool = False
-) -> Vanishing:
-    """Grassmannian toric subvariety equations: p_I = 0 for paths not above
-    (dual: not below) the path of mu.  These agree with the Schubert
-    vanishing sets, which is how the degeneration preserves index sets."""
-    shape = diagram.shape
-    if not shape.is_grassmannian():
-        raise ValueError(f"Grassmannian shape required, got {shape}")
-    m = shape.cuts[0]
-    ref = path_of_partition(tuple(mu), m, shape.n)
-    dead = set()
-    for p in diagram.paths_at_level(m):
-        alive = path_leq(p, ref) if dual else path_leq(ref, p)
-        if not alive:
-            dead.add(p)
-    return {m: frozenset(dead)}

@@ -6,7 +6,8 @@ certifies on vertex bitsets.  This module keeps what those replaced, so
 that tests can compare the two: the affine rank of a face's vertex set, the
 reduced faces found by reading the word of every edge subset of the right
 size, and the face algebra of unions of faces with the evaluation that
-folds them.
+folds them.  It also builds three faces by name: the whole polytope, the
+facet of an effective edge, and the face of a Kogan face.
 
 A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``antichain`` returns it, and ``meet`` is the one fold of an intersection
@@ -23,7 +24,7 @@ from fractions import Fraction
 from gcschub.certify import Certificate, EvaluationFailure
 from gcschub.coeffs import structure_constant
 from gcschub.gc_polytope import Face, Polytope
-from gcschub.kogan import KoganFace, enumerate_reduced, kogan_face_to_face, read_word
+from gcschub.kogan import KoganFace, enumerate_reduced, read_word
 from gcschub.ladder import LadderDiagram, Path
 from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import (
@@ -39,6 +40,26 @@ _MEETS: "weakref.WeakKeyDictionary[Polytope, dict[int, int]]" = weakref.WeakKeyD
 # polytope -> {(u, v) windows -> tight masks of the maximal faces of Delta(u, v)}
 _PIECES: "weakref.WeakKeyDictionary[Polytope, dict[tuple, tuple[int, ...]]]" = (
     weakref.WeakKeyDictionary())
+
+
+# -- faces by name -------------------------------------------------------------
+
+
+def whole_face(poly: Polytope) -> Face:
+    """The whole polytope, the face of the empty equality system."""
+    return poly.face_from_atoms([])
+
+
+def facet_face(poly: Polytope, edge) -> Face:
+    """The facet of an effective edge."""
+    return Face(poly, poly._facet_masks()[edge])
+
+
+def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:
+    """The equality system of the Kogan face inside the polytope."""
+    return poly.face_from_atoms(
+        [poly.diagram.edge_cells(e) for e in kface.edges]
+    )
 
 
 # -- unions of faces -----------------------------------------------------------
@@ -86,7 +107,7 @@ def meet(poly: Polytope, face_sets) -> tuple[Face, ...]:
     polytope and takes the sets with fewest faces first, purely to keep the
     intermediate antichains small, since the maximal faces of the result do
     not depend on the order; it stops at the first empty result."""
-    union = (poly.whole_face(),)
+    union = (whole_face(poly),)
     for faces in sorted(face_sets, key=len):
         meets = [intersect(poly, f, g) for f in union for g in faces]
         union = antichain([h for h in meets if not h.is_empty])
@@ -112,7 +133,7 @@ def vertex_bits(poly: Polytope, faces) -> int:
 
 def divisor_facets(poly: Polytope, path: Path) -> tuple[Face, ...]:
     """The facets of the effective edges on a divisor path."""
-    return tuple(poly.facet_face(e) for e in poly.diagram.effective_edges_on(path))
+    return tuple(facet_face(poly, e) for e in poly.diagram.effective_edges_on(path))
 
 
 def fold_paths_by_faces(poly: Polytope, paths) -> tuple[Face, ...]:

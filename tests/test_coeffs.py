@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 
 from gcschub import coeffs
 from gcschub.coeffs import (
-    all_triples,
-    apply_identities,
     SnTables,
     build_modified_partition,
     chevalley,
     gr_structure_constant,
     lr_coefficient,
-    pieri_gr2,
-    split_by_star,
     structure_constant,
 )
 from gcschub.weyl import (
@@ -33,10 +29,14 @@ from reference_oracle import (
     structure_constant_reference,
     truncated_product,
 )
+from paper_checks import pieri_gr2
 from reference_partition import (
+    all_triples,
+    apply_identities,
     build_modified_partition_closures,
     build_modified_partition_reference,
     recursion_step,
+    split_by_star,
 )
 
 S3 = [Permutation(p) for p in itertools.permutations(range(1, 4))]

@@ -13,18 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcschub import gc_polytope
-from gcschub.gc_polytope import Polytope, _canonical_key
+from gcschub.gc_polytope import Face, Polytope, _canonical_key
 from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
+from paper_checks import value_of
 from reference_faces import (
     antichain,
     contains,
     degeneration_union,
     delta_uv_by_faces,
     divisor_facets,
+    facet_face,
     intersect,
     meet,
+    whole_face,
 )
 
 
@@ -189,7 +192,7 @@ def facet_set_by_values(vertex) -> frozenset:
     out = []
     for edge in poly.diagram.effective_edges:
         a, b = poly.diagram.edge_cells(edge)
-        if vertex.value_of(a) == vertex.value_of(b):
+        if value_of(vertex, a) == value_of(vertex, b):
             out.append(edge)
     return frozenset(out)
 
@@ -244,13 +247,13 @@ def vertex_set(poly, f) -> frozenset:
 def reachable_faces(poly):
     """Every nonempty face reachable from the whole polytope by facet
     intersections."""
-    seen = {poly.whole_face()}
-    frontier = [poly.whole_face()]
+    seen = {whole_face(poly)}
+    frontier = [whole_face(poly)]
     while frontier:
         new = []
         for f in frontier:
             for e in poly.diagram.effective_edges:
-                g = intersect(poly, f, poly.facet_face(e))
+                g = intersect(poly, f, facet_face(poly, e))
                 if not g.is_empty and g not in seen:
                     seen.add(g)
                     new.append(g)
@@ -323,9 +326,9 @@ def fl4_kogan_faces(poly):
 class TestExhaustive:
     def test_gr25_all_pairs(self):
         poly = make(2, 5)
-        faces = reachable_faces(poly) + [poly.empty_face()]
+        faces = reachable_faces(poly) + [Face(poly, -1)]
         named = gr25_named_faces(poly)
-        assert set(named) - {poly.empty_face()} <= set(faces)
+        assert set(named) - {Face(poly, -1)} <= set(faces)
         faces = sorted(set(faces) | set(named))
         check_faces(poly, faces)
         check_edge_ids(poly, [f for f in faces if not f.is_empty])
@@ -334,7 +337,7 @@ class TestExhaustive:
 
     def test_fl4(self):
         poly = make(1, 2, 3, 4)
-        faces = reachable_faces(poly) + [poly.empty_face()]
+        faces = reachable_faces(poly) + [Face(poly, -1)]
         kogan = fl4_kogan_faces(poly)
         assert kogan and set(kogan) <= set(faces)
         check_faces(poly, faces)
@@ -358,9 +361,9 @@ FL5_EDGES = FL5.diagram.effective_edges
 
 
 def fl5_face(edges):
-    face = FL5.whole_face()
+    face = whole_face(FL5)
     for e in edges:
-        face = intersect(FL5, face, FL5.facet_face(e))
+        face = intersect(FL5, face, facet_face(FL5, e))
     return face
 
 
@@ -533,7 +536,7 @@ def test_memo_hit_derives_no_key():
     # a hit returns the face of the stored mask; its key enters the
     # polytope's key table only when asked for
     gr25 = make(2, 5)
-    f, g = (gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2])
+    f, g = (facet_face(gr25, e) for e in gr25.diagram.effective_edges[:2])
     assert not contains(f, g) and not contains(g, f)
     miss = intersect(gr25, f, g)
     hit = intersect(gr25, g, f)
@@ -549,7 +552,7 @@ def test_forced_cells_of_different_values_give_empty_face():
     by_value = {gr25.diagram.forced_value(c): c for c in sorted(forced)}
     a, b = by_value[1], by_value[2]
     assert gr25.face_from_atoms([(a, b)]).is_empty
-    assert gr25.face_from_atoms([(a, a)]) == gr25.whole_face()
+    assert gr25.face_from_atoms([(a, a)]) == whole_face(gr25)
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (1, 2, 3, 4)])
@@ -577,7 +580,7 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
         order = data.draw(st.permutations([divisor_facets(poly, p) for p in paths]))
         expected = delta_uv_by_faces(poly, u, v)
         assert meet(poly, order) == expected
-        union = (poly.whole_face(),)
+        union = (whole_face(poly),)
         for faces in order:
             union = antichain([intersect(poly, f, g) for f in union for g in faces])
         assert union == expected
@@ -587,7 +590,7 @@ def test_meet_does_not_depend_on_the_order(cuts_n):
 
 def test_meet_of_no_sets_and_of_an_empty_set():
     gr25 = make(2, 5)
-    facets = [gr25.facet_face(e) for e in gr25.diagram.effective_edges[:2]]
-    assert meet(gr25, []) == (gr25.whole_face(),)
+    facets = [facet_face(gr25, e) for e in gr25.diagram.effective_edges[:2]]
+    assert meet(gr25, []) == (whole_face(gr25),)
     assert meet(gr25, [facets]) == antichain(facets)
     assert meet(gr25, [facets, ()]) == ()

@@ -7,6 +7,7 @@ from gcschub.certify import search
 from gcschub.coeffs import lr_coefficient
 from gcschub import gc_polytope
 from gcschub.gc_polytope import (
+    Face,
     Polytope,
     UnsupportedShapeError,
     lattice_point_count,
@@ -14,7 +15,16 @@ from gcschub.gc_polytope import (
 from gcschub.ladder import LadderDiagram, validate_lambda
 from gcschub.kogan import enumerate_reduced
 from gcschub.weyl import ParabolicShape, Permutation, grassmannian_perm
-from reference_faces import antichain, contains, face_dimension_by_rank, intersect, meet
+from paper_checks import coordinate_point, value_of
+from reference_faces import (
+    antichain,
+    contains,
+    face_dimension_by_rank,
+    facet_face,
+    intersect,
+    meet,
+    whole_face,
+)
 
 
 def make(*cuts_n):
@@ -95,9 +105,9 @@ class TestVertices:
         with pytest.raises(ValueError):
             f.values
         with pytest.raises(ValueError):
-            f.value_of(free[0])
-        assert f.value_of(fixed[0]) == 2
-        for face in (GR24.whole_face(), GR24.empty_face()):
+            value_of(f, free[0])
+        assert value_of(f, fixed[0]) == 2
+        for face in (whole_face(GR24), Face(GR24, -1)):
             with pytest.raises(ValueError):
                 face.values
 
@@ -121,7 +131,7 @@ class TestRegularAndVX:
     def test_non_vertex_rejected(self):
         # on a Grassmannian too, where every vertex lies on the flag variety
         for poly in (GR24, FL3):
-            for face in (poly.whole_face(), poly.empty_face()):
+            for face in (whole_face(poly), Face(poly, -1)):
                 with pytest.raises(ValueError, match="not a vertex"):
                     poly.in_VX(face)
 
@@ -136,19 +146,19 @@ class TestRegularAndVX:
 
 class TestCoordinatePoints:
     def test_gr24_bijection_with_paths(self):
-        cps = sorted(GR24.coordinate_point(v)[2] for v in GR24.vertices())
+        cps = sorted(coordinate_point(GR24, v)[2] for v in GR24.vertices())
         assert cps == sorted(GR24.diagram.paths_at_level(2))
 
     def test_all_b_vertex_is_top_path(self):
         allb = [v for v in GR24.vertices() if set(v.values) == {2}][0]
-        assert GR24.coordinate_point(allb)[2] == (3, 4)
+        assert coordinate_point(GR24, allb)[2] == (3, 4)
 
     def test_fl3_regulars_distinct_and_nested(self):
         points = set()
         for v in FL3.vertices():
             if not FL3.is_regular(v):
                 continue
-            cp = FL3.coordinate_point(v)
+            cp = coordinate_point(FL3, v)
             assert set(cp[1]) <= set(cp[2])
             points.add((cp[1], cp[2]))
         assert len(points) == 6
@@ -157,7 +167,7 @@ class TestCoordinatePoints:
 class TestFaceArithmetic:
     def test_intersect_with_whole(self):
         f = GR24.named_face_F((1, 0))
-        assert intersect(GR24, f, GR24.whole_face()) == f
+        assert intersect(GR24, f, whole_face(GR24)) == f
 
     def test_contradictory_pins_empty(self):
         a = GR24.face_from_pins({(1, 1): 1})
@@ -173,7 +183,7 @@ class TestFaceArithmetic:
         from gcschub.ladder import path_of_partition
 
         fin = [
-            intersect(GR24, f, GR24.facet_face(e))
+            intersect(GR24, f, facet_face(GR24, e))
             for e in GR24.diagram.effective_edges_on(path_of_partition((1, 0), 2, 4))
         ]
         nonempty = [g for g in fin if not g.is_empty]
@@ -183,13 +193,13 @@ class TestFaceArithmetic:
         # every face arising as an intersection of facets, on three shapes
         for poly in (GR24, GR25, FL4):
             edges = poly.diagram.effective_edges
-            seen = {poly.whole_face()}
-            frontier = [poly.whole_face()]
+            seen = {whole_face(poly)}
+            frontier = [whole_face(poly)]
             while frontier:
                 nxt = []
                 for f in frontier:
                     for e in edges:
-                        g = intersect(poly, f, poly.facet_face(e))
+                        g = intersect(poly, f, facet_face(poly, e))
                         if not g.is_empty and g not in seen:
                             seen.add(g)
                             nxt.append(g)
@@ -202,11 +212,11 @@ class TestFaceArithmetic:
     def test_face_edge_ids_regenerate_face(self):
         f = GR24.named_face_F((1, 0))
         ids = f.edge_ids()
-        regen = GR24.whole_face()
+        regen = whole_face(GR24)
         for eid in ids:
             kind = eid[0]
             a, b = eid[2:-1].split(",")
-            regen = intersect(GR24, regen, GR24.facet_face((kind, int(a), int(b))))
+            regen = intersect(GR24, regen, facet_face(GR24, (kind, int(a), int(b))))
         assert regen == f
 
 
@@ -218,7 +228,7 @@ class TestNamedFaces:
             assert GR24.named_face_Fvee(mu).dim == sum(mu)
 
     def test_F_zero_is_whole(self):
-        assert GR24.named_face_F((0, 0)) == GR24.whole_face()
+        assert GR24.named_face_F((0, 0)) == whole_face(GR24)
 
     def test_Fvee_zero_is_vertex(self):
         f = GR24.named_face_Fvee((0, 0))
@@ -253,9 +263,9 @@ class TestUnionsOfFaces:
         assert antichain([small, big, big]) == (big,)
 
     def test_union_intersection_matches_pointwise(self):
-        f1 = GR24.facet_face(("H", 1, 1))
-        f2 = GR24.facet_face(("V", 1, 2))
-        g = GR24.facet_face(("H", 1, 2))
+        f1 = facet_face(GR24, ("H", 1, 1))
+        f2 = facet_face(GR24, ("V", 1, 2))
+        g = facet_face(GR24, ("H", 1, 2))
         for face in meet(GR24, [[f1, f2], [g]]):
             assert contains(face, face)
             assert contains(g, face)

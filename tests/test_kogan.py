@@ -8,7 +8,6 @@ from gcschub.gc_polytope import Polytope
 from gcschub.kogan import (
     enumerate_reduced,
     face_from_positions,
-    kogan_face_to_face,
     read_word,
     reference_word,
     word_positions,
@@ -20,8 +19,10 @@ from reference_faces import (
     contains,
     degeneration_union,
     delta_uv_by_faces,
+    kogan_face_to_face,
     reduced_faces_by_subsets,
     vertex_bits,
+    whole_face,
 )
 
 
@@ -149,7 +150,7 @@ class TestWalkMatchesSubsets:
 class TestDegenerationUnions:
     def test_whole_for_w0(self):
         fu = degeneration_union(P3, longest_element(3), opposite=False)
-        assert fu == (P3.whole_face(),)
+        assert fu == (whole_face(P3),)
 
     def test_s1_divisor_matches_delta(self):
         v = Permutation((2, 1, 3))

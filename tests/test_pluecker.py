@@ -3,20 +3,8 @@ import itertools
 import pytest
 
 from gcschub.gc_polytope import Polytope
-from gcschub.ladder import (
-    LadderDiagram,
-    incomparable,
-    join,
-    meet,
-)
-from gcschub.pluecker import (
-    delta_uv,
-    fold_paths,
-    toric_divisor_equations,
-    toric_subvariety_equations,
-    vanishing_schubert,
-    w_divisor,
-)
+from gcschub.ladder import LadderDiagram, path_leq
+from gcschub.pluecker import delta_uv, fold_paths, vanishing_schubert, w_divisor
 from gcschub.weyl import (
     ParabolicShape,
     Permutation,
@@ -25,6 +13,7 @@ from gcschub.weyl import (
     longest_element,
     min_coset_rep,
 )
+from paper_checks import join, meet, toric_divisor_equations, toric_subvariety_equations
 from reference_faces import (
     antichain,
     delta_uv_by_faces,
@@ -32,6 +21,7 @@ from reference_faces import (
     fold_paths_by_faces,
     intersect,
     vertex_bits,
+    whole_face,
 )
 
 
@@ -48,6 +38,21 @@ D3, P3 = setup(1, 2, 3)
 def translated(u, vanishing):
     """u acting by ``Permutation.image`` on every index tuple of a vanishing set."""
     return {level: frozenset(u.image(i) for i in idxs) for level, idxs in vanishing.items()}
+
+
+def vanishing_bottom(d, v):
+    """The vanishing set of X_v, as the translate w_0 X^{pi(w_0 v)}."""
+    w0 = longest_element(d.n)
+    return translated(w0, vanishing_schubert(d, min_coset_rep(w0 * v, d.shape)))
+
+
+def vanishing_bottom_direct(d, v):
+    """The vanishing set of X_v read off the paths: p_I vanishes at a level
+    iff the path of I does not run below the path of sort(v([1..level]))."""
+    return {
+        level: frozenset(p for p in d.paths_at_level(level) if not path_leq(p, w_divisor(v, level)))
+        for level in d.shape.cuts
+    }
 
 
 def box_partitions(m, width):
@@ -87,7 +92,7 @@ class TestVanishing:
 
     def test_full_box_schubert_is_whole(self):
         full = grassmannian_perm((2, 2), 2, 4)
-        assert vanishing_schubert(D24, full, opposite=False)[2] == frozenset()
+        assert vanishing_bottom(D24, full)[2] == frozenset()
 
     def test_s1_fl3(self):
         vs = vanishing_schubert(D3, Permutation((2, 1, 3)))
@@ -96,14 +101,15 @@ class TestVanishing:
 
     def test_levelwise_rule_vs_fixed_point_brute_force(self):
         # p_I vanishes on X^v iff no coset representative u >= v has
-        # sort(u[1..j]) = I; same for X_w with u <= w
+        # sort(u[1..j]) = I; same for X_w with u <= w, whose vanishing set
+        # is the translate of that of X^{pi(w_0 w)} by w_0
         for shape in (ParabolicShape((1, 2, 3), 4), ParabolicShape((2,), 4), ParabolicShape((1, 3), 4)):
             d = LadderDiagram(shape)
             perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
             reps = [w for w in perms if shape.in_min_coset_reps(w)]
             for v in reps:
                 for opposite in (True, False):
-                    got = vanishing_schubert(d, v, opposite=opposite)
+                    got = vanishing_schubert(d, v) if opposite else vanishing_bottom(d, v)
                     for level in shape.cuts:
                         alive = {
                             u.image(range(1, level + 1))
@@ -137,7 +143,7 @@ class TestVanishing:
             for w in perms:
                 if not shape.in_min_coset_reps(w):
                     continue
-                direct = vanishing_schubert(d, w, opposite=False)
+                direct = vanishing_bottom_direct(d, w)
                 via_translation = translated(
                     w0, vanishing_schubert(d, min_coset_rep(w0 * w, shape))
                 )
@@ -155,7 +161,7 @@ class TestDeltaUV:
     def test_id_id_is_whole(self):
         idt = Permutation.identity(4)
         fu = delta_uv_by_faces(P24, idt, idt)
-        assert fu == (P24.whole_face(),)
+        assert fu == (whole_face(P24),)
         assert delta_uv(P24, idt, idt).vertices == vertex_bits(P24, fu)
 
     def test_F_mu_for_all_mu(self):
@@ -188,7 +194,7 @@ class TestDeltaUV:
         for _ in range(5):
             shuffled = vanishing[:]
             rng.shuffle(shuffled)
-            union = (P25.whole_face(),)
+            union = (whole_face(P25),)
             for p in shuffled:
                 facets = divisor_facets(P25, p)
                 union = antichain([intersect(P25, f, g) for f in union for g in facets])
@@ -221,9 +227,7 @@ class TestToricEquations:
         for mu in box_partitions(2, 2):
             w = grassmannian_perm(mu, 2, 4)
             assert toric_subvariety_equations(D24, mu) == vanishing_schubert(D24, w)
-            assert toric_subvariety_equations(D24, mu, dual=True) == vanishing_schubert(
-                D24, w, opposite=False
-            )
+            assert toric_subvariety_equations(D24, mu, dual=True) == vanishing_bottom(D24, w)
 
     def test_mu_10_explicit(self):
         got = toric_subvariety_equations(D24, (1, 0))
@@ -247,7 +251,7 @@ class TestToricEquations:
             d = LadderDiagram(ParabolicShape(cuts_n[:-1], cuts_n[-1]))
             paths = d.all_paths()
             for p, q in itertools.combinations(paths, 2):
-                if not incomparable(p, q):
+                if path_leq(p, q) or path_leq(q, p):
                     continue
                 on_p = set(d.effective_edges_on(p))
                 on_q = set(d.effective_edges_on(q))

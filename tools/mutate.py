@@ -164,6 +164,12 @@ MUTANTS = (
         ("tests/test_pluecker.py",),
     ),
     Mutant(
+        "vanishing-keeps-paths-below", "src/gcschub/pluecker.py",
+        "            if not path_leq(ref, p):\n",
+        "            if not path_leq(p, ref):\n",
+        ("tests/test_pluecker.py::TestVanishing::test_levelwise_rule_vs_fixed_point_brute_force",),
+    ),
+    Mutant(
         "partition-drop-vanishing-merge", COEFFS,
         "            if vanishes:\n                partners.append(zero_root)\n",
         "",
