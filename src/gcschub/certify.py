@@ -432,14 +432,19 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
     """
     parts = _box_partitions(2, n - 2)
     polys: dict[int, Polytope] = {}
+    # (partition, m) -> its Grassmannian permutation, built once per sweep
+    perms: dict[tuple[tuple[int, ...], int], Permutation] = {}
+
+    def perm(mu: tuple[int, ...], m: int = 2) -> Permutation:
+        if (mu, m) not in perms:
+            perms[mu, m] = grassmannian_perm(mu, m, n)
+        return perms[mu, m]
+
     entries = []
     for lam, mu, eta in itertools.product(parts, repeat=3):
         if sum(eta) != sum(lam) + sum(mu):
             continue
-        oracle = structure_constant(
-            [grassmannian_perm(lam, 2, n), grassmannian_perm(mu, 2, n)],
-            grassmannian_perm(eta, 2, n),
-        )
+        oracle = structure_constant([perm(lam), perm(mu)], perm(eta))
         red = reduce_gr2(lam, mu, eta, n)
         if red is None:
             if oracle != 0:
@@ -449,8 +454,8 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
         m2, lam2, mu2, eta2 = red
         if m2 not in polys:
             polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
-        vs = [grassmannian_perm(lam2, m2, n), grassmannian_perm(mu2, m2, n)]
-        w = grassmannian_perm(eta2, m2, n)
+        vs = [perm(lam2, m2), perm(mu2, m2)]
+        w = perm(eta2, m2)
         res = search(polys[m2], vs, w, budget=budget, tiers=tiers)
         if not res.ok:
             entries.append({"triple": (lam, mu, eta), "status": "unresolved", "N": oracle})

@@ -23,7 +23,7 @@ derived from the mask on demand, by merging the tight pairs; a vertex key
 is read off its pattern.
 
 A vertex is a 0-dimensional face, the face of its tight mask.  On the
-lattice points whose top row takes the value k+2-l on block l, a point is
+lattice points whose top row takes the value -l on block l, a point is
 a vertex exactly when every class of entries joined by equal adjacent
 values is anchored, that is touches the top row (An-Cho-Kim).  An entry
 that equals neither of its upper neighbours lies strictly between them, so
@@ -35,11 +35,24 @@ and every such pattern is a vertex, each class running up to the top row.
 What lies below a row depends on its values alone, so the rows below each
 row are found once per call, with the number of patterns under it; the
 count is known before any face is built, and ``vertices`` refuses a
-polytope with more than ``MAX_VERTICES``.  Each vertex key is read off its
-pattern.  The facets through a face are read off the masks, those whose
-mask is a subset of its own.  A set of vertices is a bitset, bit i standing
-for the i-th vertex of ``vertices``; ``vertex_bitsets`` gives the whole
-vertex set and the vertices on each facet.
+polytope with more than ``MAX_VERTICES``.  Every adjacent pair joins an
+entry to one of its upper neighbours, so the tight bits of a pattern are
+those of its table edges, each a row and a row below it, and these are
+found once per edge.  One walk of the table then carries each pattern,
+flattened, with the OR of its edges' tight bits: that is the vertex's mask,
+and its key is read off the flattened pattern through a fixed list of
+entries, the top row's values being the key values -l.
+
+The facets through a face are read off the masks, those whose mask is a
+subset of its own.  A facet makes one pair tight, that of its edge, and no
+two facets share one, which ``_facet_masks`` asserts, so a vertex lies on
+the facet of bit j when its mask has bit j.  A set of vertices is a bitset,
+bit i standing for the i-th vertex of ``vertices``; ``vertex_bitsets``
+gives the whole vertex set and the vertices on each facet, each a column
+of the vertex masks written as numerals one after another.  A vertex is
+regular when its mask has as many facet bits as the polytope's dimension,
+and off the flag variety when the mask of the four pairs of some 2x2
+square of cells lies in its own.
 
 A face refers to its polytope, so the polytope caches masks and keys, never
 faces, and reference counting alone frees it.  Each polytope owns these
@@ -48,7 +61,10 @@ caches, which live as long as it does:
 * ``_keys``, the key table: tight mask -> saturated key, filled by
   ``vertices`` and by the first read of a face's ``key``;
 * ``_vertices``: the vertex masks, sorted by values;
-* ``_facets``: effective edge -> tight mask of its facet;
+* ``_facets``: effective edge -> tight mask of its facet, one pair bit, and
+  ``_facet_union``, the union of those bits, an int;
+* ``_squares``: the masks of the 2x2 squares of a complete flag, ints, and
+  empty on a Grassmannian, set by the first ``in_VX``;
 * ``_facet_bits``: effective edge -> vertex bitset of its facet, built once
   from the vertex masks;
 * ``delta_cache``: (u, v) windows -> the piece Delta(u, v), its vertex
@@ -69,6 +85,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .ladder import (
@@ -84,8 +101,8 @@ from .weyl import InputError, UnsupportedShapeError
 MAX_VERTICES = 200_000
 """The most vertices ``Polytope.vertices`` lists, and the most lattice
 points ``Polytope.lattice_points`` lists.  Fl7 has 99,665 vertices, whose
-masks and keys take about 45 MB under CPython 3.11; Fl8 has 3,000,736,
-which would need about 1.5 GB.  On Fl6, lambda = (6,5,4,3,2,1) has 32,768
+masks and keys take about 30 MB under CPython 3.11; Fl8 has 3,000,736,
+which would need about 0.9 GB.  On Fl6, lambda = (6,5,4,3,2,1) has 32,768
 lattice points and (12,10,8,6,4,2) has 14,348,907."""
 
 
@@ -176,8 +193,13 @@ class Polytope:
         self._keys: dict[int, tuple[int, ...] | None] = {}
         # vertex masks, sorted by values
         self._vertices: list[int] | None = None
-        # effective edge -> tight mask of its facet
+        # effective edge -> tight mask of its facet, one pair bit, and the
+        # union of those bits
         self._facets: dict[EdgeKey, int] = {}
+        self._facet_union = 0
+        # per 2x2 square of a complete flag, the tight bits of its four
+        # pairs; empty on a Grassmannian, set once the shape is checked
+        self._squares: tuple[int, ...] | None = None
         # effective edge -> vertex bitset of its facet
         self._facet_bits: dict[EdgeKey, int] = {}
         # (u, v) windows -> the piece Delta(u, v), a pluecker.Piece, filled
@@ -201,10 +223,14 @@ class Polytope:
 
     def _facet_masks(self) -> dict[EdgeKey, int]:
         """The tight mask of the facet of every effective edge, in the
-        order of ``diagram.effective_edges``, built on first use."""
+        order of ``diagram.effective_edges``, built on first use.  Each is
+        one pair bit, and no two facets share one."""
         if not self._facets:
             for e in self.diagram.effective_edges:
                 self._facets[e] = self.face_from_atoms([self.diagram.edge_cells(e)]).mask
+            for e, m in self._facets.items():
+                assert m > 0 and m.bit_count() == 1 and not m & self._facet_union, e
+                self._facet_union |= m
         return self._facets
 
     def face_from_atoms(self, atoms) -> Face:
@@ -232,14 +258,6 @@ class Polytope:
         return Face(self, mask)
 
     # -- tight masks -----------------------------------------------------------
-
-    def tight_mask(self, key: tuple[int, ...] | None) -> int:
-        """Bit i set when the inequality ``_pairs[i]`` holds with equality
-        everywhere on the face with this saturated key; -1 for the empty
-        face."""
-        if key is None:
-            return -1
-        return self._tight_pairs(key + self._const_values)
 
     def _tight_pairs(self, label) -> int:
         """Bit i set when the two nodes of ``_pairs[i]`` carry one label."""
@@ -306,29 +324,60 @@ class Polytope:
 
     # -- vertices -----------------------------------------------------------------
 
+    def _cell_pair_bits(self) -> dict[tuple[Cell, Cell], int]:
+        """The bit of every adjacent (lo, hi) pair of cells."""
+        bit = {pair: 1 << i for i, pair in enumerate(self._pairs)}
+        return {(lo, hi): bit[self._node(lo), self._node(hi)]
+                for lo, hi in self.diagram.adjacent_pairs()}
+
     def vertices(self) -> list[Face]:
-        """All 0-dimensional faces, sorted by values, enumerated once; the
-        masks are cached and their keys enter the key table.  Raises
-        UnsupportedShapeError when there are more than MAX_VERTICES."""
+        """All 0-dimensional faces, sorted by values, listed once in one
+        walk of the pattern table; the masks are cached and their keys
+        enter the key table.  Raises UnsupportedShapeError when there are
+        more than MAX_VERTICES."""
         if self._vertices is None:
-            # the top row takes the value k+2-l on block l, so that a_l is
-            # the integer k+2-l
-            top = self.shape.k + 2
-            lam = tuple(top - self.shape.block_of(c) for c in range(1, self.n + 1))
+            n = self.n
+            # the top row takes the value -l on block l, so that every
+            # entry of a vertex pattern is its key value
+            lam = tuple(-self.shape.block_of(c) for c in range(1, n + 1))
             table: dict[tuple[int, ...], tuple[int, list]] = {}
             count = _count_patterns(lam, table)
             if count > MAX_VERTICES:
                 raise UnsupportedShapeError(
                     f"shape {self.shape} has {count} vertices; at most {MAX_VERTICES} are listed"
                 )
-            keys = [
-                tuple(pattern[c + r - 2][c - 1] - top for c, r in self.boxes)
-                for pattern in _vertex_patterns(lam, table, [])
-            ]
+            # the box (c, r) is entry c-1 of the row of length i = c+r-1,
+            # whose pairs join it to entries c-1 and c of the row above
+            bits = self._cell_pair_bits()
+            in_row: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+            for c, r in self.boxes:
+                in_row[c + r - 1].append(
+                    (c - 1, bits[(c, r), (c, r + 1)], bits[(c + 1, r), (c, r)]))
+            # each table edge, a row and a row below it, with its tight bits
+            steps = {}
+            for row, (_, below) in table.items():
+                edges = steps[row] = []
+                for b in below:
+                    mask = 0
+                    for j, up, right in in_row[len(b)]:
+                        if b[j] == row[j]:
+                            mask |= up
+                        if b[j] == row[j + 1]:
+                            mask |= right
+                    edges.append((b, mask))
+            # the rows are flattened from the top row down: the row of
+            # length i starts at the sum of the longer lengths
+            take = operator.itemgetter(*(
+                (n * (n + 1) - (c + r - 1) * (c + r)) // 2 + c - 1 for c, r in self.boxes))
+            keys: list = []
+            masks: list[int] = []
+            _walk_vertices([(lam, 0)], (), 0, steps, take, keys, masks)
+            if len(self.boxes) == 1:  # one index makes itemgetter return the entry
+                keys = [(k,) for k in keys]
+            self._keys.update(zip(masks, keys))
             # a key is the negated values, so descending keys sort by values
-            keys.sort(reverse=True)
-            self._vertices = [self.tight_mask(key) for key in keys]
-            self._keys.update(zip(self._vertices, keys))
+            masks.sort(key=self._keys.__getitem__, reverse=True)
+            self._vertices = masks
         return [Face(self, mask) for mask in self._vertices]
 
     def vertex_bitsets(self) -> tuple[int, dict[EdgeKey, int]]:
@@ -338,11 +387,15 @@ class Polytope:
         listed, so it raises UnsupportedShapeError above MAX_VERTICES."""
         if not self._facet_bits:
             self.vertices()
-            # a vertex lies on a facet when the facet's mask is a subset of
-            # its own; the first digit of a numeral is its top bit
-            masks = self._vertices[::-1]
+            # a facet is one pair bit j, and a vertex lies on it when its
+            # mask has bit j: that is digit p-1-j of the p-digit numeral of
+            # the mask, and joining the numerals last vertex first puts the
+            # i-th vertex at bit i of every column
+            p = len(self._pairs)
+            spec = f"0{p}b"
+            digits = "".join([format(m, spec) for m in reversed(self._vertices)])
             for e, fm in self._facet_masks().items():
-                self._facet_bits[e] = int("".join("1" if m & fm == fm else "0" for m in masks), 2)
+                self._facet_bits[e] = int(digits[p - fm.bit_length()::p], 2)
         return (1 << len(self._vertices)) - 1, self._facet_bits
 
     def vertices_in(self, bits: int) -> list[Face]:
@@ -358,33 +411,44 @@ class Polytope:
     # -- regularity and membership in the flag variety -----------------------------
 
     def is_regular(self, v: Face) -> bool:
+        """Whether the face lies on as many facets as the polytope's
+        dimension; a facet is one pair bit, so that counts the facet bits
+        of its mask."""
         if not self.shape.is_complete():
             raise UnsupportedShapeError("regular vertices are defined for complete flags")
-        return len(v.facets()) == self.n * (self.n - 1) // 2
+        self._facet_masks()  # sets _facet_union
+        return (v.mask & self._facet_union).bit_count() == self.n * (self.n - 1) // 2
 
     def in_VX(self, v: Face) -> bool:
         """Whether the coordinate point of the vertex lies on the flag
         variety: always for Grassmannians; the no-constant-2x2-square
-        criterion for complete flags.  A face that is not a vertex is a
+        criterion for complete flags, a square being constant when its
+        mask lies in the vertex's.  A face that is not a vertex is a
         ValueError on every shape."""
         key = v.key
-        if key is None or max(key, default=0) > 0:
+        # free blocks are numbered from 1 by first occurrence
+        if key is None or 1 in key:
             raise ValueError(f"{v} is not a vertex")
-        if self.shape.is_grassmannian():
-            return True
-        if not self.shape.is_complete():
-            raise UnsupportedShapeError(
-                f"membership in the flag variety is not characterized for shape {self.shape}"
-            )
-        values = key + self._const_values
-        node = self._node
-        for i in range(1, self.n - 1):
-            for j in range(1, i + 1):
-                r = i - j + 1
-                if (values[node((j, r))] == values[node((j, r + 1))]
-                        == values[node((j + 1, r))] == values[node((j + 1, r + 1))]):
-                    return False
-        return True
+        if self._squares is None:
+            if self.shape.is_grassmannian():
+                self._squares = ()
+            elif not self.shape.is_complete():
+                raise UnsupportedShapeError(
+                    f"membership in the flag variety is not characterized for shape {self.shape}"
+                )
+            else:
+                # the square of the cells (j, r), (j, r+1), (j+1, r) and
+                # (j+1, r+1), the last at most in the top row, and the four
+                # pairs among them
+                bits = self._cell_pair_bits()
+                self._squares = tuple(
+                    bits[(j, r), (j, r + 1)] | bits[(j + 1, r), (j, r)]
+                    | bits[(j + 1, r), (j + 1, r + 1)] | bits[(j + 1, r + 1), (j, r + 1)]
+                    for j in range(1, self.n - 1)
+                    for r in range(1, self.n - j)
+                )
+        mask = v.mask
+        return all(sq & mask != sq for sq in self._squares)
 
     # -- named faces (Grassmannian) ----------------------------------------------
 
@@ -516,14 +580,20 @@ def _patterns(rows: list[tuple[int, ...]]):
         rows.pop()
 
 
-def _vertex_patterns(row: tuple[int, ...], table: dict, rows: list[tuple[int, ...]]):
-    """The vertex patterns with the counted ``row`` below the rows above
-    it, ``rows``, top first; bottom row first."""
-    if not row:
-        yield tuple(reversed(rows))
-        return
-    rows.append(row)
-    for below in table[row][1]:
-        yield from _vertex_patterns(below, table, rows)
-    rows.pop()
+def _walk_vertices(edges, flat, mask, steps, take, keys, masks) -> None:
+    """Append the key and the tight mask of every vertex pattern that
+    continues ``flat``, the rows so far from the top row down, with one of
+    the rows ``edges`` lists with the tight bits of its table edge; ``mask``
+    holds the tight bits of the table edges so far.  ``steps`` lists the
+    rows below each row in the same way, and ``take`` reads a key off a
+    flattened pattern."""
+    for below, edge in edges:
+        head = flat + below
+        if len(below) > 2:
+            _walk_vertices(steps[below], head, mask | edge, steps, take, keys, masks)
+        else:  # the rows below a row of two are the last
+            above = mask | edge
+            for last, bits in steps[below]:
+                keys.append(take(head + last))
+                masks.append(above | bits)
 

@@ -243,7 +243,8 @@ def grassmannian_perm(mu: tuple[int, ...], m: int, n: int) -> Permutation:
     if mu[0] > n - m:
         raise InputError(f"partition {mu} does not fit in {m}x{n - m}")
     first = [mu[m - j] + j for j in range(1, m + 1)]
-    rest = [v for v in range(1, n + 1) if v not in set(first)]
+    taken = set(first)
+    rest = [v for v in range(1, n + 1) if v not in taken]
     return Permutation(tuple(first + rest))
 
 

@@ -1,13 +1,17 @@
 """Slow references for faces of Gelfand-Cetlin polytopes.
 
 The package reads the dimension of a face off its saturated key, finds the
-reduced Kogan faces by a walk over the reduced prefixes of the target, and
-certifies on vertex bitsets.  This module keeps what those replaced, so
-that tests can compare the two: the affine rank of a face's vertex set, the
-reduced faces found by reading the word of every edge subset of the right
-size, and the face algebra of unions of faces with the evaluation that
-folds them.  It also builds three faces by name: the whole polytope, the
-facet of an effective edge, and the face of a Kogan face.
+reduced Kogan faces by a walk over the reduced prefixes of the target,
+certifies on vertex bitsets, and lists the vertices with their tight masks
+in one walk of the pattern table, testing regularity and flag membership
+on the masks.  This module keeps what those replaced, so that tests can
+compare the two: the affine rank of a face's vertex set, the reduced faces
+found by reading the word of every edge subset of the right size, the face
+algebra of unions of faces with the evaluation that folds them, the vertex
+listing that builds every pattern and takes the tight mask of its key, the
+facet count of a vertex and the flag test on its cell values.  It also
+builds three faces by name: the whole polytope, the facet of an effective
+edge, and the face of a Kogan face.
 
 A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``antichain`` returns it, and ``meet`` is the one fold of an intersection
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from gcschub.certify import Certificate, EvaluationFailure
 from gcschub.coeffs import structure_constant
-from gcschub.gc_polytope import Face, Polytope
+from gcschub.gc_polytope import Face, Polytope, _count_patterns
 from gcschub.kogan import KoganFace, enumerate_reduced, read_word
 from gcschub.ladder import LadderDiagram, Path
 from gcschub.pluecker import vanishing_schubert
@@ -60,6 +64,79 @@ def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:
     return poly.face_from_atoms(
         [poly.diagram.edge_cells(e) for e in kface.edges]
     )
+
+
+# -- vertices ------------------------------------------------------------------
+
+
+def tight_mask(poly: Polytope, key: tuple[int, ...] | None) -> int:
+    """Bit i set when the inequality ``poly._pairs[i]`` holds with equality
+    everywhere on the face with this saturated key; -1 for the empty
+    face."""
+    if key is None:
+        return -1
+    return poly._tight_pairs(key + poly._const_values)
+
+
+def vertex_patterns(row: tuple[int, ...], table: dict, rows: list[tuple[int, ...]]):
+    """The vertex patterns with the counted ``row`` below the rows above
+    it, ``rows``, top first; bottom row first."""
+    if not row:
+        yield tuple(reversed(rows))
+        return
+    rows.append(row)
+    for below in table[row][1]:
+        yield from vertex_patterns(below, table, rows)
+    rows.pop()
+
+
+def vertices_by_patterns(poly: Polytope) -> list[tuple[tuple[int, ...], int]]:
+    """(key, tight mask) of every vertex, sorted by values: each pattern
+    is built, its key read off cell by cell, and its mask taken pair by
+    pair."""
+    # the top row takes the value k+2-l on block l, so that a_l is the
+    # integer k+2-l
+    top = poly.shape.k + 2
+    lam = tuple(top - poly.shape.block_of(c) for c in range(1, poly.n + 1))
+    table: dict = {}
+    _count_patterns(lam, table)
+    keys = [
+        tuple(pattern[c + r - 2][c - 1] - top for c, r in poly.boxes)
+        for pattern in vertex_patterns(lam, table, [])
+    ]
+    # a key is the negated values, so descending keys sort by values
+    keys.sort(reverse=True)
+    return [(key, tight_mask(poly, key)) for key in keys]
+
+
+def is_regular_by_facets(poly: Polytope, v: Face) -> bool:
+    """Regularity by listing the facets through the face."""
+    if not poly.shape.is_complete():
+        raise UnsupportedShapeError("regular vertices are defined for complete flags")
+    return len(v.facets()) == poly.n * (poly.n - 1) // 2
+
+
+def in_VX_by_values(poly: Polytope, v: Face) -> bool:
+    """Flag membership on the cell values of the vertex: no 2x2 square of
+    cells carries one value."""
+    key = v.key
+    if key is None or max(key, default=0) > 0:
+        raise ValueError(f"{v} is not a vertex")
+    if poly.shape.is_grassmannian():
+        return True
+    if not poly.shape.is_complete():
+        raise UnsupportedShapeError(
+            f"membership in the flag variety is not characterized for shape {poly.shape}"
+        )
+    values = key + poly._const_values
+    node = poly._node
+    for i in range(1, poly.n - 1):
+        for j in range(1, i + 1):
+            r = i - j + 1
+            if (values[node((j, r))] == values[node((j, r + 1))]
+                    == values[node((j + 1, r))] == values[node((j + 1, r + 1))]):
+                return False
+    return True
 
 
 # -- unions of faces -----------------------------------------------------------

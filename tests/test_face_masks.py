@@ -3,8 +3,10 @@ references they replaced: key-walking containment, vertex-set containment,
 a fresh key-based saturation of every intersection and of every merge list
 by bound propagation, the anchored component test for vertices, the column
 sweep for the candidate points, the value-based facet test for vertices,
-and a hand-ordered fold for the reference ``meet``, each step the antichain
-of the pairwise intersections."""
+a hand-ordered fold for the reference ``meet``, each step the antichain
+of the pairwise intersections, and for the vertex tables the listing
+pattern by pattern, the per-vertex subset test for facet bitsets, the facet
+count for regularity and the cell-value square test for flag membership."""
 
 import itertools
 
@@ -26,7 +28,11 @@ from reference_faces import (
     divisor_facets,
     facet_face,
     intersect,
+    in_VX_by_values,
+    is_regular_by_facets,
     meet,
+    tight_mask,
+    vertices_by_patterns,
     whole_face,
 )
 
@@ -136,7 +142,7 @@ def saturate_by_bounds(poly, merges):
                 squeezed = True
         if not squeezed:
             key = _canonical_key(uf.parent, nb)
-            return key, poly.tight_mask(key)
+            return key, tight_mask(poly, key)
 
 
 def fresh_intersect(poly, f, g):
@@ -265,7 +271,7 @@ def check_faces(poly, faces):
     """Per face: the mask is the tight set of the key derived from it;
     across faces, distinct masks have distinct keys."""
     for f in faces:
-        assert f.mask == poly.tight_mask(f.key), f
+        assert f.mask == tight_mask(poly, f.key), f
     assert len({f.key for f in faces}) == len(set(faces))
 
 
@@ -509,7 +515,7 @@ def test_vertices_match_column_sweep(cuts_n, count):
     expected = []
     for vals in candidates:
         key = tuple(-v for v in vals)
-        if poly._key_of_mask(poly.tight_mask(key)) == key:
+        if poly._key_of_mask(tight_mask(poly, key)) == key:
             expected.append(vals)
     assert [v.values for v in poly.vertices()] == expected
     assert len(expected) == count
@@ -594,3 +600,97 @@ def test_meet_of_no_sets_and_of_an_empty_set():
     assert meet(gr25, []) == (whole_face(gr25),)
     assert meet(gr25, [facets]) == antichain(facets)
     assert meet(gr25, [facets, ()]) == ()
+
+
+def shapes(top: int) -> list[tuple[int, ...]]:
+    """Every shape with 2 <= n <= top, as cuts followed by n."""
+    return [
+        (*cuts, n)
+        for n in range(2, top + 1)
+        for size in range(1, n)
+        for cuts in itertools.combinations(range(1, n), size)
+    ]
+
+
+TABLE_SHAPES = sorted(set(shapes(6)) | set(VERTEX_COUNTS))
+
+
+def shape_id(cuts_n) -> str:
+    return ",".join(map(str, cuts_n))
+
+
+@pytest.mark.parametrize("cuts_n", TABLE_SHAPES, ids=shape_id)
+def test_vertex_walk_matches_pattern_listing(cuts_n):
+    # keys and masks from the one walk of the pattern table are those of
+    # the patterns built one by one, each mask taken pair by pair
+    poly = make(*cuts_n)
+    assert [(v.key, v.mask) for v in poly.vertices()] == vertices_by_patterns(poly)
+
+
+@pytest.mark.parametrize("cuts_n", TABLE_SHAPES, ids=shape_id)
+def test_facet_bitsets_match_subset_test(cuts_n):
+    poly = make(*cuts_n)
+    masks = [v.mask for v in poly.vertices()]
+    whole, table = poly.vertex_bitsets()
+    assert whole == (1 << len(masks)) - 1
+    for e, fm in poly._facet_masks().items():
+        assert table[e] == sum(1 << i for i, m in enumerate(masks) if m & fm == fm), e
+
+
+def _outcome(test, poly, face):
+    try:
+        return test(poly, face)
+    except ValueError as exc:  # UnsupportedShapeError is one too
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "cuts_n", [(1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6),
+               (2, 5), (1, 3, 5), (3, 4, 7)],
+    ids=shape_id,
+)
+def test_regular_and_flag_tests_match_cell_values(cuts_n):
+    # on every vertex, and on faces that are not vertices: the whole
+    # polytope, a facet and the empty face, whose mask -1 has one bit, as
+    # many as the dimension of Fl2; partial flags raise the same errors
+    poly = make(*cuts_n)
+    faces = poly.vertices() + [
+        whole_face(poly), facet_face(poly, poly.diagram.effective_edges[0]), Face(poly, -1)]
+    for face in faces:
+        for fast, slow in ((Polytope.is_regular, is_regular_by_facets),
+                           (Polytope.in_VX, in_VX_by_values)):
+            assert _outcome(fast, poly, face) == _outcome(slow, poly, face), (face, fast)
+
+
+def test_facet_is_one_pair_bit():
+    # on every shape with n <= 7, the facet of an effective edge makes only
+    # the pair of the edge's two cells tight
+    for cuts_n in shapes(7):
+        poly = make(*cuts_n)
+        facets = poly._facet_masks()
+        for e, m in facets.items():
+            a, b = (poly._node(c) for c in poly.diagram.edge_cells(e))
+            pair = (a, b) if (a, b) in poly._pairs else (b, a)
+            assert m == 1 << poly._pairs.index(pair), (cuts_n, e)
+        assert len(set(facets.values())) == len(facets), cuts_n
+    assert len(shapes(7)) == 120
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_square_masks_hold_the_pairs_of_their_cells(n):
+    # one mask per 2x2 square of cells, holding the bits of the four
+    # adjacent pairs among them
+    poly = make(*range(1, n + 1))
+    poly.in_VX(poly.vertices()[0])
+    expected = []
+    for j in range(1, n - 1):
+        for r in range(1, n - j):
+            square = {(j, r), (j, r + 1), (j + 1, r), (j + 1, r + 1)}
+            mask = 0
+            for lo, hi in poly.diagram.adjacent_pairs():
+                if lo in square and hi in square:
+                    mask |= 1 << poly._pairs.index((poly._node(lo), poly._node(hi)))
+            assert mask.bit_count() == 4
+            expected.append(mask)
+    assert sorted(poly._squares) == sorted(expected)
+    assert len(expected) == (n - 2) * (n - 1) // 2

@@ -116,14 +116,45 @@ MUTANTS = (
     ),
     Mutant(
         "vertices-unsorted", GC,
-        "            keys.sort(reverse=True)\n",
+        "            masks.sort(key=self._keys.__getitem__, reverse=True)\n",
         "",
         FACE_MASKS,
     ),
     Mutant(
+        "vertex-edge-skips-right-pairs", GC,
+        "                        if b[j] == row[j + 1]:\n"
+        "                            mask |= right\n",
+        "",
+        ("tests/test_face_masks.py::test_vertex_walk_matches_pattern_listing",),
+    ),
+    Mutant(
+        "square-drops-a-bit", GC,
+        " | bits[(j + 1, r + 1), (j, r + 1)]\n",
+        "\n",
+        ("tests/test_face_masks.py::test_square_masks_hold_the_pairs_of_their_cells",),
+    ),
+    Mutant(
+        "facet-bits-read-neighbouring-column", GC,
+        "digits[p - fm.bit_length()::p]",
+        "digits[p + 1 - fm.bit_length()::p]",
+        ("tests/test_face_masks.py::test_facet_bitsets_match_subset_test",),
+    ),
+    Mutant(
+        "regular-counts-every-tight-pair", GC,
+        "(v.mask & self._facet_union).bit_count()",
+        "v.mask.bit_count()",
+        ("tests/test_face_masks.py::test_regular_and_flag_tests_match_cell_values",),
+    ),
+    Mutant(
         "facet-cache-holds-face", GC,
-        "[self.diagram.edge_cells(e)]).mask\n        return self._facets\n",
+        "[self.diagram.edge_cells(e)]).mask\n"
+        "            for e, m in self._facets.items():\n"
+        "                assert m > 0 and m.bit_count() == 1 and not m & self._facet_union, e\n"
+        "                self._facet_union |= m\n"
+        "        return self._facets\n",
         "[self.diagram.edge_cells(e)])\n"
+        "            for face in self._facets.values():\n"
+        "                self._facet_union |= face.mask\n"
         "        return {e: face.mask for e, face in self._facets.items()}\n",
         ("tests/test_gc_polytope.py::test_no_reference_cycles",),
     ),
