@@ -7,12 +7,13 @@ and of X_w collapses to finitely many polytope vertices, all lying on the
 flag variety; the constant then equals the vertex count, which the engine
 always cross-checks against the structure-constant oracle.
 
-S is decided on vertex bitsets.  Its vertices are the AND of the vertex
-bitsets of the pieces.  S is finite unless it holds a face of positive
-dimension, and such a face holds an edge, whose two vertices lie in S.  A
-face inside a union of finitely many faces lies in one of them, so two
-vertices of S lie on one face inside S exactly when every divisor has a
-facet that holds both: the face they span is then in S.
+S is decided on vertex bitsets.  Its vertices are the AND, over the
+distinct divisors of the pieces, of the union of the facets on each
+divisor path (``Polytope.divisor``).  S is finite unless it holds a face
+of positive dimension, and such a face holds an edge, whose two vertices
+lie in S.  A face inside a union of finitely many faces lies in one of
+them, so two vertices of S lie on one face inside S exactly when every
+divisor has a facet that holds both: the face they span is then in S.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def evaluate(
 
     Every piece is a translated Schubert variety u X^v, the target one too:
     X_w = w_0 X^{pi(w_0 w)}, so it comes first as the pair (w_0, pi(w_0 w)).
-    Each Delta(u, v) depends on (u, v) alone: it is built once per
-    polytope and kept in its ``delta_cache`` under the two windows, as a
-    ``pluecker.Piece`` of vertex bitsets.  A shape with more vertices than
-    ``gc_polytope.MAX_VERTICES`` raises UnsupportedShapeError from the
-    count, before any piece is built.
+    Each piece depends on (u, v) alone: its divisors are found once per
+    polytope and kept in its ``delta_cache`` under the two windows, and a
+    divisor shared by two pieces is read once.  The vertices are listed
+    first, so a shape with more vertices than ``gc_polytope.MAX_VERTICES``
+    raises UnsupportedShapeError from the count, before any piece is built.
     """
     shape = poly.shape
     for x in list(vs) + [w] + list(us):
@@ -115,16 +116,20 @@ def evaluate(
 
     w0 = longest_element(poly.n)
     pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
+    inter = poly.vertex_bitsets()[0]
     cache = poly.delta_cache
-    inter = -1
-    divisors = []
+    paths = set()
     for u, v in pieces:
         key = (u.window, v.window)
         piece = cache.get(key)
         if piece is None:
             piece = cache[key] = delta_uv(poly, u, v)
-        inter &= piece.vertices
-        divisors.extend(piece.divisors)
+        paths |= piece
+    divisors = []
+    for path in paths:
+        union, facets = poly.divisor(path)
+        inter &= union
+        divisors.append(facets)
 
     oracle = structure_constant(list(vs), w)
     if not inter:

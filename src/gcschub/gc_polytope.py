@@ -67,9 +67,12 @@ caches, which live as long as it does:
   empty on a Grassmannian, set by the first ``in_VX``;
 * ``_facet_bits``: effective edge -> vertex bitset of its facet, built once
   from the vertex masks;
-* ``delta_cache``: (u, v) windows -> the piece Delta(u, v), its vertex
-  bitset and, per divisor path, the vertex bitsets of the facets on that
-  path (``pluecker.Piece``), filled by ``certify.evaluate``.
+* ``_divisors``, the divisor table: index tuple I -> the OR of the vertex
+  bitsets of the facets on I's path, and those bitsets in
+  ``effective_edges_on`` order, one row per tuple, filled by ``divisor``;
+* ``delta_cache``: (u, v) windows -> the piece u X^v as its divisors, the
+  frozenset of index tuples u(I) for I in the vanishing set of v, filled
+  by ``certify.evaluate``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.
@@ -92,6 +95,7 @@ from .ladder import (
     Cell,
     EdgeKey,
     LadderDiagram,
+    Path,
     Pattern,
     path_of_partition,
     validate_lambda,
@@ -202,9 +206,10 @@ class Polytope:
         self._squares: tuple[int, ...] | None = None
         # effective edge -> vertex bitset of its facet
         self._facet_bits: dict[EdgeKey, int] = {}
-        # (u, v) windows -> the piece Delta(u, v), a pluecker.Piece, filled
-        # by certify.evaluate
-        self.delta_cache: dict[tuple, tuple] = {}
+        # index tuple -> (union, facet bitsets) of its divisor
+        self._divisors: dict[Path, tuple[int, tuple[int, ...]]] = {}
+        # (u, v) windows -> the divisors of u X^v, filled by certify.evaluate
+        self.delta_cache: dict[tuple, frozenset[Path]] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -397,6 +402,20 @@ class Polytope:
             for e, fm in self._facet_masks().items():
                 self._facet_bits[e] = int(digits[p - fm.bit_length()::p], 2)
         return (1 << len(self._vertices)) - 1, self._facet_bits
+
+    def divisor(self, path: Path) -> tuple[int, tuple[int, ...]]:
+        """The divisor {p_I = 0} of an index tuple I on vertex bitsets: the
+        union of the facets on I's path, and each of them in
+        ``diagram.effective_edges_on`` order, built once per tuple."""
+        row = self._divisors.get(path)
+        if row is None:
+            table = self.vertex_bitsets()[1]
+            facets = tuple(table[e] for e in self.diagram.effective_edges_on(path))
+            union = 0
+            for f in facets:
+                union |= f
+            row = self._divisors[path] = (union, facets)
+        return row
 
     def vertices_in(self, bits: int) -> list[Face]:
         """The vertices whose bits are set, sorted by values."""

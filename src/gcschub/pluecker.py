@@ -1,6 +1,5 @@
-"""Plücker-index combinatorics of translated Schubert varieties and their
-toric shadows: vanishing sets, and the shadow Delta(u, v) on vertex
-bitsets.
+"""Plücker-index combinatorics of translated Schubert varieties: vanishing
+sets, and the divisors that cut out u X^v.
 
 A Schubert variety is cut out of the ambient product of projective spaces by
 coordinate hyperplanes; at each cut level n_i the coordinate p_I vanishes on
@@ -17,13 +16,13 @@ path are read off the same tuple.
 Translating by u sends p_I to p_{u.image(I)}, the sorted image of I; Plücker
 signs are dropped since only vanishing matters.
 
-The shadow of u X^v, the intersection over its divisors of the union of
-the facets on each divisor path, is kept on vertex bitsets as a ``Piece``.
+A piece u X^v is its set of divisors, the index tuples u(I) for I in the
+vanishing set of v.  Its shadow Delta(u, v) is the intersection over them
+of the union of the facets on each divisor path, which the polytope's
+divisor table holds on vertex bitsets (``Polytope.divisor``).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .gc_polytope import Polytope
 from .ladder import LadderDiagram, Path, path_leq
@@ -60,35 +59,9 @@ def vanishing_schubert(diagram: LadderDiagram, v: Permutation) -> Vanishing:
     return data
 
 
-class Piece(NamedTuple):
-    """An intersection of divisor facet unions on vertex bitsets: the
-    vertices in it, and per divisor path the vertex bitsets of the facets
-    on that path."""
-
-    vertices: int
-    divisors: tuple[tuple[int, ...], ...]
-
-
-def fold_paths(poly: Polytope, paths) -> Piece:
-    """Intersection of the facet unions of the given divisor paths: the AND,
-    over the paths, of the OR of the facet bitsets on each."""
-    bits, table = poly.vertex_bitsets()
-    divisors = tuple(tuple(table[e] for e in poly.diagram.effective_edges_on(p)) for p in paths)
-    for facets in divisors:
-        union = 0
-        for f in facets:
-            union |= f
-        bits &= union
-    return Piece(bits, divisors)
-
-
-def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> Piece:
-    """The set-theoretic intersection, over the divisors cutting out u X^v,
-    of the unions of facets on each divisor path."""
+def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> frozenset[Path]:
+    """The divisors cutting out u X^v, the index tuples u(I) for I in the
+    vanishing set of v; Delta(u, v) is the intersection over them of the
+    unions of facets on each divisor path."""
     vanishing = vanishing_schubert(poly.diagram, v)
-    paths = [
-        idx
-        for level in sorted(vanishing)
-        for idx in sorted(u.image(i) for i in vanishing[level])
-    ]
-    return fold_paths(poly, paths)
+    return frozenset(u.image(i) for paths in vanishing.values() for i in paths)

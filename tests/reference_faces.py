@@ -208,6 +208,16 @@ def vertex_bits(poly: Polytope, faces) -> int:
 # -- shadows and their evaluation --------------------------------------------------
 
 
+def divisor_bits(poly: Polytope, paths) -> int:
+    """The vertex bitset of the intersection of the divisors of the given
+    index tuples: the AND of their unions in the polytope's divisor
+    table."""
+    bits = poly.vertex_bitsets()[0]
+    for p in paths:
+        bits &= poly.divisor(p)[0]
+    return bits
+
+
 def divisor_facets(poly: Polytope, path: Path) -> tuple[Face, ...]:
     """The facets of the effective edges on a divisor path."""
     return tuple(facet_face(poly, e) for e in poly.diagram.effective_edges_on(path))

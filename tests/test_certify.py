@@ -17,6 +17,7 @@ from gcschub.certify import (
 from gcschub.coeffs import structure_constant
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
+from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import (
     InputError,
     ParabolicShape,
@@ -51,7 +52,7 @@ class TestEvaluate:
     def test_every_piece_cached_under_its_pair(self):
         # X_w = w_0 X^{pi(w_0 w)}: the target piece is cached under the pair
         # (w_0, pi(w_0 w)) like every factor, and a factor equal to it
-        # shares its entry
+        # shares its entry; each entry is u applied to the vanishing set of v
         poly = make(2, 4)
         idt = Permutation.identity(4)
         one = grassmannian_perm((1, 0), 2, 4)
@@ -65,6 +66,9 @@ class TestEvaluate:
         evaluate(poly, [rep, idt], eta, [w0, idt])
         assert set(poly.delta_cache) == {bottom, (one.window, one.window),
                                          (idt.window, one.window), (idt.window, idt.window)}
+        for (uw, vw), piece in poly.delta_cache.items():
+            u, vanishing = Permutation(uw), vanishing_schubert(poly.diagram, Permutation(vw))
+            assert piece == {u.image(i) for paths in vanishing.values() for i in paths}, (uw, vw)
 
     def test_empty_intersection_is_zero_certificate(self):
         n = 5

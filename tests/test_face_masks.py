@@ -6,7 +6,8 @@ sweep for the candidate points, the value-based facet test for vertices,
 a hand-ordered fold for the reference ``meet``, each step the antichain
 of the pairwise intersections, and for the vertex tables the listing
 pattern by pattern, the per-vertex subset test for facet bitsets, the facet
-count for regularity and the cell-value square test for flag membership."""
+count for regularity and the cell-value square test for flag membership, and
+for the divisor table the fold of the facet faces on each path."""
 
 import itertools
 
@@ -27,11 +28,13 @@ from reference_faces import (
     delta_uv_by_faces,
     divisor_facets,
     facet_face,
+    fold_paths_by_faces,
     intersect,
     in_VX_by_values,
     is_regular_by_facets,
     meet,
     tight_mask,
+    vertex_bits,
     vertices_by_patterns,
     whole_face,
 )
@@ -635,6 +638,22 @@ def test_facet_bitsets_match_subset_test(cuts_n):
     assert whole == (1 << len(masks)) - 1
     for e, fm in poly._facet_masks().items():
         assert table[e] == sum(1 << i for i, m in enumerate(masks) if m & fm == fm), e
+
+
+@pytest.mark.parametrize("cuts_n", [(2, 5), (3, 6), (1, 2, 3, 4), (1, 3, 5)], ids=shape_id)
+def test_divisor_table_matches_face_fold(cuts_n):
+    # every index tuple at every cut level: the union is the vertex set of
+    # the reference fold of its one path, the facets are the facet table
+    # read along the path, and the row is built once
+    poly = make(*cuts_n)
+    table = poly.vertex_bitsets()[1]
+    for level in poly.shape.cuts:
+        for path in poly.diagram.paths_at_level(level):
+            row = poly.divisor(path)
+            union, facets = row
+            assert union == vertex_bits(poly, fold_paths_by_faces(poly, [path])), path
+            assert facets == tuple(table[e] for e in poly.diagram.effective_edges_on(path)), path
+            assert poly.divisor(path) is row
 
 
 def _outcome(test, poly, face):

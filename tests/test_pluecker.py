@@ -4,7 +4,7 @@ import pytest
 
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram, path_leq
-from gcschub.pluecker import delta_uv, fold_paths, vanishing_schubert, w_divisor
+from gcschub.pluecker import delta_uv, vanishing_schubert, w_divisor
 from gcschub.weyl import (
     ParabolicShape,
     Permutation,
@@ -17,6 +17,7 @@ from paper_checks import join, meet, toric_divisor_equations, toric_subvariety_e
 from reference_faces import (
     antichain,
     delta_uv_by_faces,
+    divisor_bits,
     divisor_facets,
     fold_paths_by_faces,
     intersect,
@@ -156,13 +157,13 @@ class TestVanishing:
 
 class TestDeltaUV:
     """Each shadow twice: its maximal faces by the reference fold, and its
-    vertex bitset by ``delta_uv``."""
+    vertex bitset from the divisors ``delta_uv`` returns."""
 
     def test_id_id_is_whole(self):
         idt = Permutation.identity(4)
         fu = delta_uv_by_faces(P24, idt, idt)
         assert fu == (whole_face(P24),)
-        assert delta_uv(P24, idt, idt).vertices == vertex_bits(P24, fu)
+        assert divisor_bits(P24, delta_uv(P24, idt, idt)) == vertex_bits(P24, fu)
 
     def test_F_mu_for_all_mu(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
@@ -170,7 +171,8 @@ class TestDeltaUV:
                 v = grassmannian_perm(mu, m, n)
                 fu = delta_uv_by_faces(poly, Permutation.identity(n), v)
                 assert fu == (poly.named_face_F(mu),), (mu, fu)
-                assert delta_uv(poly, Permutation.identity(n), v).vertices == vertex_bits(poly, fu)
+                piece = delta_uv(poly, Permutation.identity(n), v)
+                assert divisor_bits(poly, piece) == vertex_bits(poly, fu)
 
     def test_Fvee_eta_for_all_eta(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
@@ -180,7 +182,7 @@ class TestDeltaUV:
                 rep = min_coset_rep(w0 * w, poly.shape)
                 fu = delta_uv_by_faces(poly, w0, rep)
                 assert fu == (poly.named_face_Fvee(eta),), (eta, fu)
-                assert delta_uv(poly, w0, rep).vertices == vertex_bits(poly, fu)
+                assert divisor_bits(poly, delta_uv(poly, w0, rep)) == vertex_bits(poly, fu)
 
     def test_fold_order_independent(self):
         import random
@@ -190,7 +192,7 @@ class TestDeltaUV:
         vs = vanishing_schubert(D25, v)
         vanishing = [idx for level in sorted(vs) for idx in sorted(vs[level])]
         reference = fold_paths_by_faces(P25, vanishing)
-        assert fold_paths(P25, vanishing).vertices == vertex_bits(P25, reference)
+        assert divisor_bits(P25, vanishing) == vertex_bits(P25, reference)
         for _ in range(5):
             shuffled = vanishing[:]
             rng.shuffle(shuffled)
@@ -242,7 +244,7 @@ class TestToricEquations:
                 paths = [tuple(sorted((k + 1, j))) for j in range(1, n + 1) if j != k + 1]
                 fu = fold_paths_by_faces(poly, paths)
                 assert fu == (poly.delta_k_face(k),), (n, k, fu)
-                assert fold_paths(poly, paths).vertices == vertex_bits(poly, fu), (n, k)
+                assert divisor_bits(poly, paths) == vertex_bits(poly, fu), (n, k)
 
     def test_straightening_lattice_compatibility(self):
         # an effective edge lies on one of two incomparable paths iff it

@@ -91,10 +91,30 @@ MUTANTS = (
         ("tests/test_certify.py::TestEvaluate::test_positive_dimension_reported",),
     ),
     Mutant(
-        "fold-or-drops-last-facet", "src/gcschub/pluecker.py",
-        "        for f in facets:\n            union |= f\n",
-        "        for f in facets[:-1]:\n            union |= f\n",
+        "fold-or-drops-last-facet", GC,
+        "            for f in facets:\n                union |= f\n",
+        "            for f in facets[:-1]:\n                union |= f\n",
         ("tests/test_evaluate_bitsets.py::test_every_piece_holds_the_vertices_of_the_reference_faces",),
+    ),
+    Mutant(
+        "divisor-table-keyed-by-level", GC,
+        "        row = self._divisors.get(path)\n"
+        "        if row is None:\n"
+        "            table = self.vertex_bitsets()[1]\n"
+        "            facets = tuple(table[e] for e in self.diagram.effective_edges_on(path))\n"
+        "            union = 0\n"
+        "            for f in facets:\n"
+        "                union |= f\n"
+        "            row = self._divisors[path] = (union, facets)\n",
+        "        row = self._divisors.get(len(path))\n"
+        "        if row is None:\n"
+        "            table = self.vertex_bitsets()[1]\n"
+        "            facets = tuple(table[e] for e in self.diagram.effective_edges_on(path))\n"
+        "            union = 0\n"
+        "            for f in facets:\n"
+        "                union |= f\n"
+        "            row = self._divisors[len(path)] = (union, facets)\n",
+        ("tests/test_face_masks.py::test_divisor_table_matches_face_fold",),
     ),
     Mutant(
         "evaluate-bottom-untranslated", "src/gcschub/certify.py",
@@ -190,8 +210,8 @@ MUTANTS = (
     ),
     Mutant(
         "delta-uv-ignores-translation", "src/gcschub/pluecker.py",
-        "sorted(u.image(i) for i in vanishing[level])",
-        "sorted(i for i in vanishing[level])",
+        "frozenset(u.image(i) for ",
+        "frozenset(i for ",
         ("tests/test_pluecker.py",),
     ),
     Mutant(
