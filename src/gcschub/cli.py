@@ -308,7 +308,7 @@ def faces(shape, mu, dual, delta_k, fmt):
         face = poly.delta_k_face(delta_k)
         name = f"delta_({delta_k})"
     elif mu is not None:
-        face = poly.named_face_Fvee(mu) if dual else poly.named_face_F(mu)
+        face = poly.named_face(mu, dual)
         name = ("Fvee_" if dual else "F_") + _partition_text(mu)
     else:
         raise click.UsageError("give --mu or --delta-k")

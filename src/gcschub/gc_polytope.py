@@ -44,9 +44,11 @@ and its key is read off the flattened pattern through a fixed list of
 entries, the top row's values being the key values -l.
 
 The facets through a face are read off the masks, those whose mask is a
-subset of its own.  A facet makes one pair tight, that of its edge, and no
-two facets share one, which ``_facet_masks`` asserts, so a vertex lies on
-the facet of bit j when its mask has bit j.  A set of vertices is a bitset,
+subset of its own.  A facet makes one pair tight, that of its edge's two
+cells, so its mask is that pair's bit, and no two facets share one; the
+test ``test_facet_is_one_pair_bit`` checks this against the saturation of
+each edge's equality on every shape with n <= 7.  A vertex lies on the
+facet of bit j when its mask has bit j.  A set of vertices is a bitset,
 bit i standing for the i-th vertex of ``vertices``; ``vertex_bitsets``
 gives the whole vertex set and the vertices on each facet, each a column
 of the vertex masks written as numerals one after another.  A vertex is
@@ -54,17 +56,25 @@ regular when its mask has as many facet bits as the polytope's dimension,
 and off the flag variety when the mask of the four pairs of some 2x2
 square of cells lies in its own.
 
+Every face is built one way, from an equality system on cells through
+``face_from_atoms``, which saturates it; the named faces pin boxes to a
+block value by merging them with a forced cell of that value.
+
 A face refers to its polytope, so the polytope caches masks and keys, never
 faces, and reference counting alone frees it.  Each polytope owns these
-caches, which live as long as it does:
+caches, which live as long as it does; ``__init__`` builds the first three
+tables, all read off the pair-bit map:
 
+* ``_pair_bits``, the pair-bit map: the two cells of an adjacent pair ->
+  its bit in a tight mask;
+* ``_facets``: effective edge -> tight mask of its facet, the pair bit of
+  its two cells, and ``_facet_union``, the union of those bits, an int;
+* ``_squares``: the masks of the 2x2 squares of a complete flag, ints,
+  empty on a Grassmannian and None on other shapes;
 * ``_keys``, the key table: tight mask -> saturated key, filled by
-  ``vertices`` and by the first read of a face's ``key``;
-* ``_vertices``: the vertex masks, sorted by values;
-* ``_facets``: effective edge -> tight mask of its facet, one pair bit, and
-  ``_facet_union``, the union of those bits, an int;
-* ``_squares``: the masks of the 2x2 squares of a complete flag, ints, and
-  empty on a Grassmannian, set by the first ``in_VX``;
+  ``_vertex_masks`` and by the first read of a face's ``key``;
+* ``_vertices``: the vertex masks, sorted by values, filled by
+  ``_vertex_masks``;
 * ``_facet_bits``: effective edge -> vertex bitset of its facet, built once
   from the vertex masks;
 * ``_divisors``, the divisor table: index tuple I -> the OR of the vertex
@@ -153,7 +163,7 @@ class Face:
         """The effective edges whose facets contain this face: those whose
         facet mask is a subset of this face's mask."""
         mask = self.mask
-        return [e for e, m in self.poly._facet_masks().items() if m & ~mask == 0]
+        return [e for e, m in self.poly._facets.items() if m & ~mask == 0]
 
     def edge_ids(self) -> list[str]:
         """Sorted identifiers of the effective edges whose facets contain
@@ -179,10 +189,14 @@ class Polytope:
         self.num_values = self.shape.k + 1
         # order constraints (lo, hi) with cells resolved to nodes: a box is
         # its index, a forced cell the value node len(boxes)+l-1 of its a_l.
-        self._pairs: list[tuple[int, int]] = []
-        for lo, hi in diagram.adjacent_pairs():
-            self._pairs.append((self._node(lo), self._node(hi)))
-        self._pairs = sorted(set(self._pairs))
+        # Keyed by the two cells, left or lower first as diagram.edge_cells
+        # gives them: (c, r) with (c, r+1) above it or (c+1, r) right of it.
+        nodes = {tuple(sorted(cells)): (self._node(cells[0]), self._node(cells[1]))
+                 for cells in diagram.adjacent_pairs()}
+        self._pairs: list[tuple[int, int]] = sorted(nodes.values())
+        # the pair-bit map: the two cells of a pair -> its bit in a tight mask
+        bit = {pair: 1 << i for i, pair in enumerate(self._pairs)}
+        self._pair_bits = {cells: bit[pair] for cells, pair in nodes.items()}
         # the order graph that saturation closes, the pairs alone: bit j of
         # _succ[i] is set when node j is node i or one step above it.  Its
         # closure already orders the value nodes a_{k+1} <= ... <= a_1.
@@ -197,13 +211,27 @@ class Polytope:
         self._keys: dict[int, tuple[int, ...] | None] = {}
         # vertex masks, sorted by values
         self._vertices: list[int] | None = None
-        # effective edge -> tight mask of its facet, one pair bit, and the
-        # union of those bits
-        self._facets: dict[EdgeKey, int] = {}
-        self._facet_union = 0
+        # effective edge -> tight mask of its facet, the pair bit of its two
+        # cells, and the union of those bits: distinct edges have distinct
+        # pairs, so the sum is the OR
+        self._facets = {e: self._pair_bits[diagram.edge_cells(e)]
+                        for e in diagram.effective_edges}
+        self._facet_union = sum(self._facets.values())
         # per 2x2 square of a complete flag, the tight bits of its four
-        # pairs; empty on a Grassmannian, set once the shape is checked
+        # pairs: the cells (j, r), (j, r+1), (j+1, r) and (j+1, r+1), the
+        # last at most in the top row; empty on a Grassmannian, and None
+        # where membership in the flag variety is not characterized
         self._squares: tuple[int, ...] | None = None
+        if self.shape.is_grassmannian():
+            self._squares = ()
+        elif self.shape.is_complete():
+            bits = self._pair_bits
+            self._squares = tuple(
+                bits[(j, r), (j, r + 1)] | bits[(j, r), (j + 1, r)]
+                | bits[(j + 1, r), (j + 1, r + 1)] | bits[(j, r + 1), (j + 1, r + 1)]
+                for j in range(1, self.n - 1)
+                for r in range(1, self.n - j)
+            )
         # effective edge -> vertex bitset of its facet
         self._facet_bits: dict[EdgeKey, int] = {}
         # index tuple -> (union, facet bitsets) of its divisor
@@ -226,27 +254,10 @@ class Polytope:
 
     # -- face construction ---------------------------------------------------
 
-    def _facet_masks(self) -> dict[EdgeKey, int]:
-        """The tight mask of the facet of every effective edge, in the
-        order of ``diagram.effective_edges``, built on first use.  Each is
-        one pair bit, and no two facets share one."""
-        if not self._facets:
-            for e in self.diagram.effective_edges:
-                self._facets[e] = self.face_from_atoms([self.diagram.edge_cells(e)]).mask
-            for e, m in self._facets.items():
-                assert m > 0 and m.bit_count() == 1 and not m & self._facet_union, e
-                self._facet_union |= m
-        return self._facets
-
     def face_from_atoms(self, atoms) -> Face:
         """Build the face from (cellA, cellB) equality atoms; a forced cell
         is its value node."""
         return self._checked([(self._node(a), self._node(b)) for a, b in atoms])
-
-    def face_from_pins(self, pin_cells: dict[Cell, int]) -> Face:
-        """Build the face pinning each box to its block value a_l."""
-        nb = len(self.boxes)
-        return self._checked([(self.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
 
     def _checked(self, merges) -> Face:
         """An equality system given from outside must cut out a face of the
@@ -329,17 +340,16 @@ class Polytope:
 
     # -- vertices -----------------------------------------------------------------
 
-    def _cell_pair_bits(self) -> dict[tuple[Cell, Cell], int]:
-        """The bit of every adjacent (lo, hi) pair of cells."""
-        bit = {pair: 1 << i for i, pair in enumerate(self._pairs)}
-        return {(lo, hi): bit[self._node(lo), self._node(hi)]
-                for lo, hi in self.diagram.adjacent_pairs()}
-
     def vertices(self) -> list[Face]:
-        """All 0-dimensional faces, sorted by values, listed once in one
-        walk of the pattern table; the masks are cached and their keys
-        enter the key table.  Raises UnsupportedShapeError when there are
-        more than MAX_VERTICES."""
+        """All 0-dimensional faces, sorted by values.  Raises
+        UnsupportedShapeError when there are more than MAX_VERTICES."""
+        return [Face(self, mask) for mask in self._vertex_masks()]
+
+    def _vertex_masks(self) -> list[int]:
+        """The tight masks of the vertices, sorted by values, found once in
+        one walk of the pattern table; their keys enter the key table.
+        Raises UnsupportedShapeError when there are more than
+        MAX_VERTICES."""
         if self._vertices is None:
             n = self.n
             # the top row takes the value -l on block l, so that every
@@ -353,11 +363,11 @@ class Polytope:
                 )
             # the box (c, r) is entry c-1 of the row of length i = c+r-1,
             # whose pairs join it to entries c-1 and c of the row above
-            bits = self._cell_pair_bits()
+            bits = self._pair_bits
             in_row: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
             for c, r in self.boxes:
                 in_row[c + r - 1].append(
-                    (c - 1, bits[(c, r), (c, r + 1)], bits[(c + 1, r), (c, r)]))
+                    (c - 1, bits[(c, r), (c, r + 1)], bits[(c, r), (c + 1, r)]))
             # each table edge, a row and a row below it, with its tight bits
             steps = {}
             for row, (_, below) in table.items():
@@ -383,15 +393,15 @@ class Polytope:
             # a key is the negated values, so descending keys sort by values
             masks.sort(key=self._keys.__getitem__, reverse=True)
             self._vertices = masks
-        return [Face(self, mask) for mask in self._vertices]
+        return self._vertices
 
     def vertex_bitsets(self) -> tuple[int, dict[EdgeKey, int]]:
         """The bitset of all vertices and the table from effective edge to
         the vertex bitset of its facet, bit i standing for the i-th vertex
-        of ``vertices()``.  The table is built once, after the vertices are
-        listed, so it raises UnsupportedShapeError above MAX_VERTICES."""
+        of ``vertices()``.  The table is built once, after the vertex masks
+        are found, so it raises UnsupportedShapeError above MAX_VERTICES."""
         if not self._facet_bits:
-            self.vertices()
+            self._vertex_masks()
             # a facet is one pair bit j, and a vertex lies on it when its
             # mask has bit j: that is digit p-1-j of the p-digit numeral of
             # the mask, and joining the numerals last vertex first puts the
@@ -399,7 +409,7 @@ class Polytope:
             p = len(self._pairs)
             spec = f"0{p}b"
             digits = "".join([format(m, spec) for m in reversed(self._vertices)])
-            for e, fm in self._facet_masks().items():
+            for e, fm in self._facets.items():
                 self._facet_bits[e] = int(digits[p - fm.bit_length()::p], 2)
         return (1 << len(self._vertices)) - 1, self._facet_bits
 
@@ -435,7 +445,6 @@ class Polytope:
         of its mask."""
         if not self.shape.is_complete():
             raise UnsupportedShapeError("regular vertices are defined for complete flags")
-        self._facet_masks()  # sets _facet_union
         return (v.mask & self._facet_union).bit_count() == self.n * (self.n - 1) // 2
 
     def in_VX(self, v: Face) -> bool:
@@ -449,23 +458,9 @@ class Polytope:
         if key is None or 1 in key:
             raise ValueError(f"{v} is not a vertex")
         if self._squares is None:
-            if self.shape.is_grassmannian():
-                self._squares = ()
-            elif not self.shape.is_complete():
-                raise UnsupportedShapeError(
-                    f"membership in the flag variety is not characterized for shape {self.shape}"
-                )
-            else:
-                # the square of the cells (j, r), (j, r+1), (j+1, r) and
-                # (j+1, r+1), the last at most in the top row, and the four
-                # pairs among them
-                bits = self._cell_pair_bits()
-                self._squares = tuple(
-                    bits[(j, r), (j, r + 1)] | bits[(j + 1, r), (j, r)]
-                    | bits[(j + 1, r), (j + 1, r + 1)] | bits[(j + 1, r + 1), (j, r + 1)]
-                    for j in range(1, self.n - 1)
-                    for r in range(1, self.n - j)
-                )
+            raise UnsupportedShapeError(
+                f"membership in the flag variety is not characterized for shape {self.shape}"
+            )
         mask = v.mask
         return all(sq & mask != sq for sq in self._squares)
 
@@ -475,27 +470,19 @@ class Polytope:
         if not self.shape.is_grassmannian():
             raise UnsupportedShapeError(f"operation needs a Grassmannian shape, got {self.shape}")
 
-    def named_face_F(self, mu: tuple[int, ...]) -> Face:
-        """All boxes below the path of mu pinned to the bottom value b."""
+    def named_face(self, mu: tuple[int, ...], dual: bool = False) -> Face:
+        """F_mu, every box below the path of mu pinned to the bottom value
+        b, or with ``dual`` its complementary face, every box above the
+        path pinned to the top value a."""
         self._require_grassmannian()
-        m = self.shape.cuts[0]
-        p = path_of_partition(tuple(mu), m, self.n)
-        pins = {}
-        for c in range(1, m + 1):
-            for r in range(1, p[c - 1] - c + 1):
-                pins[(c, r)] = 2
-        return self.face_from_pins(pins)
-
-    def named_face_Fvee(self, mu: tuple[int, ...]) -> Face:
-        """All boxes above the path of mu pinned to the top value a."""
-        self._require_grassmannian()
-        m = self.shape.cuts[0]
-        p = path_of_partition(tuple(mu), m, self.n)
-        pins = {}
-        for c in range(1, m + 1):
-            for r in range(p[c - 1] - c + 1, self.n - m + 1):
-                pins[(c, r)] = 1
-        return self.face_from_pins(pins)
+        m, n = self.shape.cuts[0], self.n
+        p = path_of_partition(tuple(mu), m, n)
+        # the forced cells (m+1, 1) of b and (1, n-m+1) of a
+        if dual:
+            return self.face_from_atoms([((c, r), (1, n - m + 1)) for c in range(1, m + 1)
+                                         for r in range(p[c - 1] - c + 1, n - m + 1)])
+        return self.face_from_atoms([((c, r), (m + 1, 1)) for c in range(1, m + 1)
+                                     for r in range(1, p[c - 1] - c + 1)])
 
     def delta_k_face(self, k: int) -> Face:
         """For Gr(2, n): the codimension-two face pinning level k to level
@@ -503,15 +490,11 @@ class Polytope:
         self._require_grassmannian()
         if self.shape.cuts[0] != 2:
             raise UnsupportedShapeError("delta_k is defined for Gr(2, n)")
-        n = self.n
-        if not 1 <= k <= n - 2:
-            raise InputError(f"k must be within 1..{n - 2}: {k}")
-        merges = [(self._node((1, k)), self._node((1, k + 1)))]
-        if k > 1:
-            merges.append((self._node((2, k - 1)), self._node((2, k))))
-        else:  # box (2, 1) pinned to b
-            merges.append((self.box_index[(2, 1)], len(self.boxes) + 1))
-        return self._checked(merges)
+        if not 1 <= k <= self.n - 2:
+            raise InputError(f"k must be within 1..{self.n - 2}: {k}")
+        # at k = 1, box (2, 1) is pinned to b through the forced cell (3, 1)
+        return self.face_from_atoms(
+            [((1, k), (1, k + 1)), ((2, k - 1), (2, k)) if k > 1 else ((2, 1), (3, 1))])
 
     # -- lattice points --------------------------------------------------------------
 

@@ -134,7 +134,8 @@ class ParabolicShape:
         return len(self.cuts) == 1
 
     def is_complete(self) -> bool:
-        return self.cuts == tuple(range(1, self.n))
+        # the cuts increase strictly within 1..n-1, so all of them are there
+        return len(self.cuts) == self.n - 1
 
     def block_of(self, c: int) -> int:
         """1-based index l of the block containing column/value c."""

@@ -1,17 +1,19 @@
 """Slow references for faces of Gelfand-Cetlin polytopes.
 
-The package reads the dimension of a face off its saturated key, finds the
-reduced Kogan faces by a walk over the reduced prefixes of the target,
-certifies on vertex bitsets, and lists the vertices with their tight masks
-in one walk of the pattern table, testing regularity and flag membership
-on the masks.  This module keeps what those replaced, so that tests can
+The package reads the dimension of a face off its saturated key, reads
+each facet off the bit of its edge's pair, pins the boxes of a named face
+by merging them with forced cells, finds the reduced Kogan faces by a walk
+over the reduced prefixes of the target, certifies on vertex bitsets, and
+lists the vertices with their tight masks in one walk of the pattern
+table, testing regularity and flag membership on the masks.  This module keeps what those replaced, so that tests can
 compare the two: the affine rank of a face's vertex set, the reduced faces
 found by reading the word of every edge subset of the right size, the face
 algebra of unions of faces with the evaluation that folds them, the vertex
 listing that builds every pattern and takes the tight mask of its key, the
 facet count of a vertex and the flag test on its cell values.  It also
-builds three faces by name: the whole polytope, the facet of an effective
-edge, and the face of a Kogan face.
+builds four faces by name: the whole polytope, the facet of an effective
+edge by saturation, the face of a set of pinned boxes, and the face of a
+Kogan face.
 
 A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``antichain`` returns it, and ``meet`` is the one fold of an intersection
@@ -55,8 +57,16 @@ def whole_face(poly: Polytope) -> Face:
 
 
 def facet_face(poly: Polytope, edge) -> Face:
-    """The facet of an effective edge."""
-    return Face(poly, poly._facet_masks()[edge])
+    """The facet of an effective edge, the saturation of its two cells'
+    equality."""
+    return poly.face_from_atoms([poly.diagram.edge_cells(edge)])
+
+
+def face_from_pins(poly: Polytope, pin_cells: dict) -> Face:
+    """The face pinning each box to its block value a_l, merged with the
+    value node of a_l."""
+    nb = len(poly.boxes)
+    return poly._checked([(poly.box_index[c], nb + l - 1) for c, l in pin_cells.items()])
 
 
 def kogan_face_to_face(poly: Polytope, kface: KoganFace) -> Face:

@@ -200,13 +200,13 @@ def test_criterion_5_degeneration_combinatorics():
         for mu in box_partitions(2, n - 2):
             w = grassmannian_perm(mu, 2, n)
             fu = delta_uv_by_faces(poly, Permutation.identity(n), w)
-            assert fu == (poly.named_face_F(mu),)
+            assert fu == (poly.named_face(mu),)
             piece = delta_uv(poly, Permutation.identity(n), w)
             assert divisor_bits(poly, piece) == vertex_bits(poly, fu)
             w0 = longest_element(n)
             rep = min_coset_rep(w0 * w, poly.shape)
             fv = delta_uv_by_faces(poly, w0, rep)
-            assert fv == (poly.named_face_Fvee(mu),)
+            assert fv == (poly.named_face(mu, dual=True),)
             assert divisor_bits(poly, delta_uv(poly, w0, rep)) == vertex_bits(poly, fv)
     poly5 = make(2, 5)
     for k in (1, 2, 3):

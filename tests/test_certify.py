@@ -12,6 +12,7 @@ from gcschub.certify import (
     store_append,
     store_read,
     sweep_complete_flag,
+    sweep_gr1,
     sweep_gr2,
 )
 from gcschub.coeffs import structure_constant
@@ -239,6 +240,14 @@ class TestChevalleySweeps:
                 w = grassmannian_perm(eta, m, n)
                 res = search(poly, vs, w, tiers=(2,))
                 assert res.ok and res.certificate.count == 1, (m, n, mu, eta)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_gr1_sweep_certifies_every_triple(self, n):
+        # every triple (a, b, a + b) with a + b <= n - 1 has constant 1
+        report = sweep_gr1(n)
+        assert len(report.entries) == n * (n + 1) // 2 and report.all_resolved
+        for e in report.entries:
+            assert (e["status"], e["N"]) == ("certified", 1), e
 
 
 class TestGr2Reduction:

@@ -6,8 +6,10 @@ sweep for the candidate points, the value-based facet test for vertices,
 a hand-ordered fold for the reference ``meet``, each step the antichain
 of the pairwise intersections, and for the vertex tables the listing
 pattern by pattern, the per-vertex subset test for facet bitsets, the facet
-count for regularity and the cell-value square test for flag membership, and
-for the divisor table the fold of the facet faces on each path."""
+count for regularity and the cell-value square test for flag membership, for
+the divisor table the fold of the facet faces on each path, for the facet
+table the saturated facets, and for the named faces the pinned boxes and
+the merge lists they replaced."""
 
 import itertools
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from gcschub import gc_polytope
 from gcschub.gc_polytope import Face, Polytope, _canonical_key
-from gcschub.ladder import LadderDiagram
+from gcschub.ladder import LadderDiagram, path_of_partition
 from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
 from paper_checks import value_of
@@ -27,6 +29,7 @@ from reference_faces import (
     degeneration_union,
     delta_uv_by_faces,
     divisor_facets,
+    face_from_pins,
     facet_face,
     fold_paths_by_faces,
     intersect,
@@ -318,8 +321,8 @@ def check_edge_ids(poly, faces):
 
 def gr25_named_faces(poly):
     parts = [(a, b) for a in range(4) for b in range(a + 1)]
-    named = [poly.named_face_F(mu) for mu in parts]
-    named += [poly.named_face_Fvee(mu) for mu in parts]
+    named = [poly.named_face(mu) for mu in parts]
+    named += [poly.named_face(mu, dual=True) for mu in parts]
     named += [poly.delta_k_face(k) for k in (1, 2, 3)]
     return named
 
@@ -479,8 +482,8 @@ def test_non_face_equality_system_rejected():
     # an equality system, but not a face, so no mask can identify it
     fl3 = make(1, 2, 3)
     with pytest.raises(ValueError):
-        fl3.face_from_pins({(1, 1): 2})
-    assert not fl3.face_from_pins({(1, 1): 1}).is_empty
+        face_from_pins(fl3, {(1, 1): 2})
+    assert not face_from_pins(fl3, {(1, 1): 1}).is_empty
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 7), (2, 4, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
@@ -636,7 +639,7 @@ def test_facet_bitsets_match_subset_test(cuts_n):
     masks = [v.mask for v in poly.vertices()]
     whole, table = poly.vertex_bitsets()
     assert whole == (1 << len(masks)) - 1
-    for e, fm in poly._facet_masks().items():
+    for e, fm in poly._facets.items():
         assert table[e] == sum(1 << i for i, m in enumerate(masks) if m & fm == fm), e
 
 
@@ -682,16 +685,19 @@ def test_regular_and_flag_tests_match_cell_values(cuts_n):
 
 
 def test_facet_is_one_pair_bit():
-    # on every shape with n <= 7, the facet of an effective edge makes only
-    # the pair of the edge's two cells tight
+    # on every shape with n <= 7, the facet table read off the pair bits is
+    # the saturation of each effective edge's equality: one bit per facet,
+    # no two facets sharing one, and the union their OR
     for cuts_n in shapes(7):
         poly = make(*cuts_n)
-        facets = poly._facet_masks()
-        for e, m in facets.items():
-            a, b = (poly._node(c) for c in poly.diagram.edge_cells(e))
-            pair = (a, b) if (a, b) in poly._pairs else (b, a)
-            assert m == 1 << poly._pairs.index(pair), (cuts_n, e)
-        assert len(set(facets.values())) == len(facets), cuts_n
+        union = 0
+        for e in poly.diagram.effective_edges:
+            saturated = facet_face(poly, e).mask
+            assert poly._facets[e] == saturated, (cuts_n, e)
+            assert saturated.bit_count() == 1 and not saturated & union, (cuts_n, e)
+            union |= saturated
+        assert list(poly._facets) == list(poly.diagram.effective_edges), cuts_n
+        assert poly._facet_union == union, cuts_n
     assert len(shapes(7)) == 120
 
 
@@ -700,7 +706,6 @@ def test_square_masks_hold_the_pairs_of_their_cells(n):
     # one mask per 2x2 square of cells, holding the bits of the four
     # adjacent pairs among them
     poly = make(*range(1, n + 1))
-    poly.in_VX(poly.vertices()[0])
     expected = []
     for j in range(1, n - 1):
         for r in range(1, n - j):
@@ -713,3 +718,71 @@ def test_square_masks_hold_the_pairs_of_their_cells(n):
             expected.append(mask)
     assert sorted(poly._squares) == sorted(expected)
     assert len(expected) == (n - 2) * (n - 1) // 2
+
+
+def test_square_masks_by_shape():
+    # built with the polytope: none on a Grassmannian, and None where
+    # membership in the flag variety is not characterized
+    assert make(2, 5)._squares == () and make(1, 2)._squares == ()
+    assert make(1, 3, 5)._squares is None
+    assert len(make(1, 2, 3)._squares) == 1
+
+
+def test_in_VX_checks_the_vertex_before_the_shape():
+    poly = make(1, 3, 5)
+    for face in (whole_face(poly), Face(poly, -1)):
+        with pytest.raises(ValueError) as info:
+            poly.in_VX(face)
+        assert type(info.value) is ValueError, face
+    with pytest.raises(UnsupportedShapeError):
+        poly.in_VX(poly.vertices()[0])
+
+
+def test_vertex_bitsets_build_no_face(monkeypatch):
+    # certification reads vertex masks: on a fresh polytope, the bitsets
+    # come from the masks alone, and only vertices() wraps them as faces
+    poly = make(1, 2, 3, 4)
+
+    def no_face(*args):
+        raise AssertionError("a Face was built")
+
+    monkeypatch.setattr(gc_polytope, "Face", no_face)
+    whole, table = poly.vertex_bitsets()
+    assert whole == (1 << 40) - 1 and len(table) == poly.facet_count
+    with pytest.raises(AssertionError):
+        poly.vertices()
+
+
+def _partitions(m: int, width: int) -> list[tuple[int, ...]]:
+    return [p for p in itertools.product(range(width, -1, -1), repeat=m)
+            if all(a >= b for a, b in zip(p, p[1:]))]
+
+
+@pytest.mark.parametrize("m_n", [s for s in shapes(7) if len(s) == 2], ids=shape_id)
+def test_named_faces_match_pinned_boxes(m_n):
+    # every partition in the box: F_mu pins the boxes below the path of mu
+    # to b (block value 2), its dual the boxes above it to a (value 1)
+    m, n = m_n
+    poly = make(m, n)
+    for mu in _partitions(m, n - m):
+        p = path_of_partition(mu, m, n)
+        below = {(c, r): 2 for c in range(1, m + 1) for r in range(1, p[c - 1] - c + 1)}
+        above = {(c, r): 1 for c in range(1, m + 1) for r in range(p[c - 1] - c + 1, n - m + 1)}
+        assert set(below) | set(above) == set(poly.boxes) and not set(below) & set(above)
+        assert poly.named_face(mu) == face_from_pins(poly, below), mu
+        assert poly.named_face(mu, dual=True) == face_from_pins(poly, above), mu
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_delta_k_face_matches_merge_list(n):
+    # level k merged with level k+1 in both columns, box (2, 1) pinned to
+    # the value node of b at k = 1
+    poly = make(2, n)
+    nb = len(poly.boxes)
+    for k in range(1, n - 1):
+        merges = [(poly._node((1, k)), poly._node((1, k + 1)))]
+        if k > 1:
+            merges.append((poly._node((2, k - 1)), poly._node((2, k))))
+        else:
+            merges.append((poly.box_index[(2, 1)], nb + 1))
+        assert poly.delta_k_face(k) == poly._checked(merges), k

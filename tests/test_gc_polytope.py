@@ -20,6 +20,7 @@ from reference_faces import (
     antichain,
     contains,
     face_dimension_by_rank,
+    face_from_pins,
     facet_face,
     intersect,
     meet,
@@ -78,7 +79,7 @@ class TestVertices:
         # a vertex is the face of its values, pinned from outside
         for v in GR24.vertices():
             assert v.dim == 0
-            face = GR24.face_from_pins(dict(zip(GR24.boxes, v.values)))
+            face = face_from_pins(GR24, dict(zip(GR24.boxes, v.values)))
             assert face == v and hash(face) == hash(v)
 
     def test_sorted_by_values(self):
@@ -98,7 +99,7 @@ class TestVertices:
                 assert poly.vertices_in(bits) == [v for v in verts if e in v.facets()], e
 
     def test_positive_dimension_is_not_a_vertex(self):
-        f = GR24.named_face_F((1, 0))
+        f = GR24.named_face((1, 0))
         fixed = [c for c, v in zip(GR24.boxes, f.key) if v < 0]
         free = [c for c, v in zip(GR24.boxes, f.key) if v > 0]
         assert f.dim == 3 and fixed and free
@@ -166,19 +167,19 @@ class TestCoordinatePoints:
 
 class TestFaceArithmetic:
     def test_intersect_with_whole(self):
-        f = GR24.named_face_F((1, 0))
+        f = GR24.named_face((1, 0))
         assert intersect(GR24, f, whole_face(GR24)) == f
 
     def test_contradictory_pins_empty(self):
-        a = GR24.face_from_pins({(1, 1): 1})
-        b = GR24.face_from_pins({(1, 1): 2})
+        a = face_from_pins(GR24, {(1, 1): 1})
+        b = face_from_pins(GR24, {(1, 1): 2})
         assert intersect(GR24, a, b).is_empty
         assert intersect(GR24, a, b).dim == -1
 
     def test_richardson_segment_and_chevalley_point(self):
         # the face pair differs by one box: a one-dimensional face, which a
         # single divisor facet on the path of (1,0) cuts down to a vertex
-        f = intersect(GR24, GR24.named_face_F((1, 0)), GR24.named_face_Fvee((1, 1)))
+        f = intersect(GR24, GR24.named_face((1, 0)), GR24.named_face((1, 1), dual=True))
         assert f.dim == 1
         from gcschub.ladder import path_of_partition
 
@@ -210,7 +211,7 @@ class TestFaceArithmetic:
             assert len(seen) > poly.facet_count
 
     def test_face_edge_ids_regenerate_face(self):
-        f = GR24.named_face_F((1, 0))
+        f = GR24.named_face((1, 0))
         ids = f.edge_ids()
         regen = whole_face(GR24)
         for eid in ids:
@@ -224,14 +225,14 @@ class TestNamedFaces:
     def test_F_dimensions(self):
         # dim F_mu = sum(n - m - mu_i)
         for mu in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
-            assert GR24.named_face_F(mu).dim == sum(2 - x for x in mu)
-            assert GR24.named_face_Fvee(mu).dim == sum(mu)
+            assert GR24.named_face(mu).dim == sum(2 - x for x in mu)
+            assert GR24.named_face(mu, dual=True).dim == sum(mu)
 
     def test_F_zero_is_whole(self):
-        assert GR24.named_face_F((0, 0)) == whole_face(GR24)
+        assert GR24.named_face((0, 0)) == whole_face(GR24)
 
     def test_Fvee_zero_is_vertex(self):
-        f = GR24.named_face_Fvee((0, 0))
+        f = GR24.named_face((0, 0), dual=True)
         assert f.dim == 0
         assert set(f.values) == {1}
         listed = [v for v in GR24.vertices() if v.values == f.values]
@@ -241,7 +242,7 @@ class TestNamedFaces:
         parts = [(a, b) for a in range(4) for b in range(a + 1)]
         for mu in parts:
             for eta in parts:
-                f = intersect(GR25, GR25.named_face_F(mu), GR25.named_face_Fvee(eta))
+                f = intersect(GR25, GR25.named_face(mu), GR25.named_face(eta, dual=True))
                 if all(x <= y for x, y in zip(mu, eta)):
                     assert f.dim == sum(eta) - sum(mu)
                 else:
@@ -258,8 +259,8 @@ class TestNamedFaces:
 
 class TestUnionsOfFaces:
     def test_antichain_reduction(self):
-        big = GR24.named_face_F((1, 0))
-        small = intersect(GR24, big, GR24.named_face_Fvee((2, 1)))
+        big = GR24.named_face((1, 0))
+        small = intersect(GR24, big, GR24.named_face((2, 1), dual=True))
         assert antichain([small, big, big]) == (big,)
 
     def test_union_intersection_matches_pointwise(self):

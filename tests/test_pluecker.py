@@ -170,7 +170,7 @@ class TestDeltaUV:
             for mu in box_partitions(2, n - 2):
                 v = grassmannian_perm(mu, m, n)
                 fu = delta_uv_by_faces(poly, Permutation.identity(n), v)
-                assert fu == (poly.named_face_F(mu),), (mu, fu)
+                assert fu == (poly.named_face(mu),), (mu, fu)
                 piece = delta_uv(poly, Permutation.identity(n), v)
                 assert divisor_bits(poly, piece) == vertex_bits(poly, fu)
 
@@ -181,7 +181,7 @@ class TestDeltaUV:
                 w = grassmannian_perm(eta, m, n)
                 rep = min_coset_rep(w0 * w, poly.shape)
                 fu = delta_uv_by_faces(poly, w0, rep)
-                assert fu == (poly.named_face_Fvee(eta),), (eta, fu)
+                assert fu == (poly.named_face(eta, dual=True),), (eta, fu)
                 assert divisor_bits(poly, delta_uv(poly, w0, rep)) == vertex_bits(poly, fu)
 
     def test_fold_order_independent(self):

@@ -368,3 +368,13 @@ def test_cached_length_s8_sample(window):
     w = Permutation(window)
     assert length(w) == inversions == len(reduced_word(w))
     assert length(Permutation(window)) == inversions
+
+
+def test_is_complete_counts_the_cuts():
+    # cuts increase strictly within 1..n-1, so there are n-1 of them only
+    # when they are all of 1..n-1
+    for n in range(2, 9):
+        for size in range(1, n):
+            for cuts in itertools.combinations(range(1, n), size):
+                shape = ParabolicShape(cuts, n)
+                assert shape.is_complete() == (cuts == tuple(range(1, n))), shape

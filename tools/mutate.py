@@ -149,7 +149,7 @@ MUTANTS = (
     ),
     Mutant(
         "square-drops-a-bit", GC,
-        " | bits[(j + 1, r + 1), (j, r + 1)]\n",
+        " | bits[(j, r + 1), (j + 1, r + 1)]\n",
         "\n",
         ("tests/test_face_masks.py::test_square_masks_hold_the_pairs_of_their_cells",),
     ),
@@ -166,17 +166,34 @@ MUTANTS = (
         ("tests/test_face_masks.py::test_regular_and_flag_tests_match_cell_values",),
     ),
     Mutant(
-        "facet-cache-holds-face", GC,
-        "[self.diagram.edge_cells(e)]).mask\n"
-        "            for e, m in self._facets.items():\n"
-        "                assert m > 0 and m.bit_count() == 1 and not m & self._facet_union, e\n"
-        "                self._facet_union |= m\n"
-        "        return self._facets\n",
-        "[self.diagram.edge_cells(e)])\n"
-        "            for face in self._facets.values():\n"
-        "                self._facet_union |= face.mask\n"
-        "        return {e: face.mask for e, face in self._facets.items()}\n",
-        ("tests/test_gc_polytope.py::test_no_reference_cycles",),
+        "facet-union-misses-a-bit", GC,
+        "        self._facet_union = sum(self._facets.values())\n",
+        "        self._facet_union = sum(list(self._facets.values())[1:])\n",
+        ("tests/test_face_masks.py::test_facet_is_one_pair_bit",),
+    ),
+    Mutant(
+        "squares-empty-on-partial-flags", GC,
+        "        self._squares: tuple[int, ...] | None = None\n",
+        "        self._squares: tuple[int, ...] | None = ()\n",
+        ("tests/test_face_masks.py::test_square_masks_by_shape",),
+    ),
+    Mutant(
+        "vertex-bitsets-list-faces", GC,
+        "            self._vertex_masks()\n",
+        "            self.vertices()\n",
+        ("tests/test_face_masks.py::test_vertex_bitsets_build_no_face",),
+    ),
+    Mutant(
+        "dual-named-face-pinned-to-b", GC,
+        "((c, r), (1, n - m + 1))",
+        "((c, r), (m + 1, 1))",
+        ("tests/test_face_masks.py::test_named_faces_match_pinned_boxes",),
+    ),
+    Mutant(
+        "delta-k-pins-box-to-a", GC,
+        "((2, 1), (3, 1))",
+        "((2, 1), (1, self.n - 1))",
+        ("tests/test_face_masks.py::test_delta_k_face_matches_merge_list",),
     ),
     Mutant(
         "vertices-prune-forced", GC,
