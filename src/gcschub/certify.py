@@ -7,13 +7,14 @@ and of X_w collapses to finitely many polytope vertices, all lying on the
 flag variety; the constant then equals the vertex count, which the engine
 always cross-checks against the structure-constant oracle.
 
-S is decided on vertex bitsets.  Its vertices are the AND, over the
-distinct divisors of the pieces, of the union of the facets on each
-divisor path (``Polytope.divisor``).  S is finite unless it holds a face
-of positive dimension, and such a face holds an edge, whose two vertices
-lie in S.  A face inside a union of finitely many faces lies in one of
-them, so two vertices of S lie on one face inside S exactly when every
-divisor has a facet that holds both: the face they span is then in S.
+S is decided on vertex bitsets.  A piece is one row: the AND of the vertex
+bitsets of its divisors, each the union of the facets on its path, and
+the set of their masks of facet pair bits (``Polytope.divisor``).  The
+vertices of S are the AND of the rows, and S is finite unless it holds an
+edge, whose vertices a and b lie in S.  The smallest face holding a and b
+has tight mask m_a & m_b; a face inside a union of finitely many faces
+lies in one of them, so that face lies in S exactly when m_a & m_b meets
+every divisor mask.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ def evaluate(
 
     Every piece is a translated Schubert variety u X^v, the target one too:
     X_w = w_0 X^{pi(w_0 w)}, so it comes first as the pair (w_0, pi(w_0 w)).
-    Each piece depends on (u, v) alone: its divisors are found once per
-    polytope and kept in its ``delta_cache`` under the two windows, and a
-    divisor shared by two pieces is read once.  The vertices are listed
-    first, so a shape with more vertices than ``gc_polytope.MAX_VERTICES``
-    raises UnsupportedShapeError from the count, before any piece is built.
+    Each piece depends on (u, v) alone: its row is built once per polytope
+    from the divisor table and kept in its ``delta_cache`` under the two
+    windows.  The vertices are listed first, so a shape with more vertices
+    than ``gc_polytope.MAX_VERTICES`` raises UnsupportedShapeError from
+    the count, before any piece is built.
     """
     shape = poly.shape
     for x in list(vs) + [w] + list(us):
@@ -116,33 +117,33 @@ def evaluate(
 
     w0 = longest_element(poly.n)
     pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
-    inter = poly.vertex_bitsets()[0]
+    inter = whole = poly.vertex_bitsets()[0]
     cache = poly.delta_cache
-    paths = set()
+    masks: set[int] = set()
     for u, v in pieces:
         key = (u.window, v.window)
-        piece = cache.get(key)
-        if piece is None:
-            piece = cache[key] = delta_uv(poly, u, v)
-        paths |= piece
-    divisors = []
-    for path in paths:
-        union, facets = poly.divisor(path)
-        inter &= union
-        divisors.append(facets)
+        row = cache.get(key)
+        if row is None:
+            divisors = [poly.divisor(path) for path in delta_uv(poly, u, v)]
+            bits = whole
+            for union, _ in divisors:
+                bits &= union
+            row = cache[key] = (bits, frozenset(mask for _, mask in divisors))
+        inter &= row[0]
+        masks |= row[1]
 
     oracle = structure_constant(list(vs), w)
     if not inter:
         status = "certified" if oracle == 0 else "mismatch"
         return Certificate(shape, tuple(vs), w, tuple(us), (), 0, oracle, status)
-    pair = _pair_on_one_face(inter, divisors)
+    verts = poly.vertices_in(inter)
+    pair = _pair_on_one_face([v.mask for v in verts], masks)
     if pair is not None:
-        a, b = poly.vertices_in(pair)
+        a, b = (verts[i].values for i in pair)
         return EvaluationFailure(
             "positive_dimension",
-            f"vertices {a.values} and {b.values} span a face inside the intersection",
+            f"vertices {a} and {b} span a face inside the intersection",
         )
-    verts = poly.vertices_in(inter)
     try:
         outside = [v for v in verts if not poly.in_VX(v)]
     except UnsupportedShapeError as exc:
@@ -160,25 +161,15 @@ def evaluate(
     return Certificate(shape, tuple(vs), w, tuple(us), tuple(verts), count, oracle, status)
 
 
-def _pair_on_one_face(bits: int, divisors) -> int | None:
-    """The bitset of two vertices of ``bits`` such that every divisor has a
-    facet holding both, or None when no two do."""
-    rest = bits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        # the relation is symmetric, so the vertices after this one suffice
-        together = rest
-        for facets in divisors:
-            near = 0
-            for f in facets:
-                if f & low:
-                    near |= f
-            together &= near
-            if not together:
-                break
-        if together:
-            return low | (together & -together)
+def _pair_on_one_face(tight: list[int], masks) -> tuple[int, int] | None:
+    """The indices i < j of two vertices, given by their tight masks, whose
+    common tight bits meet every divisor mask, the lowest i first and then
+    its lowest j; None when no two do."""
+    for i, a in enumerate(tight):
+        for j in range(i + 1, len(tight)):
+            common = a & tight[j]
+            if all(common & m for m in masks):
+                return i, j
     return None
 
 
@@ -358,7 +349,11 @@ class SweepReport:
 def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
     """Partition the degree-compatible triples of S_n into constant classes
     and resolve each one: the merged zero class by the oracle, the rest by
-    certificate search over the class members, split tuples included."""
+    certificate search over the class members, split tuples included.  A
+    certified class has one witness, carried to its other members by the
+    partition's moves, which are not checked; the class constant check
+    tells zero from nonzero only, as every nonzero two-factor constant of
+    S_4 and S_5 is 1."""
     classes = build_modified_partition(n)
     shape = ParabolicShape.complete(n)
     poly = Polytope(LadderDiagram(shape))
@@ -431,7 +426,9 @@ def reduce_gr2(lam: tuple[int, int], mu: tuple[int, int], eta: tuple[int, int], 
 
 def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) -> Gr2Report:
     """Resolve every Gr(2, n) triple: reduce to a special pair and certify
-    it with the block-shift construction, or establish zero.
+    it with the block-shift construction, or establish zero.  A certified
+    entry holds a certificate of the reduced special pair in Gr(d+2, n),
+    not of the triple itself.
 
     The constructive tier alone suffices; the later tiers are a fallback.
     """

@@ -78,11 +78,11 @@ tables, all read off the pair-bit map:
 * ``_facet_bits``: effective edge -> vertex bitset of its facet, built once
   from the vertex masks;
 * ``_divisors``, the divisor table: index tuple I -> the OR of the vertex
-  bitsets of the facets on I's path, and those bitsets in
-  ``effective_edges_on`` order, one row per tuple, filled by ``divisor``;
-* ``delta_cache``: (u, v) windows -> the piece u X^v as its divisors, the
-  frozenset of index tuples u(I) for I in the vanishing set of v, filled
-  by ``certify.evaluate``.
+  bitsets of the facets on I's path, and the OR of their pair bits, one
+  row per tuple, filled by ``divisor``;
+* ``delta_cache``: (u, v) windows -> the piece u X^v as one row, the AND
+  of the vertex bitsets of its divisors and the frozenset of their pair
+  masks, filled by ``certify.evaluate``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.
@@ -234,10 +234,10 @@ class Polytope:
             )
         # effective edge -> vertex bitset of its facet
         self._facet_bits: dict[EdgeKey, int] = {}
-        # index tuple -> (union, facet bitsets) of its divisor
-        self._divisors: dict[Path, tuple[int, tuple[int, ...]]] = {}
-        # (u, v) windows -> the divisors of u X^v, filled by certify.evaluate
-        self.delta_cache: dict[tuple, frozenset[Path]] = {}
+        # index tuple -> (union, mask) of its divisor
+        self._divisors: dict[Path, tuple[int, int]] = {}
+        # (u, v) windows -> (bits, masks) of u X^v, filled by certify.evaluate
+        self.delta_cache: dict[tuple, tuple[int, frozenset[int]]] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -413,18 +413,18 @@ class Polytope:
                 self._facet_bits[e] = int(digits[p - fm.bit_length()::p], 2)
         return (1 << len(self._vertices)) - 1, self._facet_bits
 
-    def divisor(self, path: Path) -> tuple[int, tuple[int, ...]]:
-        """The divisor {p_I = 0} of an index tuple I on vertex bitsets: the
-        union of the facets on I's path, and each of them in
-        ``diagram.effective_edges_on`` order, built once per tuple."""
+    def divisor(self, path: Path) -> tuple[int, int]:
+        """The divisor {p_I = 0} of an index tuple I, built once: the vertex
+        bitset of the union of the facets on I's path, and the OR of their
+        pair bits, which a face's tight mask meets when it lies on one."""
         row = self._divisors.get(path)
         if row is None:
             table = self.vertex_bitsets()[1]
-            facets = tuple(table[e] for e in self.diagram.effective_edges_on(path))
-            union = 0
-            for f in facets:
-                union |= f
-            row = self._divisors[path] = (union, facets)
+            union = mask = 0
+            for e in self.diagram.effective_edges_on(path):
+                union |= table[e]
+                mask |= self._facets[e]
+            row = self._divisors[path] = (union, mask)
         return row
 
     def vertices_in(self, bits: int) -> list[Face]:

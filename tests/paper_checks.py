@@ -12,7 +12,10 @@ use them to check statements of the paper against the package:
 * the exponent vectors beta_I, their sums and the map ``phi``, the inverse
   of ``ladder.psi``, for the lattice-point and weight bijection;
 * the value of a cell at a vertex, the numeric pattern of a vertex and its
-  coordinate point.
+  coordinate point;
+* the shadow of a triple with the target's translation free, which
+  certifies the complete-flag members that no translation of the factors
+  alone certifies.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from gcschub.ladder import (
     validate_lambda,
 )
 from gcschub.pluecker import Vanishing
+from gcschub.weyl import Permutation, longest_element, min_coset_rep
+
+import reference_faces
 
 
 # -- the Pieri rule ------------------------------------------------------------
@@ -176,3 +182,26 @@ def coordinate_point(poly: Polytope, v: Face) -> dict[int, tuple[int, ...]]:
             steps.append(c + low)
         out[level] = tuple(steps)
     return out
+
+
+# -- shadows with a translated target ---------------------------------------------
+
+
+def vertices_with_target_translation(
+    poly: Polytope,
+    vs: list[Permutation],
+    w: Permutation,
+    us: list[Permutation],
+    t: Permutation,
+) -> list[Face] | None:
+    """The vertices of S, sorted by values, where the target piece is
+    t X^{pi(w_0 w)} in place of X_w = w_0 X^{pi(w_0 w)}; None when S holds
+    a face of positive dimension.  S is the reference fold of the pieces'
+    unions of faces."""
+    w0 = longest_element(poly.n)
+    pieces = [(t, min_coset_rep(w0 * w, poly.shape))] + list(zip(us, vs))
+    faces = reference_faces.meet(
+        poly, [reference_faces.delta_uv_by_faces(poly, u, v) for u, v in pieces])
+    if any(f.dim > 0 for f in faces):
+        return None
+    return sorted(faces, key=lambda f: f.values)

@@ -3,17 +3,19 @@
 The package reads the dimension of a face off its saturated key, reads
 each facet off the bit of its edge's pair, pins the boxes of a named face
 by merging them with forced cells, finds the reduced Kogan faces by a walk
-over the reduced prefixes of the target, certifies on vertex bitsets, and
-lists the vertices with their tight masks in one walk of the pattern
-table, testing regularity and flag membership on the masks.  This module keeps what those replaced, so that tests can
-compare the two: the affine rank of a face's vertex set, the reduced faces
-found by reading the word of every edge subset of the right size, the face
-algebra of unions of faces with the evaluation that folds them, the vertex
-listing that builds every pattern and takes the tight mask of its key, the
-facet count of a vertex and the flag test on its cell values.  It also
-builds four faces by name: the whole polytope, the facet of an effective
-edge by saturation, the face of a set of pinned boxes, and the face of a
-Kogan face.
+over the reduced prefixes of the target, certifies on vertex bitsets,
+tests whether two vertices span a face inside the shadow on their tight
+masks, and lists the vertices with their tight masks in one walk of the
+pattern table, testing regularity and flag membership on the masks.  This
+module keeps what those replaced, so that tests can compare the two: the
+affine rank of a face's vertex set, the reduced faces found by reading the
+word of every edge subset of the right size, the face algebra of unions of
+faces with the evaluation that folds them, the pair scan on the vertex
+bitsets of the facets, the vertex listing that builds every pattern and
+takes the tight mask of its key, the facet count of a vertex and the flag
+test on its cell values.  It also builds four faces by name: the whole
+polytope, the facet of an effective edge by saturation, the face of a set
+of pinned boxes, and the face of a Kogan face.
 
 A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``antichain`` returns it, and ``meet`` is the one fold of an intersection
@@ -226,6 +228,36 @@ def divisor_bits(poly: Polytope, paths) -> int:
     for p in paths:
         bits &= poly.divisor(p)[0]
     return bits
+
+
+def pair_on_one_face_by_facets(poly: Polytope, paths) -> tuple[int, int] | None:
+    """Two vertices of the intersection S of the divisors of the given
+    index tuples that lie on one face inside S, found on facet vertex
+    bitsets: every divisor must have a facet that holds both.  The scan
+    takes the lowest vertex with a partner, then its lowest partner, and
+    returns their positions in ``poly.vertices_in(S)``; None when no two
+    vertices qualify."""
+    table = poly.vertex_bitsets()[1]
+    bits = divisor_bits(poly, paths)
+    divisors = [tuple(table[e] for e in poly.diagram.effective_edges_on(p)) for p in paths]
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        # the relation is symmetric, so the vertices after this one suffice
+        together = rest
+        for facets in divisors:
+            near = 0
+            for f in facets:
+                if f & low:
+                    near |= f
+            together &= near
+            if not together:
+                break
+        if together:
+            high = together & -together
+            return (bits & (low - 1)).bit_count(), (bits & (high - 1)).bit_count()
+    return None
 
 
 def divisor_facets(poly: Polytope, path: Path) -> tuple[Face, ...]:

@@ -6,6 +6,7 @@ import pytest
 from gcschub.certify import (
     Certificate,
     EvaluationFailure,
+    _all_perms,
     evaluate,
     reduce_gr2,
     search,
@@ -15,18 +16,21 @@ from gcschub.certify import (
     sweep_gr1,
     sweep_gr2,
 )
-from gcschub.coeffs import structure_constant
+from gcschub.coeffs import build_modified_partition, structure_constant
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
-from gcschub.pluecker import vanishing_schubert
+from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     InputError,
     ParabolicShape,
     Permutation,
     grassmannian_perm,
+    length,
     longest_element,
     min_coset_rep,
 )
+from paper_checks import vertices_with_target_translation
+from reference_faces import delta_uv_by_faces, vertex_bits
 
 
 def make(*cuts_n):
@@ -53,7 +57,9 @@ class TestEvaluate:
     def test_every_piece_cached_under_its_pair(self):
         # X_w = w_0 X^{pi(w_0 w)}: the target piece is cached under the pair
         # (w_0, pi(w_0 w)) like every factor, and a factor equal to it
-        # shares its entry; each entry is u applied to the vanishing set of v
+        # shares its entry; each entry is the row of u's image of the
+        # divisors of X^v: the AND of their vertex bitsets, which is the
+        # vertex set of the reference fold, and the set of their masks
         poly = make(2, 4)
         idt = Permutation.identity(4)
         one = grassmannian_perm((1, 0), 2, 4)
@@ -67,9 +73,15 @@ class TestEvaluate:
         evaluate(poly, [rep, idt], eta, [w0, idt])
         assert set(poly.delta_cache) == {bottom, (one.window, one.window),
                                          (idt.window, one.window), (idt.window, idt.window)}
-        for (uw, vw), piece in poly.delta_cache.items():
-            u, vanishing = Permutation(uw), vanishing_schubert(poly.diagram, Permutation(vw))
-            assert piece == {u.image(i) for paths in vanishing.values() for i in paths}, (uw, vw)
+        whole = poly.vertex_bitsets()[0]
+        for (uw, vw), row in poly.delta_cache.items():
+            u, v = Permutation(uw), Permutation(vw)
+            divisors = [poly.divisor(path) for path in delta_uv(poly, u, v)]
+            bits = whole
+            for union, _ in divisors:
+                bits &= union
+            assert row == (bits, {mask for _, mask in divisors}), (uw, vw)
+            assert row[0] == vertex_bits(poly, delta_uv_by_faces(poly, u, v)), (uw, vw)
 
     def test_empty_intersection_is_zero_certificate(self):
         n = 5
@@ -308,6 +320,82 @@ class TestFlagSweep:
         assert rep.all_resolved
         assert sorted(c.kind for c in rep.classes) == ["certified", "zero"]
         assert sum(c.size for c in rep.classes) == 74199
+
+
+# the regular Fl4 members (v_1, v_2; w) that no translation of the factors
+# certifies: each of the 623 tuples of a search leaves a face of positive
+# dimension
+FL4_UNCERTIFIED = {
+    ((1, 3, 2, 4), (3, 2, 1, 4), (4, 2, 1, 3)),
+    ((3, 2, 1, 4), (1, 3, 2, 4), (4, 2, 1, 3)),
+    ((2, 1, 3, 4), (2, 1, 4, 3), (4, 1, 2, 3)),
+    ((2, 1, 4, 3), (2, 1, 3, 4), (4, 1, 2, 3)),
+    ((2, 3, 1, 4), (2, 3, 1, 4), (3, 4, 1, 2)),
+}
+
+
+class TestSweepMembers:
+    """What a complete-flag sweep certifies, member by member.  The sweep
+    certifies one witness per class and relies on the partition's moves to
+    carry it to the other members; these tests search every member."""
+
+    @staticmethod
+    def regular_members(n):
+        (cls,) = [c for c in build_modified_partition(n) if c.kind == "regular"]
+        return cls.members
+
+    def test_every_fl3_member_certifies(self):
+        poly = make(1, 2, 3)
+        members = self.regular_members(3)
+        assert len(members) == 21
+        for u, v, w in members:
+            assert search(poly, [u, v], w).ok, (u, v, w)
+
+    def test_fl4_members_but_five_certify(self):
+        poly = make(1, 2, 3, 4)
+        members = self.regular_members(4)
+        assert len(members) == 303
+        failed = set()
+        for u, v, w in members:
+            res = search(poly, [u, v], w)
+            if not res.ok:
+                assert res.tried == 623 and res.failures == {"positive_dimension": 623}
+                failed.add((u.window, v.window, w.window))
+        assert failed == FL4_UNCERTIFIED
+
+    @pytest.mark.parametrize(
+        "windows", sorted(FL4_UNCERTIFIED),
+        ids=lambda t: "{},{};{}".format(*("".join(map(str, x)) for x in t)))
+    def test_fl4_exception_certifies_with_untranslated_target(self, windows):
+        # with the target piece X^{pi(w_0 w)} in place of w_0 X^{pi(w_0 w)},
+        # some translation of the factors leaves finitely many vertices on
+        # the flag variety, as many as the constant
+        poly = make(1, 2, 3, 4)
+        *vs, w = (Permutation(x) for x in windows)
+        oracle = structure_constant(vs, w)
+        idt = Permutation.identity(4)
+        for us in itertools.product(_all_perms(4), repeat=2):
+            verts = vertices_with_target_translation(poly, vs, w, list(us), idt)
+            if verts is not None and all(poly.in_VX(v) for v in verts):
+                assert len(verts) == oracle == 1, us
+                return
+        pytest.fail("no translation certifies")
+
+    @pytest.mark.parametrize("n, regular", [(4, 303), (5, 8331)])
+    def test_nonzero_two_factor_constants_are_one(self, n, regular):
+        # so the "class constant differs" check of sweep_complete_flag can
+        # only tell zero from nonzero for n <= 5: it cannot catch a move
+        # that merges two nonzero classes wrongly
+        by_length: dict[int, list[Permutation]] = {}
+        for p in _all_perms(n):
+            by_length.setdefault(length(p), []).append(p)
+        nonzero = 0
+        for u, v in itertools.product(_all_perms(n), repeat=2):
+            for w in by_length.get(length(u) + length(v), ()):
+                c = structure_constant([u, v], w)
+                assert c in (0, 1), (u, v, w, c)
+                nonzero += c
+        assert nonzero == regular == len(self.regular_members(n))
 
 
 class TestEngineInvariants:

@@ -103,6 +103,17 @@ class TestCertifyCmd:
         assert json.loads(res.output)["status"] == "mismatch"
         assert not store.exists()
 
+    def test_positive_dimension_detail(self, run):
+        # the pair scan names the lowest vertex of S with a partner and its
+        # lowest partner, sorted by values
+        res = run("certify", "--shape", "2,4", "--v", "1324", "--v", "1324",
+                  "--w", "1423", "--u", "id", "--u", "id")
+        assert res.exit_code == 1, res.output
+        assert json.loads(res.output) == {
+            "status": "positive_dimension",
+            "detail": "vertices (1, 1, 2, 1) and (1, 1, 2, 2) span a face inside the intersection",
+        }
+
     def test_search_cmd(self, run):
         res = run("search", "--shape", "2,4", "--v", "1,3,2,4", "--v", "1,3,2,4",
                   "--w", "2,3,1,4")

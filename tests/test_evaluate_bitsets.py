@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcschub import gc_polytope
-from gcschub.certify import Certificate, _tier1, _tier2, evaluate
+from gcschub.certify import Certificate, _pair_on_one_face, _tier1, _tier2, evaluate
 from gcschub.coeffs import build_modified_partition
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
@@ -22,8 +22,16 @@ from gcschub.weyl import (
     UnsupportedShapeError,
     grassmannian_perm,
     length,
+    longest_element,
+    min_coset_rep,
 )
-from reference_faces import delta_uv_by_faces, divisor_bits, evaluate_by_faces, vertex_bits
+from reference_faces import (
+    delta_uv_by_faces,
+    divisor_bits,
+    evaluate_by_faces,
+    pair_on_one_face_by_facets,
+    vertex_bits,
+)
 
 
 def make(*cuts_n):
@@ -102,6 +110,31 @@ def test_every_piece_holds_the_vertices_of_the_reference_faces(cuts_n):
     for u, v in itertools.product(perms(poly.n), reps):
         faces = delta_uv_by_faces(poly, u, v)
         assert divisor_bits(poly, delta_uv(poly, u, v)) == vertex_bits(poly, faces), (u, v)
+
+
+@pytest.mark.parametrize("cuts_n", [(2, 5), (3, 6), (1, 2, 3, 4), (1, 3, 5)], ids=str)
+def test_pair_scan_matches_facet_reference(cuts_n):
+    # every degree-compatible two-factor triple, untranslated and at each
+    # of its tier-2 candidates: the scan on tight masks and the scan on
+    # facet vertex bitsets name the same pair of vertices of S, or none
+    poly = make(*cuts_n)
+    n = poly.n
+    idt = Permutation.identity(n)
+    w0 = longest_element(n)
+    reps = [v for v in perms(n) if poly.shape.in_min_coset_reps(v)]
+    outcomes = set()
+    for a, b, w in itertools.product(reps, repeat=3):
+        if length(a) + length(b) != length(w):
+            continue
+        for us in [(idt, idt)] + _tier2(poly, [a, b]):
+            pieces = [(w0, min_coset_rep(w0 * w, poly.shape)), *zip(us, (a, b))]
+            paths = set().union(*(delta_uv(poly, u, v) for u, v in pieces))
+            tight = [v.mask for v in poly.vertices_in(divisor_bits(poly, paths))]
+            got = _pair_on_one_face(tight, {poly.divisor(p)[1] for p in paths})
+            assert got == pair_on_one_face_by_facets(poly, paths), (a, b, w, us)
+            outcomes.add((got is None, bool(tight)))
+    # both outcomes on a non-empty S
+    assert {(True, True), (False, True)} <= outcomes
 
 
 def tuples(poly):

@@ -11,7 +11,9 @@ the divisor table the fold of the facet faces on each path, for the facet
 table the saturated facets, and for the named faces the pinned boxes and
 the merge lists they replaced."""
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -646,16 +648,16 @@ def test_facet_bitsets_match_subset_test(cuts_n):
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 6), (1, 2, 3, 4), (1, 3, 5)], ids=shape_id)
 def test_divisor_table_matches_face_fold(cuts_n):
     # every index tuple at every cut level: the union is the vertex set of
-    # the reference fold of its one path, the facets are the facet table
-    # read along the path, and the row is built once
+    # the reference fold of its one path, the mask is the OR of the pair
+    # bits of the facets on the path, and the row is built once
     poly = make(*cuts_n)
-    table = poly.vertex_bitsets()[1]
     for level in poly.shape.cuts:
         for path in poly.diagram.paths_at_level(level):
             row = poly.divisor(path)
-            union, facets = row
+            union, mask = row
             assert union == vertex_bits(poly, fold_paths_by_faces(poly, [path])), path
-            assert facets == tuple(table[e] for e in poly.diagram.effective_edges_on(path)), path
+            facets = [poly._facets[e] for e in poly.diagram.effective_edges_on(path)]
+            assert mask == functools.reduce(operator.or_, facets, 0), path
             assert poly.divisor(path) is row
 
 

@@ -86,14 +86,26 @@ MUTANTS = (
     ),
     Mutant(
         "evaluate-skips-pair-scan", "src/gcschub/certify.py",
-        "    pair = _pair_on_one_face(inter, divisors)\n",
+        "    pair = _pair_on_one_face([v.mask for v in verts], masks)\n",
         "    pair = None\n",
         ("tests/test_certify.py::TestEvaluate::test_positive_dimension_reported",),
     ),
     Mutant(
+        "pair-scan-common-bits-by-or", "src/gcschub/certify.py",
+        "            common = a & tight[j]\n",
+        "            common = a | tight[j]\n",
+        ("tests/test_evaluate_bitsets.py::test_pair_scan_matches_facet_reference",),
+    ),
+    Mutant(
+        "row-skips-one-divisor", "src/gcschub/certify.py",
+        "            for union, _ in divisors:\n",
+        "            for union, _ in divisors[1:]:\n",
+        ("tests/test_certify.py::TestEvaluate::test_every_piece_cached_under_its_pair",),
+    ),
+    Mutant(
         "fold-or-drops-last-facet", GC,
-        "            for f in facets:\n                union |= f\n",
-        "            for f in facets[:-1]:\n                union |= f\n",
+        "            for e in self.diagram.effective_edges_on(path):\n",
+        "            for e in self.diagram.effective_edges_on(path)[:-1]:\n",
         ("tests/test_evaluate_bitsets.py::test_every_piece_holds_the_vertices_of_the_reference_faces",),
     ),
     Mutant(
@@ -101,19 +113,19 @@ MUTANTS = (
         "        row = self._divisors.get(path)\n"
         "        if row is None:\n"
         "            table = self.vertex_bitsets()[1]\n"
-        "            facets = tuple(table[e] for e in self.diagram.effective_edges_on(path))\n"
-        "            union = 0\n"
-        "            for f in facets:\n"
-        "                union |= f\n"
-        "            row = self._divisors[path] = (union, facets)\n",
+        "            union = mask = 0\n"
+        "            for e in self.diagram.effective_edges_on(path):\n"
+        "                union |= table[e]\n"
+        "                mask |= self._facets[e]\n"
+        "            row = self._divisors[path] = (union, mask)\n",
         "        row = self._divisors.get(len(path))\n"
         "        if row is None:\n"
         "            table = self.vertex_bitsets()[1]\n"
-        "            facets = tuple(table[e] for e in self.diagram.effective_edges_on(path))\n"
-        "            union = 0\n"
-        "            for f in facets:\n"
-        "                union |= f\n"
-        "            row = self._divisors[len(path)] = (union, facets)\n",
+        "            union = mask = 0\n"
+        "            for e in self.diagram.effective_edges_on(path):\n"
+        "                union |= table[e]\n"
+        "                mask |= self._facets[e]\n"
+        "            row = self._divisors[len(path)] = (union, mask)\n",
         ("tests/test_face_masks.py::test_divisor_table_matches_face_fold",),
     ),
     Mutant(
