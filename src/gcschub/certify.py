@@ -133,9 +133,6 @@ def evaluate(
         masks |= row[1]
 
     oracle = structure_constant(list(vs), w)
-    if not inter:
-        status = "certified" if oracle == 0 else "mismatch"
-        return Certificate(shape, tuple(vs), w, tuple(us), (), 0, oracle, status)
     verts = poly.vertices_in(inter)
     pair = _pair_on_one_face([v.mask for v in verts], masks)
     if pair is not None:
@@ -234,14 +231,8 @@ def _tier2(poly: Polytope, vs):
                 if single_rows:
                     r, q = parts[i][0], parts[j][0]
                     if r + q <= n - m:
-                        window = list(range(1, n + 1))
-                        for col in range(m, m + r):
-                            window[col - 1] = col + q
-                        used = set(window[:m + r - 1])
-                        rest = [x for x in range(1, n + 1) if x not in used]
-                        u = Permutation(tuple(window[:m + r - 1] + rest))
                         us = [idt, idt]
-                        us[i] = u
+                        us[i] = _block_shift(m, r, q, n)
                         out.append(tuple(us))
             # cyclic-shift candidates for two-row shapes
             if m == 2:
@@ -254,6 +245,15 @@ def _tier2(poly: Polytope, vs):
                         out.append(tuple(us))
                     power = cyc * power
     return list(dict.fromkeys(out))
+
+
+def _block_shift(m: int, r: int, q: int, n: int) -> Permutation:
+    """The block shift of the special pair (r, q) on Gr(m, n): positions
+    m..m+r-1 moved up by q, the Grassmannian permutation of (q^r) at level
+    m+r-1.  Level 0 (m = 1, r = 0) moves nothing."""
+    if m + r == 1:
+        return Permutation.identity(n)
+    return grassmannian_perm((q,) * r + (0,) * (m - 1), m + r - 1, n)
 
 
 def _tier3(poly: Polytope, vs):

@@ -10,17 +10,20 @@ transitively: the order graph of the adjacent-pair constraints, which
 already orders the value nodes a_{k+1} <= ... <= a_1, with each merge added
 as an edge both ways.  A class is a strongly connected component of the
 closed graph, and two value nodes in one class make the system infeasible.
-Saturation returns the tight mask, read off equal reach sets: every node
-reaches itself, so the two nodes of a pair share a class exactly when they
-reach the same nodes.  Saturation makes feasibility, dimension and
-containment exact for these systems, and the vertex-rank oracle double
-checks that in the tests.
+The closure gives every node its reach set: every node reaches itself, so
+two nodes share a class exactly when they reach the same nodes.
+Saturation returns the tight mask, the pairs whose two nodes have one
+reach set.  Saturation makes feasibility, dimension and containment exact
+for these systems, and the vertex-rank oracle double checks that in the
+tests.
 
 A face is its tight mask, the set of adjacent-pair inequalities it makes
 tight, kept as a bitmask, and stores nothing else: a face lies in another
 when the other's mask is a subset of its own.  The saturated key is
-derived from the mask on demand, by merging the tight pairs; a vertex key
-is read off its pattern.
+derived from the mask on demand, by the same closure, of the tight pairs
+alone: a box whose reach set is that of the value node of a_l is -l, and
+the other boxes are numbered by first occurrence of their reach sets.  A
+vertex key is read off its pattern.
 
 A vertex is a 0-dimensional face, the face of its tight mask.  On the
 lattice points whose top row takes the value -l on block l, a point is
@@ -294,34 +297,26 @@ class Polytope:
         return key
 
     def _key_of_mask(self, mask: int) -> tuple[int, ...] | None:
-        """Key of the face whose tight set is the saturated mask: its
-        equalities are exactly the tight pairs, so no closure is needed."""
+        """Key of the face whose tight set is the saturated mask, read off
+        the closure of its tight pairs: a box in the class of the value node
+        of a_l is -l, any other box a block number given by first occurrence
+        of its reach set."""
         if mask == -1:
             return None
         nb = len(self.boxes)
-        parent = list(range(nb + self.num_values))
-        bit = 1
-        for lo, hi in self._pairs:
-            if mask & bit:
-                while parent[lo] != lo:
-                    lo = parent[lo]
-                while parent[hi] != hi:
-                    hi = parent[hi]
-                if lo < hi:
-                    parent[hi] = lo
-                elif hi < lo:
-                    parent[lo] = hi
-            bit <<= 1
-        return _canonical_key(parent, nb)
+        reach = self._closure([pair for i, pair in enumerate(self._pairs) if mask >> i & 1])
+        pins = {r: -l for l, r in enumerate(reach[nb:], start=1)}
+        blocks: dict[int, int] = {}
+        return tuple(pins.get(r) or blocks.setdefault(r, len(blocks) + 1) for r in reach[:nb])
 
     # -- saturation ------------------------------------------------------------
 
-    def _saturate(self, merges) -> int:
-        """Close an equality system given as node merges.  A merge is an
-        edge both ways in the order graph, and a class is a strongly
-        connected component of the closed graph; the system is empty when
-        two value nodes share a class.  Returns the tight mask, -1 when
-        empty."""
+    def _closure(self, merges) -> list[int]:
+        """The reach sets of the order graph with each node merge added as
+        an edge both ways, closed transitively: bit j of entry i is set when
+        node i reaches node j.  A class is a strongly connected component of
+        the closed graph, and each node reaches itself, so two nodes share a
+        class exactly when they reach the same nodes."""
         reach = self._succ[:]
         for a, b in merges:
             reach[a] |= 1 << b
@@ -332,8 +327,13 @@ class Polytope:
             for i in range(size):
                 if reach[i] & bit:
                     reach[i] |= through
-        # each node reaches itself, so two nodes share a class exactly when
-        # they reach the same nodes
+        return reach
+
+    def _saturate(self, merges) -> int:
+        """Close an equality system given as node merges; the system is
+        empty when two value nodes share a class.  Returns the tight mask,
+        -1 when empty."""
+        reach = self._closure(merges)
         if len(set(reach[len(self.boxes):])) != self.num_values:
             return -1
         return self._tight_pairs(reach)
@@ -518,32 +518,6 @@ def lattice_point_count(lam: tuple[int, ...]) -> int:
     pairs = list(itertools.combinations(range(len(lam)), 2))
     return (math.prod(lam[i] - lam[j] + j - i for i, j in pairs)
             // math.prod(j - i for i, j in pairs))
-
-
-def _canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:
-    """Key of a union-find forest on the boxes and the value nodes after
-    them, whose roots are the least index of their class: -l for a box in
-    the class of the value node of a_l, block numbers by first occurrence
-    for the other boxes."""
-    pin: dict[int, int] = {}
-    for l, root in enumerate(range(nb, len(parent)), start=1):
-        while parent[root] != root:
-            root = parent[root]
-        pin[root] = l
-    key = [0] * nb
-    blocks = 0
-    for i in range(nb):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        if root != i:
-            key[i] = key[root]
-        elif i in pin:
-            key[i] = -pin[i]
-        else:
-            blocks += 1
-            key[i] = blocks
-    return tuple(key)
 
 
 def _rows_below(row: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -62,6 +62,13 @@ def _check_edges(diagram: LadderDiagram, edges, dual: bool):
             raise ValueError(f"edge {e} is not effective")
 
 
+def _letter(edge: EdgeKey, n: int) -> int:
+    """The simple reflection an edge carries: V(x, r) -> s_x and
+    H(c, y) -> s_{n-y}."""
+    kind, a, b = edge
+    return a if kind == "V" else n - b
+
+
 def read_word(
     diagram: LadderDiagram, edges, dual: bool
 ) -> KoganFace:
@@ -70,14 +77,10 @@ def read_word(
     edges = frozenset(edges)
     _check_edges(diagram, edges, dual)
     n = diagram.n
-    if dual:
-        # rows bottom to top, left to right within a row; V(x, r) -> s_x
-        ordered = sorted(edges, key=lambda e: (e[2], e[1]))
-        word = tuple(e[1] for e in ordered)
-    else:
-        # columns left to right, bottom to top within a column; H(c, y) -> s_{n-y}
-        ordered = sorted(edges, key=lambda e: (e[1], e[2]))
-        word = tuple(n - e[2] for e in ordered)
+    # rows bottom to top, left to right within a row for a dual face;
+    # columns left to right, bottom to top within a column otherwise
+    ordered = sorted(edges, key=lambda e: (e[2], e[1]) if dual else (e[1], e[2]))
+    word = tuple(_letter(e, n) for e in ordered)
     perm = Permutation.from_word(word, n)
     return KoganFace(dual, edges, word, perm, length(perm) == len(word))
 
@@ -97,10 +100,9 @@ def word_positions(n: int, dual: bool) -> list[EdgeKey]:
 
 
 def reference_word(n: int, dual: bool) -> tuple[int, ...]:
-    """The reduced word of w_0 whose positions the grids above index."""
-    if dual:
-        return tuple(j for r in range(1, n) for j in range(1, n - r + 1))
-    return tuple(n - o for c in range(1, n) for o in range(1, n - c + 1))
+    """The reduced word of w_0 whose positions the grids above index: the
+    letters of the edges of ``word_positions``."""
+    return tuple(_letter(e, n) for e in word_positions(n, dual))
 
 
 def face_from_positions(diagram: LadderDiagram, positions, dual: bool) -> KoganFace:

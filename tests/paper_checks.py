@@ -7,8 +7,9 @@ use them to check statements of the paper against the package:
 * the toric divisor and toric subvariety equations, whose index sets agree
   with the Schubert vanishing sets, which is how the degeneration preserves
   index sets;
-* the distributive lattice of positive paths (``meet`` and ``join``) and
-  the partition of a Grassmannian path and its complement;
+* the distributive lattice of positive paths (``path_meet`` and
+  ``path_join``) and the partition of a Grassmannian path and its
+  complement;
 * the exponent vectors beta_I, their sums and the map ``phi``, the inverse
   of ``ladder.psi``, for the lattice-point and weight bijection;
 * the value of a cell at a vertex, the numeric pattern of a vertex and its
@@ -92,13 +93,13 @@ def toric_subvariety_equations(
 # -- the path lattice and the partitions of a path -----------------------------
 
 
-def meet(p: Path, q: Path) -> Path:
+def path_meet(p: Path, q: Path) -> Path:
     if len(p) < len(q):
         p, q = q, p
     return tuple(map(min, p, q)) + p[len(q):]
 
 
-def join(p: Path, q: Path) -> Path:
+def path_join(p: Path, q: Path) -> Path:
     return tuple(map(max, p, q))
 
 

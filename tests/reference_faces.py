@@ -1,6 +1,7 @@
 """Slow references for faces of Gelfand-Cetlin polytopes.
 
 The package reads the dimension of a face off its saturated key, reads
+that key off the reach sets of the closure of the tight pairs, reads
 each facet off the bit of its edge's pair, pins the boxes of a named face
 by merging them with forced cells, finds the reduced Kogan faces by a walk
 over the reduced prefixes of the target, certifies on vertex bitsets,
@@ -12,8 +13,9 @@ affine rank of a face's vertex set, the reduced faces found by reading the
 word of every edge subset of the right size, the face algebra of unions of
 faces with the evaluation that folds them, the pair scan on the vertex
 bitsets of the facets, the vertex listing that builds every pattern and
-takes the tight mask of its key, the facet count of a vertex and the flag
-test on its cell values.  It also builds four faces by name: the whole
+takes the tight mask of its key, the facet count of a vertex, the flag
+test on its cell values, and the key of a tight mask by a union-find
+forest of its tight pairs.  It also builds four faces by name: the whole
 polytope, the facet of an effective edge by saturation, the face of a set
 of pinned boxes, and the face of a Kogan face.
 
@@ -88,6 +90,55 @@ def tight_mask(poly: Polytope, key: tuple[int, ...] | None) -> int:
     if key is None:
         return -1
     return poly._tight_pairs(key + poly._const_values)
+
+
+def canonical_key(parent: list[int], nb: int) -> tuple[int, ...]:
+    """Key of a union-find forest on the boxes and the value nodes after
+    them, whose roots are the least index of their class: -l for a box in
+    the class of the value node of a_l, block numbers by first occurrence
+    for the other boxes."""
+    pin: dict[int, int] = {}
+    for l, root in enumerate(range(nb, len(parent)), start=1):
+        while parent[root] != root:
+            root = parent[root]
+        pin[root] = l
+    key = [0] * nb
+    blocks = 0
+    for i in range(nb):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        if root != i:
+            key[i] = key[root]
+        elif i in pin:
+            key[i] = -pin[i]
+        else:
+            blocks += 1
+            key[i] = blocks
+    return tuple(key)
+
+
+def key_by_union_find(poly: Polytope, mask: int) -> tuple[int, ...] | None:
+    """Key of the face whose tight set is the saturated mask, by merging its
+    tight pairs in a union-find forest: its equalities are exactly the
+    tight pairs, so no closure is needed."""
+    if mask == -1:
+        return None
+    nb = len(poly.boxes)
+    parent = list(range(nb + poly.num_values))
+    bit = 1
+    for lo, hi in poly._pairs:
+        if mask & bit:
+            while parent[lo] != lo:
+                lo = parent[lo]
+            while parent[hi] != hi:
+                hi = parent[hi]
+            if lo < hi:
+                parent[hi] = lo
+            elif hi < lo:
+                parent[lo] = hi
+        bit <<= 1
+    return canonical_key(parent, nb)
 
 
 def vertex_patterns(row: tuple[int, ...], table: dict, rows: list[tuple[int, ...]]):

@@ -26,7 +26,7 @@ from gcschub.weyl import (
     longest_element,
     min_coset_rep,
 )
-from paper_checks import add_patterns, exponent_vector, join, meet, phi, pieri_gr2
+from paper_checks import add_patterns, exponent_vector, path_join, path_meet, phi, pieri_gr2
 from reference_faces import face_dimension_by_rank, facet_face, intersect, whole_face
 from reference_partition import all_triples, apply_identities, recursion_step, split_by_star
 
@@ -318,10 +318,12 @@ def test_criterion_9_property_suite():
         for level in d.shape.cuts:
             paths = d.paths_at_level(level)
             for p, q in itertools.combinations(paths, 2):
-                assert join(p, meet(p, q)) == p and meet(p, join(p, q)) == p
-                assert path_leq(meet(p, q), p) and path_leq(q, join(p, q))
+                assert path_join(p, path_meet(p, q)) == p
+                assert path_meet(p, path_join(p, q)) == p
+                assert path_leq(path_meet(p, q), p) and path_leq(q, path_join(p, q))
             for p, q, r in itertools.islice(itertools.combinations(paths, 3), 300):
-                assert meet(p, join(q, r)) == join(meet(p, q), meet(p, r))
+                lhs = path_meet(p, path_join(q, r))
+                assert lhs == path_join(path_meet(p, q), path_meet(p, r))
 
     # fast dimension equals the vertex-rank oracle on the closure of the
     # facet-intersection sweep for the three stated shapes

@@ -7,6 +7,7 @@ from gcschub.certify import (
     Certificate,
     EvaluationFailure,
     _all_perms,
+    _block_shift,
     evaluate,
     reduce_gr2,
     search,
@@ -200,6 +201,25 @@ class TestSearch:
         wt = grassmannian_perm((3, 0), 2, 5)
         res = search(GR25, [vr, vq], wt, tiers=(2,))
         assert res.ok and res.certificate.count == 1
+
+    def test_block_shift_matches_window(self):
+        # the block shift against the window it replaced: columns m..m+r-1
+        # take col + q, the rest follows in increasing order
+        cases = 0
+        for n in range(2, 11):
+            for m in range(1, n):
+                for r, q in itertools.product(range(n - m + 1), repeat=2):
+                    if r + q > n - m:
+                        continue
+                    window = list(range(1, n + 1))
+                    for col in range(m, m + r):
+                        window[col - 1] = col + q
+                    used = set(window[:m + r - 1])
+                    rest = [x for x in range(1, n + 1) if x not in used]
+                    expected = Permutation(tuple(window[:m + r - 1] + rest))
+                    assert _block_shift(m, r, q, n) == expected, (m, r, q, n)
+                    cases += 1
+        assert cases == 705
 
     def test_budget_exhaustion_reports_cursor(self):
         mu = grassmannian_perm((1, 0), 2, 4)

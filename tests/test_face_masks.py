@@ -8,8 +8,9 @@ of the pairwise intersections, and for the vertex tables the listing
 pattern by pattern, the per-vertex subset test for facet bitsets, the facet
 count for regularity and the cell-value square test for flag membership, for
 the divisor table the fold of the facet faces on each path, for the facet
-table the saturated facets, and for the named faces the pinned boxes and
-the merge lists they replaced."""
+table the saturated facets, for the named faces the pinned boxes and the
+merge lists they replaced, and for the key read off the closure the
+union-find key of the tight pairs."""
 
 import functools
 import itertools
@@ -20,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcschub import gc_polytope
-from gcschub.gc_polytope import Face, Polytope, _canonical_key
+from gcschub.gc_polytope import Face, Polytope
 from gcschub.ladder import LadderDiagram, path_of_partition
 from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
 from paper_checks import value_of
 from reference_faces import (
     antichain,
+    canonical_key,
     contains,
     degeneration_union,
     delta_uv_by_faces,
@@ -37,6 +39,7 @@ from reference_faces import (
     intersect,
     in_VX_by_values,
     is_regular_by_facets,
+    key_by_union_find,
     meet,
     tight_mask,
     vertex_bits,
@@ -149,7 +152,7 @@ def saturate_by_bounds(poly, merges):
                 uf.union(r, nb - lo_bound[i] - 1)
                 squeezed = True
         if not squeezed:
-            key = _canonical_key(uf.parent, nb)
+            key = canonical_key(uf.parent, nb)
             return key, tight_mask(poly, key)
 
 
@@ -408,12 +411,14 @@ def merge_lists(poly):
 
 
 def check_saturate(poly, merges, expected):
-    """The closure's tight mask is the reference mask, and the system is
-    accepted as a face exactly when the reference key is the key of that
-    mask."""
+    """The closure's tight mask is the reference mask, its key read off the
+    closure is the union-find key, and the system is accepted as a face
+    exactly when the reference key is the key of that mask."""
     key, mask = expected
     assert poly._saturate(merges) == mask, merges
-    is_face = key == poly._key_of_mask(mask)
+    got = poly._key_of_mask(mask)
+    assert got == key_by_union_find(poly, mask), merges
+    is_face = key == got
     if is_face:
         assert poly._checked(merges).mask == mask, merges
     else:
@@ -436,29 +441,62 @@ def test_saturate_matches_bound_propagation(cuts_n):
     check()
 
 
+def all_shapes(max_n):
+    """Every shape with 2 <= n <= max_n, as cuts followed by n."""
+    return [(*cuts, n) for n in range(2, max_n + 1) for r in range(1, n)
+            for cuts in itertools.combinations(range(1, n), r)]
+
+
+def test_closure_key_matches_union_find_on_vertices():
+    # the key read off the reach sets is the union-find key, and the key of
+    # the vertex walk, on every vertex mask of every shape with n <= 6
+    shapes = all_shapes(6)
+    assert len(shapes) == 57
+    for cuts_n in shapes:
+        poly = make(*cuts_n)
+        for v in poly.vertices():
+            key = poly._key_of_mask(v.mask)
+            assert key == key_by_union_find(poly, v.mask) == v.key, (cuts_n, v)
+
+
+def test_closure_key_matches_union_find_on_named_faces():
+    # every named face F_mu, both sides, and every delta_k face of the
+    # Grassmannians with n <= 7
+    faces = 0
+    for n in range(2, 8):
+        for m in range(1, n):
+            poly = make(m, n)
+            named = [poly.named_face(mu, dual) for dual in (False, True)
+                     for mu in itertools.product(range(n - m + 1), repeat=m)
+                     if list(mu) == sorted(mu, reverse=True)]
+            if m == 2:
+                named += [poly.delta_k_face(k) for k in range(1, n - 1)]
+            for f in named:
+                assert poly._key_of_mask(f.mask) == key_by_union_find(poly, f.mask), f
+            faces += len(named)
+    assert faces == 495
+
+
 def test_pairs_order_the_value_nodes():
     # the order graph that _saturate closes has no value chain of its own:
     # on every shape with n <= 8, the adjacent pairs alone lead from the
     # value node of a_{l+1} to that of a_l
-    shapes = 0
-    for n in range(2, 9):
-        for r in range(1, n):
-            for cuts in itertools.combinations(range(1, n), r):
-                poly = make(*cuts, n)
-                nb = len(poly.boxes)
-                above = {}
-                for lo, hi in poly._pairs:
-                    above.setdefault(lo, []).append(hi)
-                for l in range(1, poly.num_values):
-                    reached, todo = {nb + l}, [nb + l]
-                    while todo:
-                        for hi in above.get(todo.pop(), ()):
-                            if hi not in reached:
-                                reached.add(hi)
-                                todo.append(hi)
-                    assert nb + l - 1 in reached, (cuts, n, l)
-                shapes += 1
-    assert shapes == 247
+    shapes = all_shapes(8)
+    assert len(shapes) == 247
+    for cuts_n in shapes:
+        poly = make(*cuts_n)
+        nb = len(poly.boxes)
+        above = {}
+        for lo, hi in poly._pairs:
+            above.setdefault(lo, []).append(hi)
+        for l in range(1, poly.num_values):
+            reached, todo = {nb + l}, [nb + l]
+            while todo:
+                for hi in above.get(todo.pop(), ()):
+                    if hi not in reached:
+                        reached.add(hi)
+                        todo.append(hi)
+            assert nb + l - 1 in reached, (cuts_n, l)
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (1, 2, 3, 4)])

@@ -20,9 +20,9 @@ from paper_checks import (
     complement,
     coordinate_point,
     exponent_vector,
-    join,
-    meet,
     partition_of_path,
+    path_join,
+    path_meet,
     pattern,
     phi,
 )
@@ -67,19 +67,19 @@ class TestPathOrder:
 class TestMeetJoin:
     def test_mixed_levels(self):
         p, q = (1, 3), (2,)
-        assert meet(p, q) == (1, 3)
-        assert join(p, q) == (2,)
+        assert path_meet(p, q) == (1, 3)
+        assert path_join(p, q) == (2,)
 
     def test_comparable(self):
         p, q = (1, 2), (2, 4)
         assert path_leq(p, q)
-        assert meet(p, q) == p and join(p, q) == q
+        assert path_meet(p, q) == p and path_join(p, q) == q
 
     def test_incomparable_pair(self):
         p, q = (1, 4), (2, 3)
         assert not path_leq(p, q) and not path_leq(q, p)
-        assert meet(p, q) == (1, 3)
-        assert join(p, q) == (2, 4)
+        assert path_meet(p, q) == (1, 3)
+        assert path_join(p, q) == (2, 4)
 
     def test_distributive_lattice_laws(self):
         # absorption, idempotence, distributivity on every same-level pair
@@ -90,21 +90,21 @@ class TestMeetJoin:
             for level in d.shape.cuts:
                 paths = d.paths_at_level(level)
                 for p, q in itertools.combinations(paths, 2):
-                    assert meet(p, p) == p and join(p, p) == p
-                    assert join(p, meet(p, q)) == p
-                    assert meet(p, join(p, q)) == p
+                    assert path_meet(p, p) == p and path_join(p, p) == p
+                    assert path_join(p, path_meet(p, q)) == p
+                    assert path_meet(p, path_join(p, q)) == p
                 for p, q, r in itertools.islice(
                     itertools.combinations(paths, 3), 200
                 ):
-                    lhs = meet(p, join(q, r))
-                    rhs = join(meet(p, q), meet(p, r))
+                    lhs = path_meet(p, path_join(q, r))
+                    rhs = path_join(path_meet(p, q), path_meet(p, r))
                     assert lhs == rhs
 
     def test_meet_join_are_bounds(self):
         d = diagram(2, 5)
         paths = d.paths_at_level(2)
         for p, q in itertools.combinations(paths, 2):
-            lo, hi = meet(p, q), join(p, q)
+            lo, hi = path_meet(p, q), path_join(p, q)
             assert path_leq(lo, p) and path_leq(lo, q)
             assert path_leq(p, hi) and path_leq(q, hi)
             for r in paths:
@@ -287,6 +287,6 @@ class TestDecomposeWeight:
     ),
 )
 def test_meet_join_property(p, q):
-    assert path_leq(meet(p, q), join(p, q))
-    assert len(meet(p, q)) == max(len(p), len(q))
-    assert len(join(p, q)) == min(len(p), len(q))
+    assert path_leq(path_meet(p, q), path_join(p, q))
+    assert len(path_meet(p, q)) == max(len(p), len(q))
+    assert len(path_join(p, q)) == min(len(p), len(q))

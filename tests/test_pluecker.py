@@ -13,7 +13,12 @@ from gcschub.weyl import (
     longest_element,
     min_coset_rep,
 )
-from paper_checks import join, meet, toric_divisor_equations, toric_subvariety_equations
+from paper_checks import (
+    path_join,
+    path_meet,
+    toric_divisor_equations,
+    toric_subvariety_equations,
+)
 from reference_faces import (
     antichain,
     delta_uv_by_faces,
@@ -257,8 +262,8 @@ class TestToricEquations:
                     continue
                 on_p = set(d.effective_edges_on(p))
                 on_q = set(d.effective_edges_on(q))
-                on_meet = set(d.effective_edges_on(meet(p, q)))
-                on_join = set(d.effective_edges_on(join(p, q)))
+                on_meet = set(d.effective_edges_on(path_meet(p, q)))
+                on_join = set(d.effective_edges_on(path_join(p, q)))
                 for e in d.effective_edges:
                     assert (e in on_p or e in on_q) == (
                         e in on_meet or e in on_join

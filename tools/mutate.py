@@ -66,6 +66,12 @@ MUTANTS = (
         FACE_MASKS,
     ),
     Mutant(
+        "closure-key-drops-pins", GC,
+        "        return tuple(pins.get(r) or blocks.setdefault(r, len(blocks) + 1) for r in reach[:nb])\n",
+        "        return tuple(blocks.setdefault(r, len(blocks) + 1) for r in reach[:nb])\n",
+        ("tests/test_face_masks.py::test_closure_key_matches_union_find_on_vertices",),
+    ),
+    Mutant(
         "meet-skip-first-set", REFERENCE_FACES,
         "    for faces in sorted(face_sets, key=len):\n",
         "    for faces in sorted(face_sets, key=len)[1:]:\n",
