@@ -133,14 +133,17 @@ def evaluate(
         masks |= row[1]
 
     oracle = structure_constant(list(vs), w)
-    verts = poly.vertices_in(inter)
-    pair = _pair_on_one_face([v.mask for v in verts], masks)
+    # the pair scan reads tight masks; faces are built only for the two
+    # vertices it names, or for the vertices of a certificate
+    tight = poly.vertex_masks_in(inter)
+    pair = _pair_on_one_face(tight, masks)
     if pair is not None:
-        a, b = (verts[i].values for i in pair)
+        a, b = (Face(poly, tight[i]).values for i in pair)
         return EvaluationFailure(
             "positive_dimension",
             f"vertices {a} and {b} span a face inside the intersection",
         )
+    verts = poly.vertices_in(inter)
     try:
         outside = [v for v in verts if not poly.in_VX(v)]
     except UnsupportedShapeError as exc:

@@ -107,13 +107,19 @@ def _fold(windows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
 def structure_constant(us: list[Permutation], w: Permutation) -> int:
     """Coefficient of the class of w in the product of the classes of us."""
     target = w.window
-    windows = [u.window for u in us]
-    if any(len(x) != len(target) for x in windows):
-        raise ValueError("all permutations must share one rank")
-    if sum(map(_inversions, windows)) != _inversions(target):
+    n = len(target)
+    windows = []
+    degree = 0
+    for u in us:
+        x = u.window
+        if len(x) != n:
+            raise ValueError("all permutations must share one rank")
+        windows.append(x)
+        degree += _inversions(x)
+    if degree != _inversions(target):
         return 0
     # the empty product is the class of the identity
-    return _fold(windows or [tuple(range(1, len(target) + 1))]).get(target, 0)
+    return _fold(windows or [tuple(range(1, n + 1))]).get(target, 0)
 
 
 # -- Littlewood-Richardson oracle ------------------------------------------------
@@ -242,11 +248,18 @@ class SnTables:
     * ``right_mul[i][k]``: perms[k] * s_i, for i = 1..n-1;
     * ``conj[k]`` and ``w0_left[k]``: w0 * perms[k] * w0 and w0 * perms[k];
     * ``below[k]``: bit j set when perms[j] <= perms[k] in Bruhat order,
-      compared by sorted prefixes (Bjorner-Brenti, Thm 2.6.3);
+      the bit of k OR'd with the ``below`` of each perms[k] * t_ij that
+      perms[k] covers, filled in length order; for i < j that is when
+      perms[k](i) > perms[k](j) and no value between them sits at a
+      position between them, the length then dropping by exactly one
+      (Bjorner-Brenti, Ch. 2), and Bruhat order is the transitive closure
+      of its covers;
     * ``star[k]``: the commuting-support factors of perms[k], or perms[k]
       itself when it is the identity;
     * ``triples``: the degree-compatible index triples (u, v, w), ordered
-      by w, then length(u), then u, then v.
+      by w, then length(u), then u, then v; the triple (u, v, w) sits at
+      ``_first[w][u] + _rank[v]``, where ``_rank[v]`` is the position of v
+      among the permutations of its length.
     """
 
     def __init__(self, n: int):
@@ -264,19 +277,24 @@ class SnTables:
         ]
         self.conj = [where[tuple(n + 1 - x for x in reversed(win))] for win in windows]
         self.w0_left = [where[tuple(n + 1 - x for x in win)] for win in windows]
-        prefixes = [
-            tuple(x for j in range(1, n) for x in sorted(win[:j])) for win in windows
-        ]
-        self.below = [
-            sum(1 << j for j, pj in enumerate(prefixes)
-                if self.length[j] <= self.length[k] and all(a <= b for a, b in zip(pj, pk)))
-            for k, pk in enumerate(prefixes)
-        ]
         self.star = [tuple(where[f.window] for f in _star_factors(p)) for p in self.perms]
 
         by_len: dict[int, list[int]] = {}
         for k, lk in enumerate(self.length):
             by_len.setdefault(lk, []).append(k)
+        # the covers of perms[k] are shorter, so their rows are filled first
+        self.below = [0] * len(windows)
+        for lk in sorted(by_len):
+            for k in by_len[lk]:
+                win = windows[k]
+                bits = 1 << k
+                for i in range(1, n):
+                    between = 0
+                    for j in range(i + 1, n + 1):
+                        if between < win[j - 1] < win[i - 1]:
+                            between = win[j - 1]
+                            bits |= self.below[where[_swap(win, i, j)]]
+                self.below[k] = bits
         self._rank = [0] * len(windows)
         for ks in by_len.values():
             for r, k in enumerate(ks):
@@ -292,26 +310,6 @@ class SnTables:
                     first[u] = len(self.triples)
                     self.triples.extend((u, v, w) for v in vs)
             self._first.append(first)
-
-    def index(self, u: int, v: int, w: int) -> int:
-        """Position of the degree-compatible triple (u, v, w) in ``triples``."""
-        return self._first[w][u] + self._rank[v]
-
-    def moves(self, u: int, v: int, w: int) -> tuple[list[int], bool]:
-        """The right-multiplication moves of (u, v, w).  Where u and v both
-        ascend at s_i, the constant moves to (u s_i, v, w s_i) if w ascends
-        too, and vanishes if w descends.  Returns the triple indices of the
-        steps in increasing i, and whether some s_i makes the constant
-        vanish."""
-        both = self.ascents[u] & self.ascents[v]
-        if not both:
-            return [], False
-        up = both & self.ascents[w]
-        steps = [
-            self.index(self.right_mul[i][u], v, self.right_mul[i][w])
-            for i in range(1, self.n) if up >> i & 1
-        ]
-        return steps, both != up
 
 
 def build_modified_partition(n: int, bound: int = 5) -> list[TripleClass]:
@@ -329,14 +327,23 @@ def build_modified_partition(n: int, bound: int = 5) -> list[TripleClass]:
     triples = tab.triples
     zero_root = len(triples)
     uf = list(range(zero_root + 1))
-    index, moves, below, conj, w0_left = tab.index, tab.moves, tab.below, tab.conj, tab.w0_left
+    first, rank, ascents, right_mul = tab._first, tab._rank, tab.ascents, tab.right_mul
+    below, conj, w0_left = tab.below, tab.conj, tab.w0_left
     for t, (u, v, w) in enumerate(triples):
         if below[w] >> u & below[w] >> v & 1:
-            steps, vanishes = moves(u, v, w)
-            partners = [index(v, u, w), index(conj[u], conj[v], conj[w]),
-                        index(u, w0_left[w], w0_left[v]), *steps]
-            if vanishes:
-                partners.append(zero_root)
+            # the swap, the w0-conjugation and the w0 symmetry
+            partners = [first[w][v] + rank[u], first[conj[w]][conj[u]] + rank[conj[v]],
+                        first[w0_left[v]][u] + rank[w0_left[w]]]
+            # where u and v both ascend at s_i, the constant moves to
+            # (u s_i, v, w s_i) if w ascends too, and vanishes if w descends
+            both = ascents[u] & ascents[v]
+            if both:
+                up = both & ascents[w]
+                for i in range(1, n):
+                    if up >> i & 1:
+                        partners.append(first[right_mul[i][w]][right_mul[i][u]] + rank[v])
+                if up != both:
+                    partners.append(zero_root)
         else:
             partners = [zero_root]
         # merge the class of t with each partner's: path halving, and the

@@ -427,15 +427,20 @@ class Polytope:
             row = self._divisors[path] = (union, mask)
         return row
 
-    def vertices_in(self, bits: int) -> list[Face]:
-        """The vertices whose bits are set, sorted by values."""
+    def vertex_masks_in(self, bits: int) -> list[int]:
+        """The tight masks of the vertices whose bits are set, sorted by
+        values."""
         masks = self._vertices
         out = []
         while bits:
             low = bits & -bits
-            out.append(Face(self, masks[low.bit_length() - 1]))
+            out.append(masks[low.bit_length() - 1])
             bits ^= low
         return out
+
+    def vertices_in(self, bits: int) -> list[Face]:
+        """The vertices whose bits are set, sorted by values."""
+        return [Face(self, m) for m in self.vertex_masks_in(bits)]
 
     # -- regularity and membership in the flag variety -----------------------------
 

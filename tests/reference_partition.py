@@ -1,11 +1,13 @@
 """The references for the modified partition of the triple set.
 
 The package builds the partition on integer tables of S_n
-(``gcschub.coeffs.SnTables``) with one inline union-find pass.  This module
-keeps the two constructions it replaced: the slow one on ``Permutation``
-objects, with the right-multiplication move written out as
-``recursion_step``, and the one on the same tables with ``find`` and
-``union`` closures, fast enough to compare on S_5.  With them live the
+(``gcschub.coeffs.SnTables``) with one inline union-find pass, which reads
+the position of a triple and its right-multiplication moves off the tables
+in the loop.  This module keeps the two constructions it replaced: the slow
+one on ``Permutation`` objects, with the right-multiplication move written
+out as ``recursion_step``, and the one on the same tables with ``find`` and
+``union`` closures, fast enough to compare on S_5, which calls ``index``
+and ``moves``, the two table lookups the loop inlines.  With them live the
 moves on plain triples that the tests check against the oracle: the list of
 degree-compatible triples, their orbit under the triple identities, and the
 commuting-support split of a tuple.
@@ -142,6 +144,28 @@ def build_modified_partition_reference(n: int) -> list[TripleClass]:
     return classes
 
 
+def index(tab: SnTables, u: int, v: int, w: int) -> int:
+    """Position of the degree-compatible triple (u, v, w) in ``tab.triples``."""
+    return tab._first[w][u] + tab._rank[v]
+
+
+def moves(tab: SnTables, u: int, v: int, w: int) -> tuple[list[int], bool]:
+    """The right-multiplication moves of (u, v, w).  Where u and v both
+    ascend at s_i, the constant moves to (u s_i, v, w s_i) if w ascends
+    too, and vanishes if w descends.  Returns the triple indices of the
+    steps in increasing i, and whether some s_i makes the constant
+    vanish."""
+    both = tab.ascents[u] & tab.ascents[v]
+    if not both:
+        return [], False
+    up = both & tab.ascents[w]
+    steps = [
+        index(tab, tab.right_mul[i][u], v, tab.right_mul[i][w])
+        for i in range(1, tab.n) if up >> i & 1
+    ]
+    return steps, both != up
+
+
 def build_modified_partition_closures(n: int) -> list[TripleClass]:
     """The partition on the index triples of ``SnTables``, closed by
     ``find`` and ``union`` closures with the moves computed for every
@@ -164,17 +188,17 @@ def build_modified_partition_closures(n: int) -> list[TripleClass]:
         elif rb < ra:
             uf[ra] = rb
 
-    index, moves, below, conj, w0_left = tab.index, tab.moves, tab.below, tab.conj, tab.w0_left
+    below, conj, w0_left = tab.below, tab.conj, tab.w0_left
     for t, (u, v, w) in enumerate(triples):
-        steps, vanishes = moves(u, v, w)
+        steps, vanishes = moves(tab, u, v, w)
         if vanishes:
             union(t, zero_root)
         if not (below[w] >> u & below[w] >> v & 1):
             union(t, zero_root)
             continue
-        union(t, index(v, u, w))
-        union(t, index(conj[u], conj[v], conj[w]))
-        union(t, index(u, w0_left[w], w0_left[v]))
+        union(t, index(tab, v, u, w))
+        union(t, index(tab, conj[u], conj[v], conj[w]))
+        union(t, index(tab, u, w0_left[w], w0_left[v]))
         for step in steps:
             union(t, step)
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcschub import coeffs
@@ -35,6 +35,8 @@ from reference_partition import (
     apply_identities,
     build_modified_partition_closures,
     build_modified_partition_reference,
+    index,
+    moves,
     recursion_step,
     split_by_star,
 )
@@ -149,6 +151,52 @@ def products(draw):
     word = st.lists(st.integers(1, n - 1), max_size=7)
     k = draw(st.integers(2, 3))
     return [Permutation.from_word(draw(word), n) for _ in range(k)], n
+
+
+@st.composite
+def oracle_calls(draw):
+    """Zero to three factors of S_n for n = 1..5, each the product of a word
+    of at most four simple reflections, and a target: any permutation of
+    S_n, or the product of all the words, so that the degrees often match
+    and as often do not."""
+    n = draw(st.integers(1, 5))
+    word = st.lists(st.integers(1, n - 1), max_size=4) if n > 1 else st.just([])
+    words = draw(st.lists(word, max_size=3))
+    target = draw(st.one_of(
+        st.permutations(range(1, n + 1)).map(lambda p: Permutation(tuple(p))),
+        st.just(Permutation.from_word([i for wd in words for i in wd], n)),
+    ))
+    return [Permutation.from_word(wd, n) for wd in words], target
+
+
+class TestOracleFastPath:
+    """``structure_constant`` (one pass over the factors for the rank and
+    degree checks, then the row fold) against the polynomial reference, for
+    zero to three factors and any target."""
+
+    # the pinned examples have nonzero constants, so a degree check that
+    # misses a factor fails on them whatever Hypothesis draws
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_calls())
+    @example(([s(2, 3)], s(2, 3)))
+    @example(([s(2, 3), s(1, 3)], Permutation((3, 1, 2))))
+    @example(([s(1, 4), s(2, 4), s(3, 4)], Permutation.from_word([1, 2, 3], 4)))
+    def test_matches_reference(self, call):
+        us, w = call
+        assert structure_constant(us, w) == structure_constant_reference(us, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_calls(), st.data())
+    def test_wrong_rank_factor_raises_at_any_position(self, call, data):
+        us, w = call
+        pos = data.draw(st.integers(0, len(us)), label="position")
+        m = data.draw(st.sampled_from([w.n + 1] + ([w.n - 1] if w.n > 1 else [])), label="rank")
+        bad = Permutation(tuple(data.draw(st.permutations(range(1, m + 1)), label="window")))
+        factors = us[:pos] + [bad] + us[pos:]
+        with pytest.raises(ValueError, match="one rank"):
+            structure_constant(factors, w)
+        with pytest.raises(ValueError):
+            structure_constant_reference(factors, w)
 
 
 class TestRowTable:
@@ -453,9 +501,9 @@ class TestSnTables:
         tab = SnTables(n)
         p = tab.perms
         assert [(p[u], p[v], p[w]) for u, v, w in tab.triples] == all_triples(n)
-        assert all(tab.index(*t) == k for k, t in enumerate(tab.triples))
+        assert all(index(tab, *t) == k for k, t in enumerate(tab.triples))
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tables_match_permutation_operations(self, n):
         tab = SnTables(n)
         p = tab.perms
@@ -480,7 +528,7 @@ class TestSnTables:
         for u, v, w in tab.triples:
             t = (p[u], p[v], p[w])
             results = [recursion_step(t, i) for i in range(1, n)]
-            steps, vanishes = tab.moves(u, v, w)
+            steps, vanishes = moves(tab, u, v, w)
             stepped = [tab.triples[k] for k in steps]
             assert [(p[a], p[b], p[c]) for a, b, c in stepped] == [
                 res.triple for res in results if res.kind == "step"

@@ -92,7 +92,7 @@ MUTANTS = (
     ),
     Mutant(
         "evaluate-skips-pair-scan", "src/gcschub/certify.py",
-        "    pair = _pair_on_one_face([v.mask for v in verts], masks)\n",
+        "    pair = _pair_on_one_face(tight, masks)\n",
         "    pair = None\n",
         ("tests/test_certify.py::TestEvaluate::test_positive_dimension_reported",),
     ),
@@ -257,7 +257,7 @@ MUTANTS = (
     ),
     Mutant(
         "partition-drop-vanishing-merge", COEFFS,
-        "            if vanishes:\n                partners.append(zero_root)\n",
+        "                if up != both:\n                    partners.append(zero_root)\n",
         "",
         COEFFS_TESTS,
     ),
@@ -286,21 +286,23 @@ MUTANTS = (
         ("tests/test_coeffs.py::TestModifiedPartition::test_matches_reference",),
     ),
     Mutant(
-        "bruhat-table-first-prefix-only", COEFFS,
-        "tuple(x for j in range(1, n) for x in sorted(win[:j]))",
-        "tuple(x for j in range(1, 2) for x in sorted(win[:j]))",
+        # dropping the cover scan's ``between`` bound is equivalent: every
+        # length-lowering reflection leads below, so the closure is the same
+        "bruhat-table-covers-at-first-position-only", COEFFS,
+        "                for i in range(1, n):\n                    between = 0\n",
+        "                for i in range(1, 2):\n                    between = 0\n",
         COEFFS_TESTS,
     ),
     Mutant(
-        "sntables-index-ignores-v", COEFFS,
-        "        return self._first[w][u] + self._rank[v]\n",
-        "        return self._first[w][u]\n",
+        "partition-step-index-ignores-v", COEFFS,
+        "partners.append(first[right_mul[i][w]][right_mul[i][u]] + rank[v])",
+        "partners.append(first[right_mul[i][w]][right_mul[i][u]])",
         COEFFS_TESTS,
     ),
     Mutant(
         "partition-drop-w0-symmetry", COEFFS,
-        "                        index(u, w0_left[w], w0_left[v]), *steps]\n",
-        "                        *steps]\n",
+        ",\n                        first[w0_left[v]][u] + rank[w0_left[w]]]\n",
+        "]\n",
         COEFFS_TESTS,
         equivalent="for n <= 5 the other moves already give the same classes "
         "(2 on S_5); kept as a symmetry of the constants",
@@ -350,6 +352,12 @@ MUTANTS = (
         "    for y in windows[2:]:\n",
         "    for y in windows[3:]:\n",
         ("tests/test_coeffs.py::TestRowTable",),
+    ),
+    Mutant(
+        "oracle-degree-skips-last-factor", COEFFS,
+        "        degree += _inversions(x)\n",
+        "        degree += _inversions(x) if len(windows) < len(us) else 0\n",
+        ("tests/test_coeffs.py::TestOracleFastPath::test_matches_reference",),
     ),
     Mutant(
         "row-drop-positivity-check", COEFFS,
