@@ -104,17 +104,7 @@ def evaluate(
     the count, before any piece is built.
     """
     shape = poly.shape
-    for x in list(vs) + [w] + list(us):
-        if x.n != poly.n:
-            raise InputError(f"{x} is not a permutation of rank {poly.n}")
-    if len(us) != len(vs):
-        raise InputError(f"need one translation per factor: {len(us)} vs {len(vs)}")
-    for x in list(vs) + [w]:
-        if not shape.in_min_coset_reps(x):
-            raise InputError(f"{x} is not a minimal coset representative for {shape}")
-    if sum(length(v) for v in vs) != length(w):
-        raise InputError("lengths of the factors must add up to the length of w")
-
+    _check_inputs(poly, vs, w, us)
     w0 = longest_element(poly.n)
     pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
     inter = whole = poly.vertex_bitsets()[0]
@@ -143,7 +133,7 @@ def evaluate(
             "positive_dimension",
             f"vertices {a} and {b} span a face inside the intersection",
         )
-    verts = poly.vertices_in(inter)
+    verts = [Face(poly, m) for m in tight]
     try:
         outside = [v for v in verts if not poly.in_VX(v)]
     except UnsupportedShapeError as exc:
@@ -159,6 +149,22 @@ def evaluate(
     count = len(verts)
     status = "certified" if count == oracle else "mismatch"
     return Certificate(shape, tuple(vs), w, tuple(us), tuple(verts), count, oracle, status)
+
+
+def _check_inputs(poly: Polytope, vs, w: Permutation, us) -> None:
+    """Raise InputError unless every permutation has the polytope's rank,
+    there is one translation per factor, the factors and w are minimal
+    coset representatives, and the factor lengths add up to w's."""
+    for x in list(vs) + [w] + list(us):
+        if x.n != poly.n:
+            raise InputError(f"{x} is not a permutation of rank {poly.n}")
+    if len(us) != len(vs):
+        raise InputError(f"need one translation per factor: {len(us)} vs {len(vs)}")
+    for x in list(vs) + [w]:
+        if not poly.shape.in_min_coset_reps(x):
+            raise InputError(f"{x} is not a minimal coset representative for {poly.shape}")
+    if sum(length(v) for v in vs) != length(w):
+        raise InputError("lengths of the factors must add up to the length of w")
 
 
 def _pair_on_one_face(tight: list[int], masks) -> tuple[int, int] | None:
@@ -196,58 +202,60 @@ def _all_perms(n: int) -> tuple[Permutation, ...]:
     return tuple(sorted(perms, key=lambda p: (length(p), p.window)))
 
 
-def _tier1(poly: Polytope, vs):
-    """Single moving translation in one slot, identity elsewhere."""
-    n = poly.n
-    m1 = len(vs)
+def _candidates(poly: Polytope, vs, tiers):
+    """The translation tuples of the tiers in order, built one at a time,
+    each with its tier-3 index, None in tiers 1 and 2.  Tier 1 moves one
+    slot through S_n, the identity elsewhere, after the identity tuple;
+    tier 2 moves one slot by the moves of ``_tier2``, skipping a tuple it
+    has already yielded; tier 3 is every tuple in canonical order.  S_n is
+    listed only once tier 1 or 3 is reached."""
+    n, m1 = poly.n, len(vs)
     idt = Permutation.identity(n)
-    yield tuple([idt] * m1)
-    for slot in range(m1):
-        for u in _all_perms(n)[1:]:  # the identity comes first
-            us = [idt] * m1
-            us[slot] = u
-            yield tuple(us)
+    for tier in tiers:
+        if tier == 1:
+            yield None, (idt,) * m1
+            for slot in range(m1):
+                for u in _all_perms(n)[1:]:  # the identity comes first
+                    yield None, (idt,) * slot + (u,) + (idt,) * (m1 - 1 - slot)
+        elif tier == 2:
+            seen = set()
+            for slot, u in _tier2(poly, vs):
+                us = (u, idt) if slot == 0 else (idt, u)
+                if us not in seen:
+                    seen.add(us)
+                    yield None, us
+        else:
+            yield from enumerate(itertools.product(_all_perms(n), repeat=m1))
 
 
 def _tier2(poly: Polytope, vs):
-    """Constructive candidates: Chevalley, special pairs, cyclic shifts."""
-    n = poly.n
+    """Constructive moves (slot, translation) of a two-factor Grassmannian
+    search: Chevalley, special pairs, cyclic shifts.  A factor that is not
+    a minimal coset representative raises InputError."""
     shape = poly.shape
-    idt = Permutation.identity(n)
-    out = []
-    if shape.is_grassmannian() and len(vs) == 2:
-        m = shape.cuts[0]
-        try:
-            parts = [partition_of_perm(v, m) for v in vs]
-        except ValueError:
-            parts = None
-        if parts is not None:
-            one_box = tuple([1] + [0] * (m - 1))
-            single_rows = all(sum(1 for p in part if p) <= 1 for part in parts)
-            for i, j in ((0, 1), (1, 0)):
-                # Chevalley: translate the divisor class by the partner
-                if parts[i] == one_box:
-                    us = [idt, idt]
-                    us[i] = vs[j]
-                    out.append(tuple(us))
-                # special pair (r, q): block shift on the r slot
-                if single_rows:
-                    r, q = parts[i][0], parts[j][0]
-                    if r + q <= n - m:
-                        us = [idt, idt]
-                        us[i] = _block_shift(m, r, q, n)
-                        out.append(tuple(us))
-            # cyclic-shift candidates for two-row shapes
-            if m == 2:
-                cyc = cyclic_shift(n)
-                power = idt
-                for _ in range(n):
-                    for slot in (0, 1):
-                        us = [idt, idt]
-                        us[slot] = power
-                        out.append(tuple(us))
-                    power = cyc * power
-    return list(dict.fromkeys(out))
+    if not shape.is_grassmannian() or len(vs) != 2:
+        return
+    n, m = poly.n, shape.cuts[0]
+    parts = [partition_of_perm(v, m) for v in vs]
+    one_box = tuple([1] + [0] * (m - 1))
+    single_rows = all(sum(1 for p in part if p) <= 1 for part in parts)
+    for i, j in ((0, 1), (1, 0)):
+        # Chevalley: translate the divisor class by the partner
+        if parts[i] == one_box:
+            yield i, vs[j]
+        # special pair (r, q): block shift on the r slot
+        if single_rows:
+            r, q = parts[i][0], parts[j][0]
+            if r + q <= n - m:
+                yield i, _block_shift(m, r, q, n)
+    # cyclic-shift candidates for two-row shapes
+    if m == 2:
+        cyc = cyclic_shift(n)
+        power = Permutation.identity(n)
+        for _ in range(n):
+            yield 0, power
+            yield 1, power
+            power = cyc * power
 
 
 def _block_shift(m: int, r: int, q: int, n: int) -> Permutation:
@@ -259,11 +267,6 @@ def _block_shift(m: int, r: int, q: int, n: int) -> Permutation:
     return grassmannian_perm((q,) * r + (0,) * (m - 1), m + r - 1, n)
 
 
-def _tier3(poly: Polytope, vs):
-    """Full tuple enumeration in canonical order, with the tuple index."""
-    return enumerate(itertools.product(_all_perms(poly.n), repeat=len(vs)))
-
-
 def search(
     poly: Polytope,
     vs: list[Permutation],
@@ -272,48 +275,41 @@ def search(
     tiers: tuple[int, ...] = (1, 2, 3),
 ) -> SearchResult:
     """Try translation tuples in deterministic order until a certificate
-    appears or the budget runs out.  Factors that fail the Bruhat test
-    against w are settled by a single untranslated evaluation, whose shadow
-    comes out empty.  A tier other than 1, 2 and 3 raises InputError before
-    any evaluation."""
+    appears or the budget runs out.  The tuples come from one lazy stream,
+    ``_candidates``, so a tuple is built only when it is tried, and S_n is
+    listed only by tiers 1 and 3.  Factors that fail the Bruhat test
+    against w are settled by a single untranslated evaluation, at any
+    budget, whose shadow comes out empty.  A tier other than 1, 2 and 3
+    raises InputError before any evaluation, and so does bad input when
+    no tuple is evaluated."""
     unknown = [t for t in tiers if t not in (1, 2, 3)]
     if unknown:
         raise InputError(f"unknown search tiers {unknown}: the tiers are 1, 2 and 3")
     result = SearchResult()
-    idt = Permutation.identity(poly.n)
-
-    def attempt(us) -> bool:
+    untranslated = (Permutation.identity(poly.n),) * len(vs)
+    stream = _candidates(poly, vs, tiers)
+    if any(not bruhat_leq(v, w) for v in vs):
+        stream = itertools.chain([(None, untranslated)], stream)
+        budget = max(budget, 1)  # tried at budget 0 too
+    for index, us in stream:
+        if index is not None:
+            result.cursor = index
+        if result.tried >= budget:
+            break
         result.tried += 1
         res = evaluate(poly, vs, w, list(us))
-        if isinstance(res, Certificate):
-            if res.status == "mismatch":
-                raise AssertionError(
-                    f"certificate mismatch for vs={vs} w={w} us={us}: "
-                    f"{res.count} vs oracle {res.oracle}"
-                )
+        if isinstance(res, EvaluationFailure):
+            result.failures[res.kind] = result.failures.get(res.kind, 0) + 1
+        elif res.status == "mismatch":
+            raise AssertionError(
+                f"certificate mismatch for vs={vs} w={w} us={us}: "
+                f"{res.count} vs oracle {res.oracle}"
+            )
+        else:
             result.certificate = res
-            return True
-        result.failures[res.kind] = result.failures.get(res.kind, 0) + 1
-        return False
-
-    def candidates(tier: int):
-        if tier == 1:
-            yield from _tier1(poly, vs)
-        elif tier == 2:
-            yield from _tier2(poly, vs)
-        elif tier == 3:
-            for idx, us in _tier3(poly, vs):
-                result.cursor = idx
-                yield us
-
-    if any(not bruhat_leq(v, w) for v in vs):
-        if attempt(tuple(idt for _ in vs)):
-            return result
-
-    for tier in tiers:
-        for us in candidates(tier):
-            if result.tried >= budget or attempt(us):
-                return result
+            break
+    if result.tried == 0:
+        _check_inputs(poly, vs, w, untranslated)
     return result
 
 

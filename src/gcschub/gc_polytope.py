@@ -93,8 +93,9 @@ They are pure functions of permutation windows, shared by every polytope,
 so they stay process-wide.  After the Fl5 partition and its 74,199 oracle
 calls they held 476, 8,165, 120 and 119 entries, and clearing the two
 ``coeffs`` caches freed 1.98 MiB.  ``certify._all_perms`` holds S_n in
-search order once per n, and ``ladder._check_lambda`` remembers up to 256
-weights that passed ``validate_lambda``.
+search order once per n, from the first search that reaches tier 1 or 3,
+and ``ladder._check_lambda`` remembers up to 256 weights that passed
+``validate_lambda``.
 """
 
 from __future__ import annotations
@@ -437,10 +438,6 @@ class Polytope:
             out.append(masks[low.bit_length() - 1])
             bits ^= low
         return out
-
-    def vertices_in(self, bits: int) -> list[Face]:
-        """The vertices whose bits are set, sorted by values."""
-        return [Face(self, m) for m in self.vertex_masks_in(bits)]
 
     # -- regularity and membership in the flag variety -----------------------------
 

@@ -253,7 +253,7 @@ def partition_of_perm(w: Permutation, m: int) -> tuple[int, ...]:
     """Inverse of grassmannian_perm on level-m minimal coset reps."""
     shape = ParabolicShape((m,), w.n)
     if not shape.in_min_coset_reps(w):
-        raise ValueError(f"{w} is not a minimal coset representative for m={m}")
+        raise InputError(f"{w} is not a minimal coset representative for m={m}")
     return tuple(w(m + 1 - r) - (m + 1 - r) for r in range(1, m + 1))
 
 

@@ -286,7 +286,7 @@ def pair_on_one_face_by_facets(poly: Polytope, paths) -> tuple[int, int] | None:
     index tuples that lie on one face inside S, found on facet vertex
     bitsets: every divisor must have a facet that holds both.  The scan
     takes the lowest vertex with a partner, then its lowest partner, and
-    returns their positions in ``poly.vertices_in(S)``; None when no two
+    returns their positions in ``poly.vertex_masks_in(S)``; None when no two
     vertices qualify."""
     table = poly.vertex_bitsets()[1]
     bits = divisor_bits(poly, paths)

@@ -1,0 +1,137 @@
+"""The reference for ``gcschub.certify.search``.
+
+The package walks one lazy stream of translation tuples in one loop
+(``certify._candidates``).  This module keeps the search it replaced:
+an ``attempt`` closure that evaluates one tuple, a ``candidates`` closure
+over three tier helpers, a Bruhat pre-attempt written apart from the tier
+loop, and a tier 2 that builds every candidate before the first is tried
+and drops repeats with ``dict.fromkeys``.  Both must try the same tuples
+in the same order and return the same ``SearchResult``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from gcschub.certify import Certificate, SearchResult, _all_perms, _block_shift, evaluate
+from gcschub.gc_polytope import Polytope
+from gcschub.weyl import (
+    InputError,
+    Permutation,
+    bruhat_leq,
+    cyclic_shift,
+    partition_of_perm,
+)
+
+
+def _tier1(poly: Polytope, vs):
+    """Single moving translation in one slot, identity elsewhere."""
+    n = poly.n
+    m1 = len(vs)
+    idt = Permutation.identity(n)
+    yield tuple([idt] * m1)
+    for slot in range(m1):
+        for u in _all_perms(n)[1:]:  # the identity comes first
+            us = [idt] * m1
+            us[slot] = u
+            yield tuple(us)
+
+
+def _tier2(poly: Polytope, vs):
+    """Constructive candidates: Chevalley, special pairs, cyclic shifts."""
+    n = poly.n
+    shape = poly.shape
+    idt = Permutation.identity(n)
+    out = []
+    if shape.is_grassmannian() and len(vs) == 2:
+        m = shape.cuts[0]
+        try:
+            parts = [partition_of_perm(v, m) for v in vs]
+        except ValueError:
+            parts = None
+        if parts is not None:
+            one_box = tuple([1] + [0] * (m - 1))
+            single_rows = all(sum(1 for p in part if p) <= 1 for part in parts)
+            for i, j in ((0, 1), (1, 0)):
+                # Chevalley: translate the divisor class by the partner
+                if parts[i] == one_box:
+                    us = [idt, idt]
+                    us[i] = vs[j]
+                    out.append(tuple(us))
+                # special pair (r, q): block shift on the r slot
+                if single_rows:
+                    r, q = parts[i][0], parts[j][0]
+                    if r + q <= n - m:
+                        us = [idt, idt]
+                        us[i] = _block_shift(m, r, q, n)
+                        out.append(tuple(us))
+            # cyclic-shift candidates for two-row shapes
+            if m == 2:
+                cyc = cyclic_shift(n)
+                power = idt
+                for _ in range(n):
+                    for slot in (0, 1):
+                        us = [idt, idt]
+                        us[slot] = power
+                        out.append(tuple(us))
+                    power = cyc * power
+    return list(dict.fromkeys(out))
+
+
+def _tier3(poly: Polytope, vs):
+    """Full tuple enumeration in canonical order, with the tuple index."""
+    return enumerate(itertools.product(_all_perms(poly.n), repeat=len(vs)))
+
+
+def search(
+    poly: Polytope,
+    vs: list[Permutation],
+    w: Permutation,
+    budget: int = 3000,
+    tiers: tuple[int, ...] = (1, 2, 3),
+) -> SearchResult:
+    """Try translation tuples in deterministic order until a certificate
+    appears or the budget runs out.  Factors that fail the Bruhat test
+    against w are settled by a single untranslated evaluation, whose shadow
+    comes out empty.  A tier other than 1, 2 and 3 raises InputError before
+    any evaluation."""
+    unknown = [t for t in tiers if t not in (1, 2, 3)]
+    if unknown:
+        raise InputError(f"unknown search tiers {unknown}: the tiers are 1, 2 and 3")
+    result = SearchResult()
+    idt = Permutation.identity(poly.n)
+
+    def attempt(us) -> bool:
+        result.tried += 1
+        res = evaluate(poly, vs, w, list(us))
+        if isinstance(res, Certificate):
+            if res.status == "mismatch":
+                raise AssertionError(
+                    f"certificate mismatch for vs={vs} w={w} us={us}: "
+                    f"{res.count} vs oracle {res.oracle}"
+                )
+            result.certificate = res
+            return True
+        result.failures[res.kind] = result.failures.get(res.kind, 0) + 1
+        return False
+
+    def candidates(tier: int):
+        if tier == 1:
+            yield from _tier1(poly, vs)
+        elif tier == 2:
+            yield from _tier2(poly, vs)
+        elif tier == 3:
+            for idx, us in _tier3(poly, vs):
+                result.cursor = idx
+                yield us
+
+    if any(not bruhat_leq(v, w) for v in vs):
+        if attempt(tuple(idt for _ in vs)):
+            return result
+
+    for tier in tiers:
+        for us in candidates(tier):
+            if result.tried >= budget or attempt(us):
+                return result
+    return result
+

@@ -29,6 +29,7 @@ from gcschub.weyl import (
     length,
     longest_element,
     min_coset_rep,
+    parse_permutation,
 )
 from paper_checks import vertices_with_target_translation
 from reference_faces import delta_uv_by_faces, vertex_bits
@@ -248,6 +249,24 @@ class TestSearch:
         v = Permutation((1, 3, 2, 4))
         with pytest.raises(InputError, match="unknown search tiers"):
             search(poly, [v, v], Permutation((2, 3, 1, 4)), tiers=tiers)
+        assert poly.delta_cache == {}
+
+    @pytest.mark.parametrize("tiers", [(2,), (1,), (3,), (2, 1, 3)])
+    @pytest.mark.parametrize("cuts_n, vs, w", [
+        # a factor that is not a coset representative, which tier 2 reads
+        ((2, 4), ["2134", "2134"], "3412"),
+        # a target that is not one, with no tier-2 candidate
+        ((3, 6), ["135246", "134256"], "654321"),
+        # lengths that do not add up, on a shape with no tier 2
+        ((1, 2, 3, 4), ["2134"], "4321"),
+    ], ids=["gr24-factor", "gr36-target", "fl4-lengths"])
+    def test_bad_input_rejected_by_every_tier(self, cuts_n, vs, w, tiers):
+        # evaluate's input checks hold for a search that evaluates no
+        # tuple too: nothing enters the piece cache
+        poly = make(*cuts_n)
+        n = poly.n
+        with pytest.raises(InputError):
+            search(poly, [parse_permutation(v, n) for v in vs], parse_permutation(w, n), tiers=tiers)
         assert poly.delta_cache == {}
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcschub import gc_polytope
-from gcschub.certify import Certificate, _pair_on_one_face, _tier1, _tier2, evaluate
+from gcschub.certify import Certificate, _candidates, _pair_on_one_face, evaluate
 from gcschub.coeffs import build_modified_partition
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
@@ -68,7 +68,7 @@ def test_fl4_tier1_tuples():
     ]
     kinds = set()
     for *vs, w in searched:
-        for us in _tier1(poly, vs):
+        for _, us in _candidates(poly, vs, (1,)):
             kinds.add(check_same(poly, vs, w, us))
     assert {"certified", "positive_dimension"} <= kinds
 
@@ -98,7 +98,7 @@ def test_gr6_two_factor_triples(m):
             continue
         vs = [grassmannian_perm(mu, m, n), grassmannian_perm(nu, m, n)]
         w = grassmannian_perm(eta, m, n)
-        for us in [(idt, idt)] + _tier2(poly, vs):
+        for us in [(idt, idt), *(t for _, t in _candidates(poly, vs, (2,)))]:
             kinds.add(check_same(poly, vs, w, us))
     assert {"certified", "positive_dimension"} <= kinds
 
@@ -126,10 +126,10 @@ def test_pair_scan_matches_facet_reference(cuts_n):
     for a, b, w in itertools.product(reps, repeat=3):
         if length(a) + length(b) != length(w):
             continue
-        for us in [(idt, idt)] + _tier2(poly, [a, b]):
+        for us in [(idt, idt), *(t for _, t in _candidates(poly, [a, b], (2,)))]:
             pieces = [(w0, min_coset_rep(w0 * w, poly.shape)), *zip(us, (a, b))]
             paths = set().union(*(delta_uv(poly, u, v) for u, v in pieces))
-            tight = [v.mask for v in poly.vertices_in(divisor_bits(poly, paths))]
+            tight = poly.vertex_masks_in(divisor_bits(poly, paths))
             got = _pair_on_one_face(tight, {poly.divisor(p)[1] for p in paths})
             assert got == pair_on_one_face_by_facets(poly, paths), (a, b, w, us)
             outcomes.add((got is None, bool(tight)))

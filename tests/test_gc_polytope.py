@@ -93,10 +93,10 @@ class TestVertices:
         for poly in (GR25, FL4, make(1, 3, 4)):
             verts = poly.vertices()
             whole, table = poly.vertex_bitsets()
-            assert poly.vertices_in(whole) == verts
+            assert poly.vertex_masks_in(whole) == [v.mask for v in verts]
             assert list(table) == list(poly.diagram.effective_edges)
             for e, bits in table.items():
-                assert poly.vertices_in(bits) == [v for v in verts if e in v.facets()], e
+                assert poly.vertex_masks_in(bits) == [v.mask for v in verts if e in v.facets()], e
 
     def test_positive_dimension_is_not_a_vertex(self):
         f = GR24.named_face((1, 0))

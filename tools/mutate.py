@@ -86,8 +86,8 @@ MUTANTS = (
     ),
     Mutant(
         "evaluate-vertices-in-mask-order", "src/gcschub/certify.py",
-        "    verts = poly.vertices_in(inter)\n",
-        "    verts = sorted(poly.vertices_in(inter))\n",
+        "    verts = [Face(poly, m) for m in tight]\n",
+        "    verts = [Face(poly, m) for m in sorted(tight)]\n",
         ("tests/test_certify.py",),
     ),
     Mutant(
@@ -142,9 +142,15 @@ MUTANTS = (
     ),
     Mutant(
         "search-budget-checked-late", "src/gcschub/certify.py",
-        "            if result.tried >= budget or attempt(us):\n",
-        "            if result.tried > budget or attempt(us):\n",
+        "        if result.tried >= budget:\n",
+        "        if result.tried > budget:\n",
         ("tests/test_certify.py",),
+    ),
+    Mutant(
+        "tier2-yields-repeats", "src/gcschub/certify.py",
+        "                if us not in seen:\n",
+        "                if True:\n",
+        ("tests/test_search_reference.py::test_search_matches_reference",),
     ),
     Mutant(
         "facets-reverse-subset", GC,
