@@ -9,7 +9,7 @@ always cross-checks against the structure-constant oracle.
 
 S is decided on vertex bitsets.  A piece is one row: the AND of the vertex
 bitsets of its divisors, each the union of the facets on its path, and
-the set of their masks of facet pair bits (``Polytope.divisor``).  The
+the set of their masks of facet pair bits (``pluecker.delta_uv``).  The
 vertices of S are the AND of the rows, and S is finite unless it holds an
 edge, whose vertices a and b lie in S.  The smallest face holding a and b
 has tight mask m_a & m_b; a face inside a union of finitely many faces
@@ -46,6 +46,12 @@ from .weyl import (
 )
 
 log = logging.getLogger("gcschub")
+
+MAX_GR2_N = 16
+"""The largest n that ``sweep_gr2`` takes.  On one core of a 2-core Xeon
+under CPython 3.11, Gr(2,15) has 20,832 entries and took 6-8 s, and
+Gr(2,16) has 28,764 and took 47 s; the reduced pairs live in Gr(d+2, n),
+whose polytopes grow with n, and Gr(2,20) was still running after 20 s."""
 
 
 @dataclass(frozen=True)
@@ -98,27 +104,23 @@ def evaluate(
     Every piece is a translated Schubert variety u X^v, the target one too:
     X_w = w_0 X^{pi(w_0 w)}, so it comes first as the pair (w_0, pi(w_0 w)).
     Each piece depends on (u, v) alone: its row is built once per polytope
-    from the divisor table and kept in its ``delta_cache`` under the two
-    windows.  The vertices are listed first, so a shape with more vertices
-    than ``gc_polytope.MAX_VERTICES`` raises UnsupportedShapeError from
-    the count, before any piece is built.
+    by ``delta_uv`` and kept in its ``delta_cache`` under the two windows.
+    The vertices are listed first, so a shape with more vertices than
+    ``gc_polytope.MAX_VERTICES`` raises UnsupportedShapeError from the
+    count, before any piece is built.
     """
     shape = poly.shape
     _check_inputs(poly, vs, w, us)
     w0 = longest_element(poly.n)
     pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
-    inter = whole = poly.vertex_bitsets()[0]
+    inter = poly.vertex_bitsets()[0]
     cache = poly.delta_cache
     masks: set[int] = set()
     for u, v in pieces:
         key = (u.window, v.window)
         row = cache.get(key)
         if row is None:
-            divisors = [poly.divisor(path) for path in delta_uv(poly, u, v)]
-            bits = whole
-            for union, _ in divisors:
-                bits &= union
-            row = cache[key] = (bits, frozenset(mask for _, mask in divisors))
+            row = cache[key] = delta_uv(poly, u, v)
         inter &= row[0]
         masks |= row[1]
 
@@ -430,7 +432,12 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
     not of the triple itself.
 
     The constructive tier alone suffices; the later tiers are a fallback.
+    An n above ``MAX_GR2_N`` raises UnsupportedShapeError before any work.
     """
+    if n > MAX_GR2_N:
+        raise UnsupportedShapeError(
+            f"Gr(2,{n}) sweeps are not supported; at most n = {MAX_GR2_N} is swept"
+        )
     parts = _box_partitions(2, n - 2)
     polys: dict[int, Polytope] = {}
     # (partition, m) -> its Grassmannian permutation, built once per sweep

@@ -85,7 +85,7 @@ tables, all read off the pair-bit map:
   row per tuple, filled by ``divisor``;
 * ``delta_cache``: (u, v) windows -> the piece u X^v as one row, the AND
   of the vertex bitsets of its divisors and the frozenset of their pair
-  masks, filled by ``certify.evaluate``.
+  masks, filled by ``certify.evaluate`` from ``pluecker.delta_uv``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.

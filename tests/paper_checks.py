@@ -31,10 +31,10 @@ from gcschub.ladder import (
     path_of_partition,
     validate_lambda,
 )
-from gcschub.pluecker import Vanishing
 from gcschub.weyl import Permutation, longest_element, min_coset_rep
 
 import reference_faces
+from reference_faces import Vanishing
 
 
 # -- the Pieri rule ------------------------------------------------------------

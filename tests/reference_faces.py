@@ -14,8 +14,11 @@ word of every edge subset of the right size, the face algebra of unions of
 faces with the evaluation that folds them, the pair scan on the vertex
 bitsets of the facets, the vertex listing that builds every pattern and
 takes the tight mask of its key, the facet count of a vertex, the flag
-test on its cell values, and the key of a tight mask by a union-find
-forest of its tight pairs.  It also builds four faces by name: the whole
+test on its cell values, the key of a tight mask by a union-find
+forest of its tight pairs, and the vanishing set of X^v, a dict from each
+cut level to the index tuples I with p_I = 0, from which a piece's divisor
+set and row are built where ``pluecker.delta_uv`` builds the row in one
+pass over the paths.  It also builds four faces by name: the whole
 polytope, the facet of an effective edge by saturation, the face of a set
 of pinned boxes, and the face of a Kogan face.
 
@@ -35,8 +38,7 @@ from gcschub.certify import Certificate, EvaluationFailure
 from gcschub.coeffs import structure_constant
 from gcschub.gc_polytope import Face, Polytope, _count_patterns
 from gcschub.kogan import KoganFace, enumerate_reduced, read_word
-from gcschub.ladder import LadderDiagram, Path
-from gcschub.pluecker import vanishing_schubert
+from gcschub.ladder import LadderDiagram, Path, path_leq
 from gcschub.weyl import (
     Permutation,
     UnsupportedShapeError,
@@ -44,6 +46,9 @@ from gcschub.weyl import (
     longest_element,
     min_coset_rep,
 )
+
+# cut level -> the index tuples I with p_I = 0 at that level
+Vanishing = dict[int, frozenset[Path]]
 
 # polytope -> {union of two tight masks -> tight mask of their meet}
 _MEETS: "weakref.WeakKeyDictionary[Polytope, dict[int, int]]" = weakref.WeakKeyDictionary()
@@ -271,6 +276,46 @@ def vertex_bits(poly: Polytope, faces) -> int:
 # -- shadows and their evaluation --------------------------------------------------
 
 
+def w_divisor(u: Permutation, level: int) -> Path:
+    """The divisor path of u X^{s_level}, 1 <= level < n: horizontal steps
+    u({1..level})."""
+    if not 1 <= level < u.n:
+        raise ValueError(f"level out of range: {level}")
+    return u.image(range(1, level + 1))
+
+
+def vanishing_schubert(diagram: LadderDiagram, v: Permutation) -> Vanishing:
+    """Vanishing coordinates of X^v on the diagram's flag variety, level by
+    level."""
+    shape = diagram.shape
+    if v.n != shape.n:
+        raise ValueError(f"rank mismatch: {v.n} vs {shape.n}")
+    if not shape.in_min_coset_reps(v):
+        raise ValueError(f"{v} is not a minimal coset representative for {shape}")
+    data = {}
+    for level in shape.cuts:
+        ref = w_divisor(v, level)
+        dead = set()
+        for p in diagram.paths_at_level(level):
+            if not path_leq(ref, p):
+                dead.add(p)
+        data[level] = frozenset(dead)
+    return data
+
+
+def delta_uv_paths(poly: Polytope, u: Permutation, v: Permutation) -> frozenset[Path]:
+    """The divisors cutting out u X^v, the index tuples u(I) for I in the
+    vanishing set of v."""
+    vanishing = vanishing_schubert(poly.diagram, v)
+    return frozenset(u.image(i) for paths in vanishing.values() for i in paths)
+
+
+def divisor_row(poly: Polytope, paths) -> tuple[int, frozenset[int]]:
+    """The row of the divisors of the given index tuples, built through the
+    divisor table: the AND of their unions and the set of their masks."""
+    return divisor_bits(poly, paths), frozenset(poly.divisor(p)[1] for p in paths)
+
+
 def divisor_bits(poly: Polytope, paths) -> int:
     """The vertex bitset of the intersection of the divisors of the given
     index tuples: the AND of their unions in the polytope's divisor
@@ -325,13 +370,7 @@ def fold_paths_by_faces(poly: Polytope, paths) -> tuple[Face, ...]:
 def delta_uv_by_faces(poly: Polytope, u: Permutation, v: Permutation) -> tuple[Face, ...]:
     """The set-theoretic intersection, over the divisors cutting out u X^v,
     of the unions of facets on each divisor path, as its maximal faces."""
-    vanishing = vanishing_schubert(poly.diagram, v)
-    paths = [
-        idx
-        for level in sorted(vanishing)
-        for idx in sorted(u.image(i) for i in vanishing[level])
-    ]
-    return fold_paths_by_faces(poly, paths)
+    return fold_paths_by_faces(poly, sorted(delta_uv_paths(poly, u, v), key=lambda p: (len(p), p)))
 
 
 def degeneration_union(

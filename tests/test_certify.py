@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gcschub import certify
 from gcschub.certify import (
     Certificate,
     EvaluationFailure,
@@ -20,11 +21,11 @@ from gcschub.certify import (
 from gcschub.coeffs import build_modified_partition, structure_constant
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
-from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     InputError,
     ParabolicShape,
     Permutation,
+    UnsupportedShapeError,
     grassmannian_perm,
     length,
     longest_element,
@@ -32,7 +33,7 @@ from gcschub.weyl import (
     parse_permutation,
 )
 from paper_checks import vertices_with_target_translation
-from reference_faces import delta_uv_by_faces, vertex_bits
+from reference_faces import delta_uv_by_faces, delta_uv_paths, divisor_row, vertex_bits
 
 
 def make(*cuts_n):
@@ -60,8 +61,9 @@ class TestEvaluate:
         # X_w = w_0 X^{pi(w_0 w)}: the target piece is cached under the pair
         # (w_0, pi(w_0 w)) like every factor, and a factor equal to it
         # shares its entry; each entry is the row of u's image of the
-        # divisors of X^v: the AND of their vertex bitsets, which is the
-        # vertex set of the reference fold, and the set of their masks
+        # divisors of X^v, built here from the reference vanishing set of
+        # v: the AND of their vertex bitsets, which is the vertex set of the
+        # reference fold, and the set of their masks
         poly = make(2, 4)
         idt = Permutation.identity(4)
         one = grassmannian_perm((1, 0), 2, 4)
@@ -75,14 +77,9 @@ class TestEvaluate:
         evaluate(poly, [rep, idt], eta, [w0, idt])
         assert set(poly.delta_cache) == {bottom, (one.window, one.window),
                                          (idt.window, one.window), (idt.window, idt.window)}
-        whole = poly.vertex_bitsets()[0]
         for (uw, vw), row in poly.delta_cache.items():
             u, v = Permutation(uw), Permutation(vw)
-            divisors = [poly.divisor(path) for path in delta_uv(poly, u, v)]
-            bits = whole
-            for union, _ in divisors:
-                bits &= union
-            assert row == (bits, {mask for _, mask in divisors}), (uw, vw)
+            assert row == divisor_row(poly, delta_uv_paths(poly, u, v)), (uw, vw)
             assert row[0] == vertex_bits(poly, delta_uv_by_faces(poly, u, v)), (uw, vw)
 
     def test_empty_intersection_is_zero_certificate(self):
@@ -341,6 +338,21 @@ class TestGr2Reduction:
         for e in rep.entries:
             assert e["status"] in ("certified", "zero")
 
+    def test_sweep_gr2_above_the_bound_is_refused_before_any_work(self, monkeypatch):
+        # the sweep's first work is listing the partitions; n = MAX_GR2_N
+        # reaches it and one more does not
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(certify, "_box_partitions", started)
+        with pytest.raises(UnsupportedShapeError, match=str(certify.MAX_GR2_N)):
+            sweep_gr2(certify.MAX_GR2_N + 1)
+        with pytest.raises(Started):
+            sweep_gr2(certify.MAX_GR2_N)
+
 
 class TestFlagSweep:
     def test_fl3_sweep(self):
@@ -441,8 +453,8 @@ class TestEngineInvariants:
     def test_monotone_fold(self):
         # intersecting with one more divisor union never raises any maximal
         # face's dimension
-        from gcschub.pluecker import vanishing_schubert
-        from reference_faces import antichain, divisor_facets, intersect, whole_face
+        from reference_faces import (
+            antichain, divisor_facets, intersect, vanishing_schubert, whole_face)
 
         v = grassmannian_perm((2, 1), 2, 5)
         union = (whole_face(GR25),)

@@ -158,6 +158,11 @@ class TestSweepCmd:
         res = run("sweep", "--shape", "1,3,4")
         assert res.exit_code == 3
 
+    def test_gr2_above_the_bound_unsupported(self, run):
+        # refused before any work, so this returns at once
+        res = run("sweep", "--shape", "2,20")
+        assert res.exit_code == 3
+
     # one triple cell on every shape: entries joined by commas, elements by
     # spaces
     @pytest.mark.parametrize("shape, row", [

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from gcschub import gc_polytope
 from gcschub.gc_polytope import Face, Polytope
 from gcschub.ladder import LadderDiagram, path_of_partition
-from gcschub.pluecker import vanishing_schubert
 from gcschub.weyl import InputError, ParabolicShape, Permutation, UnsupportedShapeError
 from paper_checks import value_of
 from reference_faces import (
@@ -42,6 +41,7 @@ from reference_faces import (
     key_by_union_find,
     meet,
     tight_mask,
+    vanishing_schubert,
     vertex_bits,
     vertices_by_patterns,
     whole_face,

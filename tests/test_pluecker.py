@@ -4,7 +4,7 @@ import pytest
 
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram, path_leq
-from gcschub.pluecker import delta_uv, vanishing_schubert, w_divisor
+from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     ParabolicShape,
     Permutation,
@@ -24,9 +24,14 @@ from reference_faces import (
     delta_uv_by_faces,
     divisor_bits,
     divisor_facets,
+    divisor_row,
+    facet_face,
     fold_paths_by_faces,
     intersect,
+    meet,
+    vanishing_schubert,
     vertex_bits,
+    w_divisor,
     whole_face,
 )
 
@@ -161,14 +166,14 @@ class TestVanishing:
 
 
 class TestDeltaUV:
-    """Each shadow twice: its maximal faces by the reference fold, and its
-    vertex bitset from the divisors ``delta_uv`` returns."""
+    """Each shadow twice: its maximal faces by the reference fold, and the
+    vertex bitset of the row ``delta_uv`` returns."""
 
     def test_id_id_is_whole(self):
         idt = Permutation.identity(4)
         fu = delta_uv_by_faces(P24, idt, idt)
         assert fu == (whole_face(P24),)
-        assert divisor_bits(P24, delta_uv(P24, idt, idt)) == vertex_bits(P24, fu)
+        assert delta_uv(P24, idt, idt)[0] == vertex_bits(P24, fu)
 
     def test_F_mu_for_all_mu(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
@@ -177,7 +182,7 @@ class TestDeltaUV:
                 fu = delta_uv_by_faces(poly, Permutation.identity(n), v)
                 assert fu == (poly.named_face(mu),), (mu, fu)
                 piece = delta_uv(poly, Permutation.identity(n), v)
-                assert divisor_bits(poly, piece) == vertex_bits(poly, fu)
+                assert piece[0] == vertex_bits(poly, fu)
 
     def test_Fvee_eta_for_all_eta(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
@@ -187,7 +192,29 @@ class TestDeltaUV:
                 rep = min_coset_rep(w0 * w, poly.shape)
                 fu = delta_uv_by_faces(poly, w0, rep)
                 assert fu == (poly.named_face(eta, dual=True),), (eta, fu)
-                assert divisor_bits(poly, delta_uv(poly, w0, rep)) == vertex_bits(poly, fu)
+                assert delta_uv(poly, w0, rep)[0] == vertex_bits(poly, fu)
+
+    @pytest.mark.parametrize("cuts_n, step", [
+        ((2, 5), 1), ((1, 2, 3, 4), 1), ((1, 3, 5), 1), ((3, 6), 7)], ids=str)
+    def test_row_matches_reference_vanishing_set_and_face_fold(self, cuts_n, step):
+        # every (u, v), or every step-th on Gr(3,6): the row is the one
+        # built from the reference vanishing set of v translated by u, and
+        # its bitset is the vertex set of the face fold of those divisors,
+        # folded once per divisor set
+        d, poly = setup(*cuts_n)
+        perms = [Permutation(p) for p in itertools.permutations(range(1, d.n + 1))]
+        reps = [v for v in perms if d.shape.in_min_coset_reps(v)]
+        vanishing = {v: vanishing_schubert(d, v) for v in reps}
+        facets = {e: facet_face(poly, e) for e in d.effective_edges}
+        folds = {}
+        for u, v in list(itertools.product(perms, reps))[::step]:
+            paths = frozenset().union(*translated(u, vanishing[v]).values())
+            row = delta_uv(poly, u, v)
+            assert row == divisor_row(poly, paths), (u, v)
+            if paths not in folds:
+                folds[paths] = vertex_bits(
+                    poly, meet(poly, [[facets[e] for e in d.effective_edges_on(p)] for p in paths]))
+            assert row[0] == folds[paths], (u, v)
 
     def test_fold_order_independent(self):
         import random

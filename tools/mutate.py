@@ -103,9 +103,9 @@ MUTANTS = (
         ("tests/test_evaluate_bitsets.py::test_pair_scan_matches_facet_reference",),
     ),
     Mutant(
-        "row-skips-one-divisor", "src/gcschub/certify.py",
-        "            for union, _ in divisors:\n",
-        "            for union, _ in divisors[1:]:\n",
+        "row-skips-one-divisor", "src/gcschub/pluecker.py",
+        "                bits &= union\n",
+        "                bits &= union if masks else bits\n",
         ("tests/test_certify.py::TestEvaluate::test_every_piece_cached_under_its_pair",),
     ),
     Mutant(
@@ -251,15 +251,15 @@ MUTANTS = (
     ),
     Mutant(
         "delta-uv-ignores-translation", "src/gcschub/pluecker.py",
-        "frozenset(u.image(i) for ",
-        "frozenset(i for ",
-        ("tests/test_pluecker.py",),
+        "poly.divisor(u.image(i))",
+        "poly.divisor(i)",
+        ("tests/test_pluecker.py::TestDeltaUV::test_row_matches_reference_vanishing_set_and_face_fold",),
     ),
     Mutant(
         "vanishing-keeps-paths-below", "src/gcschub/pluecker.py",
-        "            if not path_leq(ref, p):\n",
-        "            if not path_leq(p, ref):\n",
-        ("tests/test_pluecker.py::TestVanishing::test_levelwise_rule_vs_fixed_point_brute_force",),
+        "            if not path_leq(ref, i):\n",
+        "            if not path_leq(i, ref):\n",
+        ("tests/test_pluecker.py::TestDeltaUV::test_F_mu_for_all_mu",),
     ),
     Mutant(
         "partition-drop-vanishing-merge", COEFFS,
