@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,13 +44,12 @@ from .weyl import (
     partition_of_perm,
 )
 
-log = logging.getLogger("gcschub")
-
 MAX_GR2_N = 16
 """The largest n that ``sweep_gr2`` takes.  On one core of a 2-core Xeon
-under CPython 3.11, Gr(2,15) has 20,832 entries and took 6-8 s, and
-Gr(2,16) has 28,764 and took 47 s; the reduced pairs live in Gr(d+2, n),
-whose polytopes grow with n, and Gr(2,20) was still running after 20 s."""
+under CPython 3.11.7, Gr(2,15) has 20,832 entries and took 5.9-6.8 s, and
+Gr(2,16) has 28,764 and took 9.9-13.1 s, each in a fresh process; the
+reduced pairs live in Gr(d+2, n), whose polytopes grow with n, and
+Gr(2,20) was still running after 20 s."""
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,6 @@ def evaluate(
     except UnsupportedShapeError as exc:
         return EvaluationFailure("unsupported_shape", str(exc))
     if outside:
-        log.info(
-            "vertex in V but outside the flag variety for vs=%s w=%s us=%s: %s",
-            vs, w, us, outside[0].values,
-        )
         return EvaluationFailure(
             "vertex_outside_flag", f"vertex {outside[0].values} not on the flag variety"
         )
@@ -283,7 +277,8 @@ def search(
     against w are settled by a single untranslated evaluation, at any
     budget, whose shadow comes out empty.  A tier other than 1, 2 and 3
     raises InputError before any evaluation, and so does bad input when
-    no tuple is evaluated."""
+    no tuple is evaluated; a factor whose rank differs from w's raises
+    InputError from the Bruhat test, under every tier order and budget."""
     unknown = [t for t in tiers if t not in (1, 2, 3)]
     if unknown:
         raise InputError(f"unknown search tiers {unknown}: the tiers are 1, 2 and 3")
@@ -335,17 +330,6 @@ class SweepReport:
     def all_resolved(self) -> bool:
         return all(c.kind in ("zero", "certified") for c in self.classes)
 
-    def summary(self) -> dict:
-        kinds: dict[str, int] = {}
-        for c in self.classes:
-            kinds[c.kind] = kinds.get(c.kind, 0) + 1
-        return {
-            "shape": str(self.shape),
-            "classes": len(self.classes),
-            "by_status": kinds,
-            "all_resolved": self.all_resolved,
-        }
-
 
 def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
     """Partition the degree-compatible triples of S_n into constant classes
@@ -392,7 +376,6 @@ def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
 
 @dataclass(frozen=True)
 class Gr2Report:
-    n: int
     entries: tuple[dict, ...]
 
     @property
@@ -473,7 +456,7 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
                 f"reduced certificate count {res.certificate.count} != oracle {oracle}"
             )
         entries.append({"triple": (lam, mu, eta), "status": "certified", "N": oracle})
-    return Gr2Report(n, tuple(entries))
+    return Gr2Report(tuple(entries))
 
 
 def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
@@ -494,7 +477,7 @@ def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
             status = "certified" if res.ok else "unresolved"
             entries.append({"triple": ((a,), (b,), (c,)), "status": status,
                             "N": res.certificate.count if res.ok else None})
-    return Gr2Report(n, tuple(entries))
+    return Gr2Report(tuple(entries))
 
 
 def sweep_conjecture(shape: ParabolicShape, budget: int = 2000):

@@ -252,14 +252,14 @@ def sweep(shape, budget, out, detail, fmt):
     """Resolve every constant class of the shape: certified or zero."""
     report = sweep_conjecture(shape, budget=budget)
     if isinstance(report, SweepReport):
-        payload = report.summary()
+        unit = "classes"
         rows = [(c.kind, c.size, [p.window for p in c.representative]) for c in report.classes]
     else:
-        payload = {"shape": str(shape), "triples": len(report.entries),
-                   "by_status": dict(Counter(e["status"] for e in report.entries)),
-                   "all_resolved": report.all_resolved}
+        unit = "triples"
         rows = [(e["status"], e.get("N"), e["triple"]) for e in report.entries]
     ok = report.all_resolved
+    payload = {"shape": str(shape), unit: len(rows),
+               "by_status": Counter(row[0] for row in rows), "all_resolved": ok}
     if ok:
         payload["summary"] = "all classes certified or zero"
     if out:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .weyl import (
+    InputError,
     Permutation,
     UnsupportedShapeError,
     _inversions,
@@ -113,7 +114,7 @@ def structure_constant(us: list[Permutation], w: Permutation) -> int:
     for u in us:
         x = u.window
         if len(x) != n:
-            raise ValueError("all permutations must share one rank")
+            raise InputError("all permutations must share one rank")
         windows.append(x)
         degree += _inversions(x)
     if degree != _inversions(target):

@@ -88,14 +88,13 @@ tables, all read off the pair-bit map:
   masks, filled by ``certify.evaluate`` from ``pluecker.delta_uv``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
-``coeffs._row``, ``weyl._inversions`` and ``weyl._reduced_word_cached``.
-They are pure functions of permutation windows, shared by every polytope,
-so they stay process-wide.  After the Fl5 partition and its 74,199 oracle
-calls they held 476, 8,165, 120 and 119 entries, and clearing the two
-``coeffs`` caches freed 1.98 MiB.  ``certify._all_perms`` holds S_n in
-search order once per n, from the first search that reaches tier 1 or 3,
-and ``ladder._check_lambda`` remembers up to 256 weights that passed
-``validate_lambda``.
+``coeffs._row`` and ``weyl._inversions``.  They are pure functions of
+permutation windows, shared by every polytope, so they stay process-wide.
+After the Fl5 partition and its 74,199 oracle calls they held 476, 8,165
+and 120 entries, and clearing the two ``coeffs`` caches freed 1.98 MiB.
+``certify._all_perms`` holds S_n in search order once per n, from the
+first search that reaches tier 1 or 3, and ``ladder._check_lambda``
+remembers up to 256 weights that passed ``validate_lambda``.
 """
 
 from __future__ import annotations

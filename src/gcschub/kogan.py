@@ -126,7 +126,7 @@ def enumerate_reduced(
     of the letters taken, and takes the letter s only when p*s is one
     longer than p and still a prefix of the target in the weak order."""
     if target.n != diagram.n:
-        raise ValueError("rank mismatch")
+        raise InputError("rank mismatch")
     _check_edges(diagram, (), dual)  # the shape must be a complete flag
     word = reference_word(diagram.n, dual)
     grid = word_positions(diagram.n, dual)

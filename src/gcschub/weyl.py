@@ -164,7 +164,7 @@ class ParabolicShape:
 def compose(u: Permutation, v: Permutation) -> Permutation:
     """(u o v)(i) = u(v(i))."""
     if u.n != v.n:
-        raise ValueError(f"rank mismatch: {u.n} vs {v.n}")
+        raise InputError(f"rank mismatch: {u.n} vs {v.n}")
     return Permutation(tuple(u.window[j - 1] for j in v.window))
 
 
@@ -191,7 +191,7 @@ def cyclic_shift(n: int) -> Permutation:
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order via the sorted-prefix (rank matrix) criterion."""
     if u.n != w.n:
-        raise ValueError(f"rank mismatch: {u.n} vs {w.n}")
+        raise InputError(f"rank mismatch: {u.n} vs {w.n}")
     for j in range(1, u.n):
         su = sorted(u.window[:j])
         sw = sorted(w.window[:j])
@@ -200,9 +200,8 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _reduced_word_cached(window: tuple[int, ...]) -> tuple[int, ...]:
-    w = Permutation(window)
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """The lexicographically smallest reduced word of w."""
     word: list[int] = []
     while not w.is_identity():
         # left descent at i <=> i+1 occurs before i in the window; taking the
@@ -215,15 +214,10 @@ def _reduced_word_cached(window: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """The lexicographically smallest reduced word of w."""
-    return _reduced_word_cached(w.window)
-
-
 def min_coset_rep(w: Permutation, shape: ParabolicShape) -> Permutation:
     """pi(w): sort the window within every block of the shape."""
     if w.n != shape.n:
-        raise ValueError(f"rank mismatch: {w.n} vs shape n={shape.n}")
+        raise InputError(f"rank mismatch: {w.n} vs shape n={shape.n}")
     b = shape.bounds
     out: list[int] = []
     for l in range(1, len(b)):

@@ -20,12 +20,15 @@ from gcschub.certify import (
 )
 from gcschub.coeffs import build_modified_partition, structure_constant
 from gcschub.gc_polytope import Polytope
+from gcschub.kogan import enumerate_reduced
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import (
     InputError,
     ParabolicShape,
     Permutation,
     UnsupportedShapeError,
+    bruhat_leq,
+    compose,
     grassmannian_perm,
     length,
     longest_element,
@@ -265,6 +268,32 @@ class TestSearch:
         with pytest.raises(InputError):
             search(poly, [parse_permutation(v, n) for v in vs], parse_permutation(w, n), tiers=tiers)
         assert poly.delta_cache == {}
+
+    @pytest.mark.parametrize("budget", [3000, 0])
+    @pytest.mark.parametrize("tiers", [(1,), (2,), (3,), (2, 1, 3)])
+    @pytest.mark.parametrize("factor", [Permutation((2, 1, 3)), Permutation((1, 2, 4, 3, 5))],
+                             ids=["rank3", "rank5"])
+    def test_factor_of_another_rank_is_input_error(self, factor, tiers, budget):
+        # the Bruhat test of the factors against w sees the rank first, under
+        # every tier order and at budget 0 too
+        poly = make(2, 4)
+        one = grassmannian_perm((1, 0), 2, 4)
+        with pytest.raises(InputError, match="rank mismatch"):
+            search(poly, [one, factor], grassmannian_perm((1, 1), 2, 4), budget=budget, tiers=tiers)
+        assert poly.delta_cache == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: compose(p, Permutation.identity(4)),
+    lambda p: bruhat_leq(p, Permutation.identity(4)),
+    lambda p: min_coset_rep(p, ParabolicShape((2,), 4)),
+    lambda p: structure_constant([p], Permutation.identity(4)),
+    lambda p: enumerate_reduced(LadderDiagram(ParabolicShape.complete(4)), p, False),
+], ids=["compose", "bruhat_leq", "min_coset_rep", "structure_constant", "enumerate_reduced"])
+def test_rank_mismatch_is_input_error(call):
+    # a rank mismatch is bad input, which the CLI answers with exit 2
+    with pytest.raises(InputError, match="rank"):
+        call(Permutation((2, 1, 3)))
 
 
 class TestChevalleySweeps:

@@ -163,6 +163,25 @@ class TestSweepCmd:
         res = run("sweep", "--shape", "2,20")
         assert res.exit_code == 3
 
+    # the full payload of a class sweep and of a triple sweep, as printed:
+    # the TSV in insertion order, the JSON with sorted keys
+    @pytest.mark.parametrize("shape, fmt, lines", [
+        ("1,2,3", "tsv", ['shape\t1,2,3', 'classes\t2', 'by_status\t{"certified":1,"zero":1}',
+                          'all_resolved\ttrue', 'summary\tall classes certified or zero']),
+        ("2,4", "tsv", ['shape\t2,4', 'triples\t27', 'by_status\t{"certified":21,"zero":6}',
+                        'all_resolved\ttrue', 'summary\tall classes certified or zero']),
+        ("1,2,3", "json", ['{', '  "all_resolved": true,', '  "by_status": {',
+                           '    "certified": 1,', '    "zero": 1', '  },', '  "classes": 2,',
+                           '  "shape": "1,2,3",', '  "summary": "all classes certified or zero"', '}']),
+        ("2,4", "json", ['{', '  "all_resolved": true,', '  "by_status": {',
+                         '    "certified": 21,', '    "zero": 6', '  },', '  "shape": "2,4",',
+                         '  "summary": "all classes certified or zero",', '  "triples": 27', '}']),
+    ])
+    def test_sweep_payload_golden(self, run, shape, fmt, lines):
+        res = run("sweep", "--shape", shape, "--format", fmt)
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines() == lines
+
     # one triple cell on every shape: entries joined by commas, elements by
     # spaces
     @pytest.mark.parametrize("shape, row", [

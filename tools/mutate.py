@@ -244,6 +244,12 @@ MUTANTS = (
         ("tests/test_weyl.py",),
     ),
     Mutant(
+        "bruhat-rank-mismatch-valueerror", "src/gcschub/weyl.py",
+        'raise InputError(f"rank mismatch: {u.n} vs {w.n}")',
+        'raise ValueError(f"rank mismatch: {u.n} vs {w.n}")',
+        ("tests/test_certify.py::TestSearch::test_factor_of_another_rank_is_input_error",),
+    ),
+    Mutant(
         "path-leq-drops-level", "src/gcschub/ladder.py",
         "    return len(p) >= len(q) and all(",
         "    return all(",
