@@ -18,9 +18,11 @@ reduced words of the longest element are:
 
 The word of an edge set is thus the subword of the reference word at its
 positions, and the reduced faces of a target are its reduced subwords
-(Knutson-Miller).  ``enumerate_reduced`` finds them by a walk over the
-positions that takes a letter only when the product stays a reduced
-prefix of the target, so it builds no face it does not return.
+(Knutson-Miller).  A face is built from its positions: its edges and its
+word are those of the positions in increasing order, which is the reading
+order.  ``enumerate_reduced`` finds the positions by a walk that takes a
+letter only when the product stays a reduced prefix of the target, so it
+builds no face it does not return.
 """
 
 from __future__ import annotations
@@ -51,15 +53,9 @@ class KoganFace:
         }
 
 
-def _check_edges(diagram: LadderDiagram, edges, dual: bool):
+def _check_complete(diagram: LadderDiagram):
     if not diagram.shape.is_complete():
         raise ValueError("Kogan faces are defined for complete flag shapes")
-    kind = "V" if dual else "H"
-    for e in edges:
-        if e[0] != kind:
-            raise ValueError(f"{'dual ' if dual else ''}Kogan faces use {kind} edges: {e}")
-        if not diagram.is_effective(e):
-            raise ValueError(f"edge {e} is not effective")
 
 
 def _letter(edge: EdgeKey, n: int) -> int:
@@ -69,20 +65,14 @@ def _letter(edge: EdgeKey, n: int) -> int:
     return a if kind == "V" else n - b
 
 
-def read_word(
-    diagram: LadderDiagram, edges, dual: bool
-) -> KoganFace:
-    """Read the word of an edge set in the canonical order and record
-    whether it is reduced."""
-    edges = frozenset(edges)
-    _check_edges(diagram, edges, dual)
-    n = diagram.n
-    # rows bottom to top, left to right within a row for a dual face;
-    # columns left to right, bottom to top within a column otherwise
-    ordered = sorted(edges, key=lambda e: (e[2], e[1]) if dual else (e[1], e[2]))
-    word = tuple(_letter(e, n) for e in ordered)
+def _face(n: int, dual: bool, taken) -> KoganFace:
+    """The face at the sorted 0-based positions ``taken`` of the reference
+    word, with its word and whether that word is reduced."""
+    grid = word_positions(n, dual)
+    edges = [grid[p] for p in taken]
+    word = tuple(_letter(e, n) for e in edges)
     perm = Permutation.from_word(word, n)
-    return KoganFace(dual, edges, word, perm, length(perm) == len(word))
+    return KoganFace(dual, frozenset(edges), word, perm, length(perm) == len(word))
 
 
 def word_positions(n: int, dual: bool) -> list[EdgeKey]:
@@ -113,8 +103,8 @@ def face_from_positions(diagram: LadderDiagram, positions, dual: bool) -> KoganF
         raise InputError(f"positions must be within 1..{len(grid)}: {bad}")
     if len(set(positions)) != len(positions):
         raise InputError(f"positions must be distinct: {list(positions)}")
-    edges = [grid[p - 1] for p in positions]
-    return read_word(diagram, edges, dual)
+    _check_complete(diagram)
+    return _face(diagram.n, dual, sorted(p - 1 for p in positions))
 
 
 def enumerate_reduced(
@@ -127,11 +117,10 @@ def enumerate_reduced(
     longer than p and still a prefix of the target in the weak order."""
     if target.n != diagram.n:
         raise InputError("rank mismatch")
-    _check_edges(diagram, (), dual)  # the shape must be a complete flag
+    _check_complete(diagram)
     word = reference_word(diagram.n, dual)
-    grid = word_positions(diagram.n, dual)
     out = [
-        read_word(diagram, [grid[p] for p in taken], dual)
+        _face(diagram.n, dual, taken)
         for taken in _reduced_positions(word, target, 0, Permutation.identity(diagram.n), [])
     ]
     pool = {e: i for i, e in enumerate(diagram.effective_edges)}

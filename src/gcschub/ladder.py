@@ -34,11 +34,6 @@ EdgeKey = tuple[str, int, int]
 Path = tuple[int, ...]
 
 
-def path_leq(p: Path, q: Path) -> bool:
-    """p <= q iff p has at least as many horizontal steps and runs below q."""
-    return len(p) >= len(q) and all(a <= b for a, b in zip(p, q))
-
-
 def path_edges(p: Path, n: int) -> list[EdgeKey]:
     """All unit edges traversed by the path on a rank-n diagram, in step
     order."""
@@ -133,9 +128,6 @@ class LadderDiagram:
     @property
     def effective_edges(self) -> tuple[EdgeKey, ...]:
         return self._effective
-
-    def is_effective(self, edge: EdgeKey) -> bool:
-        return edge in self._effective_set
 
     def edge_cells(self, edge: EdgeKey) -> tuple[Cell, Cell]:
         """The two cells whose equality the edge presents (box first)."""

@@ -24,8 +24,9 @@ the piece's row, which ``certify.evaluate`` keeps in ``delta_cache``.
 
 from __future__ import annotations
 
+from operator import gt
+
 from .gc_polytope import Polytope
-from .ladder import path_leq
 from .weyl import Permutation
 
 
@@ -33,13 +34,14 @@ def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[int, froze
     """The row of the piece u X^v, for a minimal coset representative v:
     the vertex bitset of Delta(u, v), the AND of the unions of its divisors
     u(I), and the set of their masks of facet pair bits.  At each cut level
-    l, I vanishes when its path does not run above v({1..l})."""
+    l, I and v({1..l}) have l steps each, and I vanishes when its path runs
+    below that of v({1..l}) at some step."""
     bits = poly.vertex_bitsets()[0]
     masks = set()
     for level in poly.shape.cuts:
         ref = v.image(range(1, level + 1))
         for i in poly.diagram.paths_at_level(level):
-            if not path_leq(ref, i):
+            if any(map(gt, ref, i)):
                 union, mask = poly.divisor(u.image(i))
                 bits &= union
                 masks.add(mask)

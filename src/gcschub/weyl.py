@@ -1,5 +1,5 @@
-"""Symmetric-group machinery: composition, length, Bruhat order, reduced
-words, parabolic coset representatives and commuting-support factorizations.
+"""Symmetric-group machinery: composition, length, Bruhat order, parabolic
+coset representatives and commuting-support factorizations.
 
 Permutations are stored in one-line notation as tuples of 1..n.  All values
 are immutable and every operation is pure.
@@ -65,14 +65,6 @@ class Permutation:
         self._check_simple(i)
         w = list(self.window)
         w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(tuple(w))
-
-    def left_mul_s(self, i: int) -> "Permutation":
-        """s_i * w: swap the values i and i+1."""
-        self._check_simple(i)
-        w = list(self.window)
-        a, b = w.index(i), w.index(i + 1)
-        w[a], w[b] = w[b], w[a]
         return Permutation(tuple(w))
 
     def is_identity(self) -> bool:
@@ -200,20 +192,6 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """The lexicographically smallest reduced word of w."""
-    word: list[int] = []
-    while not w.is_identity():
-        # left descent at i <=> i+1 occurs before i in the window; taking the
-        # smallest such i at every step yields the lex-smallest reduced word.
-        win = w.window
-        pos = {v: p for p, v in enumerate(win)}
-        i = min(i for i in range(1, w.n) if pos[i + 1] < pos[i])
-        word.append(i)
-        w = w.left_mul_s(i)
-    return tuple(word)
-
-
 def min_coset_rep(w: Permutation, shape: ParabolicShape) -> Permutation:
     """pi(w): sort the window within every block of the shape."""
     if w.n != shape.n:
@@ -253,25 +231,28 @@ def partition_of_perm(w: Permutation, m: int) -> tuple[int, ...]:
 
 def star_factorize(u: Permutation) -> tuple[Permutation, ...]:
     """Split u = u_1 ... u_m along the connected components of its
-    reduced-word support: the factors have pairwise disjoint, pairwise
-    commuting supports on the Dynkin line.
+    support: the factors have pairwise disjoint, pairwise commuting supports
+    on the Dynkin line.
 
+    s_i lies in the support of u exactly when u does not map 1..i onto
+    itself, that is when max(u(1..i)) > i.  The factor of a component
+    s_a..s_b agrees with u on the positions a..b+1 and fixes the others.
     The component split gives the most factors (the maximal level): any
     valid factorization must keep adjacent simple reflections in one factor.
     """
     if u.is_identity():
         raise ValueError("identity admits no factorization")
-    word = reduced_word(u)
-    support = sorted(set(word))
-    components: list[list[int]] = [[support[0]]]
-    for s in support[1:]:
-        if s == components[-1][-1] + 1:
-            components[-1].append(s)
-        else:
-            components.append([s])
-    return tuple(
-        Permutation.from_word([i for i in word if i in comp], u.n) for comp in components
-    )
+    win, n = u.window, u.n
+    factors = []
+    start = 0  # u maps 1..start onto itself
+    for i, top in enumerate(itertools.accumulate(win, max), start=1):
+        if top > i:
+            continue
+        if i - start > 1:
+            factors.append(Permutation(
+                tuple(range(1, start + 1)) + win[start:i] + tuple(range(i + 1, n + 1))))
+        start = i
+    return tuple(factors)
 
 
 _LETTER = re.compile(r"s([0-9]+)")

@@ -27,14 +27,13 @@ from gcschub.ladder import (
     LadderDiagram,
     Path,
     Pattern,
-    path_leq,
     path_of_partition,
     validate_lambda,
 )
 from gcschub.weyl import Permutation, longest_element, min_coset_rep
 
 import reference_faces
-from reference_faces import Vanishing
+from reference_faces import Vanishing, path_leq
 
 
 # -- the Pieri rule ------------------------------------------------------------
@@ -59,7 +58,7 @@ def pieri_gr2(mu: tuple[int, int], n: int) -> tuple[int, int] | None:
 def toric_divisor_equations(diagram: LadderDiagram, edge) -> Vanishing:
     """Coordinates vanishing on the toric divisor of an effective edge: all
     p_I whose path contains the edge."""
-    if not diagram.is_effective(edge):
+    if edge not in diagram.effective_edges:
         raise ValueError(f"edge {edge} is not effective")
     data = {}
     for level in diagram.shape.cuts:

@@ -1,26 +1,28 @@
 """Slow references for faces of Gelfand-Cetlin polytopes.
 
 The package reads the dimension of a face off its saturated key, reads
-that key off the reach sets of the closure of the tight pairs, reads
-each facet off the bit of its edge's pair, pins the boxes of a named face
-by merging them with forced cells, finds the reduced Kogan faces by a walk
-over the reduced prefixes of the target, certifies on vertex bitsets,
-tests whether two vertices span a face inside the shadow on their tight
-masks, and lists the vertices with their tight masks in one walk of the
-pattern table, testing regularity and flag membership on the masks.  This
-module keeps what those replaced, so that tests can compare the two: the
-affine rank of a face's vertex set, the reduced faces found by reading the
-word of every edge subset of the right size, the face algebra of unions of
-faces with the evaluation that folds them, the pair scan on the vertex
-bitsets of the facets, the vertex listing that builds every pattern and
-takes the tight mask of its key, the facet count of a vertex, the flag
-test on its cell values, the key of a tight mask by a union-find
-forest of its tight pairs, and the vanishing set of X^v, a dict from each
-cut level to the index tuples I with p_I = 0, from which a piece's divisor
-set and row are built where ``pluecker.delta_uv`` builds the row in one
-pass over the paths.  It also builds four faces by name: the whole
-polytope, the facet of an effective edge by saturation, the face of a set
-of pinned boxes, and the face of a Kogan face.
+that key off the reach sets of the closure of the tight pairs, reads each
+facet off the bit of its edge's pair, pins the boxes of a named face by
+merging them with forced cells, finds the reduced Kogan faces by a walk
+over the reduced prefixes of the target and builds each Kogan face from
+its positions in the reference word, certifies on vertex bitsets, tests
+whether two vertices span a face inside the shadow on their tight masks,
+and lists the vertices with their tight masks in one walk of the pattern
+table, testing regularity and flag membership on the masks.  This module
+keeps what those replaced, so that tests can compare the two: the affine
+rank of a face's vertex set, the reader of the word of an edge set, the
+reduced faces found by reading the word of every edge subset of the right
+size, the face algebra of unions of faces with the evaluation that folds
+them, the pair scan on the vertex bitsets of the facets, the vertex
+listing that builds every pattern and takes the tight mask of its key, the
+facet count of a vertex, the flag test on its cell values, the key of a
+tight mask by a union-find forest of its tight pairs, the path order, and
+the vanishing set of X^v, a dict from each cut level to the index tuples I
+with p_I = 0, from which a piece's divisor set and row are built where
+``pluecker.delta_uv`` builds the row in one pass over the paths, comparing
+each I with v's prefix step by step.  It also builds four faces by name:
+the whole polytope, the facet of an effective edge by saturation, the face
+of a set of pinned boxes, and the face of a Kogan face.
 
 A union of faces is the tuple of its maximal faces, sorted by mask, as
 ``antichain`` returns it, and ``meet`` is the one fold of an intersection
@@ -37,8 +39,8 @@ from fractions import Fraction
 from gcschub.certify import Certificate, EvaluationFailure
 from gcschub.coeffs import structure_constant
 from gcschub.gc_polytope import Face, Polytope, _count_patterns
-from gcschub.kogan import KoganFace, enumerate_reduced, read_word
-from gcschub.ladder import LadderDiagram, Path, path_leq
+from gcschub.kogan import KoganFace, _letter, enumerate_reduced
+from gcschub.ladder import LadderDiagram, Path
 from gcschub.weyl import (
     Permutation,
     UnsupportedShapeError,
@@ -276,6 +278,11 @@ def vertex_bits(poly: Polytope, faces) -> int:
 # -- shadows and their evaluation --------------------------------------------------
 
 
+def path_leq(p: Path, q: Path) -> bool:
+    """p <= q iff p has at least as many horizontal steps and runs below q."""
+    return len(p) >= len(q) and all(a <= b for a, b in zip(p, q))
+
+
 def w_divisor(u: Permutation, level: int) -> Path:
     """The divisor path of u X^{s_level}, 1 <= level < n: horizontal steps
     u({1..level})."""
@@ -466,6 +473,26 @@ def _rank(rows: list[list[Fraction]]) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
         rank += 1
     return rank
+
+
+def read_word(diagram: LadderDiagram, edges, dual: bool) -> KoganFace:
+    """Read the word of a set of (dual) Kogan edges in the canonical order
+    and record whether it is reduced: rows bottom to top, left to right
+    within a row for a dual face; columns left to right, bottom to top
+    within a column otherwise."""
+    if not diagram.shape.is_complete():
+        raise ValueError("Kogan faces are defined for complete flag shapes")
+    edges = frozenset(edges)
+    kind = "V" if dual else "H"
+    for e in edges:
+        if e[0] != kind:
+            raise ValueError(f"{'dual ' if dual else ''}Kogan faces use {kind} edges: {e}")
+        if e not in diagram.effective_edges:
+            raise ValueError(f"edge {e} is not effective")
+    ordered = sorted(edges, key=lambda e: (e[2], e[1]) if dual else (e[1], e[2]))
+    word = tuple(_letter(e, diagram.n) for e in ordered)
+    perm = Permutation.from_word(word, diagram.n)
+    return KoganFace(dual, edges, word, perm, length(perm) == len(word))
 
 
 def reduced_faces_by_subsets(

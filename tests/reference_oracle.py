@@ -5,7 +5,9 @@ The package computes a constant from a memoised table of truncated products
 S_n).  This module keeps the oracle it replaced: Schubert polynomials built
 by divided differences, multiplied as sparse polynomials and written back in
 the Schubert basis by peeling colex-leading monomials, so that tests can
-compare the two.
+compare the two.  It also keeps the lexicographically smallest reduced
+word of a permutation, and the commuting-support factorization replayed
+from that word, which ``gcschub.weyl.star_factorize`` reads off the window.
 
 Polynomials are sparse dicts mapping exponent tuples (trailing zeros
 trimmed) to integer coefficients.  Products of S_n classes can involve basis
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from gcschub.weyl import Permutation, length, reduced_word
+from gcschub.weyl import Permutation, length
 
 Monomial = tuple[int, ...]
 SchubertPolynomial = dict[Monomial, int]
@@ -34,6 +36,40 @@ def _trim_window(window: tuple[int, ...]) -> tuple[int, ...]:
     while len(window) > 1 and window[-1] == len(window):
         window = window[:-1]
     return window
+
+
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """The lexicographically smallest reduced word of w."""
+    word: list[int] = []
+    win = list(w.window)
+    while win != sorted(win):
+        # left descent at i <=> i+1 occurs before i in the window; taking the
+        # smallest such i at every step yields the lex-smallest reduced word.
+        # Left-multiplying by s_i then swaps the values i and i+1.
+        pos = {v: p for p, v in enumerate(win)}
+        i = min(i for i in range(1, w.n) if pos[i + 1] < pos[i])
+        win[pos[i]], win[pos[i + 1]] = i + 1, i
+        word.append(i)
+    return tuple(word)
+
+
+def star_factorize_by_word(u: Permutation) -> tuple[Permutation, ...]:
+    """The commuting-support factorization of u, replayed from its reduced
+    word: one factor per connected run of the letters it uses, each the
+    product of u's letters in that run, in word order."""
+    if u.is_identity():
+        raise ValueError("identity admits no factorization")
+    word = reduced_word(u)
+    support = sorted(set(word))
+    components: list[list[int]] = [[support[0]]]
+    for s in support[1:]:
+        if s == components[-1][-1] + 1:
+            components[-1].append(s)
+        else:
+            components.append([s])
+    return tuple(
+        Permutation.from_word([i for i in word if i in comp], u.n) for comp in components
+    )
 
 
 def code(w: Permutation) -> tuple[int, ...]:

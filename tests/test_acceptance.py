@@ -17,7 +17,6 @@ from gcschub.ladder import (
     LadderDiagram,
     decompose_weight,
     is_gc_pattern,
-    path_leq,
 )
 from gcschub.weyl import (
     ParabolicShape,
@@ -27,7 +26,7 @@ from gcschub.weyl import (
     min_coset_rep,
 )
 from paper_checks import add_patterns, exponent_vector, path_join, path_meet, phi, pieri_gr2
-from reference_faces import face_dimension_by_rank, facet_face, intersect, whole_face
+from reference_faces import face_dimension_by_rank, facet_face, intersect, path_leq, whole_face
 from reference_partition import all_triples, apply_identities, recursion_step, split_by_star
 
 

@@ -8,18 +8,25 @@ from gcschub.gc_polytope import Polytope
 from gcschub.kogan import (
     enumerate_reduced,
     face_from_positions,
-    read_word,
     reference_word,
     word_positions,
 )
 from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import delta_uv
-from gcschub.weyl import ParabolicShape, Permutation, length, longest_element, min_coset_rep
+from gcschub.weyl import (
+    InputError,
+    ParabolicShape,
+    Permutation,
+    length,
+    longest_element,
+    min_coset_rep,
+)
 from reference_faces import (
     contains,
     degeneration_union,
     delta_uv_by_faces,
     kogan_face_to_face,
+    read_word,
     reduced_faces_by_subsets,
     vertex_bits,
     whole_face,
@@ -58,7 +65,7 @@ class TestReferenceWords:
             grid = word_positions(6, dual)
             assert len(grid) == 15 == len(set(grid))
             for e in grid:
-                assert D6.is_effective(e)
+                assert e in D6.effective_edges
 
 
 class TestReadWord:
@@ -81,6 +88,31 @@ class TestReadWord:
     def test_wrong_orientation_rejected(self):
         with pytest.raises(ValueError):
             read_word(D6, [("H", 1, 1)], dual=True)
+
+    @pytest.mark.parametrize("dual", [True, False])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_positions_match_edge_reader(self, n, dual):
+        # every subset of positions, given in either order, builds the face
+        # the reference reader makes of the edges at those positions
+        d, _ = flag(n)
+        grid = word_positions(n, dual)
+        for r in range(len(grid) + 1):
+            for positions in itertools.combinations(range(1, len(grid) + 1), r):
+                face = read_word(d, [grid[p - 1] for p in positions], dual)
+                assert face_from_positions(d, positions, dual) == face, positions
+                assert face_from_positions(d, positions[::-1], dual) == face, positions
+
+    def test_position_errors_before_shape_error(self):
+        # bad positions are bad input on any shape; only valid positions
+        # reach the complete-flag check
+        d = LadderDiagram(ParabolicShape((1, 3), 4))
+        with pytest.raises(InputError, match="within"):
+            face_from_positions(d, [1, 99], dual=True)
+        with pytest.raises(InputError, match="distinct"):
+            face_from_positions(d, [1, 1], dual=True)
+        with pytest.raises(ValueError, match="complete flag") as raised:
+            face_from_positions(d, [1, 2], dual=True)
+        assert not isinstance(raised.value, InputError)
 
     def test_codim_is_word_length(self):
         face = face_from_positions(D6, [2, 3, 4, 5, 8, 9, 12], dual=True)

@@ -9,7 +9,6 @@ from gcschub.ladder import (
     decompose_weight,
     is_gc_pattern,
     path_edges,
-    path_leq,
     path_of_partition,
     psi,
 )
@@ -26,6 +25,7 @@ from paper_checks import (
     pattern,
     phi,
 )
+from reference_faces import path_leq
 
 
 def diagram(*cuts_n):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gcschub.gc_polytope import Polytope
-from gcschub.ladder import LadderDiagram, path_leq
+from gcschub.ladder import LadderDiagram
 from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     ParabolicShape,
@@ -29,6 +29,7 @@ from reference_faces import (
     fold_paths_by_faces,
     intersect,
     meet,
+    path_leq,
     vanishing_schubert,
     vertex_bits,
     w_divisor,

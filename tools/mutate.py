@@ -244,13 +244,19 @@ MUTANTS = (
         ("tests/test_weyl.py",),
     ),
     Mutant(
+        "star-block-not-strict", "src/gcschub/weyl.py",
+        "        if top > i:\n",
+        "        if top >= i:\n",
+        ("tests/test_weyl.py::TestStarFactorize::test_matches_reduced_word_replay",),
+    ),
+    Mutant(
         "bruhat-rank-mismatch-valueerror", "src/gcschub/weyl.py",
         'raise InputError(f"rank mismatch: {u.n} vs {w.n}")',
         'raise ValueError(f"rank mismatch: {u.n} vs {w.n}")',
         ("tests/test_certify.py::TestSearch::test_factor_of_another_rank_is_input_error",),
     ),
     Mutant(
-        "path-leq-drops-level", "src/gcschub/ladder.py",
+        "path-leq-drops-level", REFERENCE_FACES,
         "    return len(p) >= len(q) and all(",
         "    return all(",
         ("tests/test_ladder.py",),
@@ -263,9 +269,16 @@ MUTANTS = (
     ),
     Mutant(
         "vanishing-keeps-paths-below", "src/gcschub/pluecker.py",
-        "            if not path_leq(ref, i):\n",
-        "            if not path_leq(i, ref):\n",
+        "            if any(map(gt, ref, i)):\n",
+        "            if any(map(gt, i, ref)):\n",
         ("tests/test_pluecker.py::TestDeltaUV::test_F_mu_for_all_mu",),
+    ),
+    Mutant(
+        # ge is not imported by the module, so the mutant spells it out
+        "vanishing-step-not-strict", "src/gcschub/pluecker.py",
+        "            if any(map(gt, ref, i)):\n",
+        "            if any(map(lambda a, b: a >= b, ref, i)):\n",
+        ("tests/test_pluecker.py::TestDeltaUV::test_row_matches_reference_vanishing_set_and_face_fold",),
     ),
     Mutant(
         "partition-drop-vanishing-merge", COEFFS,
