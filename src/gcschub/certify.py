@@ -9,7 +9,7 @@ always cross-checks against the structure-constant oracle.
 
 S is decided on vertex bitsets.  A piece is one row: the AND of the vertex
 bitsets of its divisors, each the union of the facets on its path, and
-the set of their masks of facet pair bits (``pluecker.delta_uv``).  The
+the set of their masks of facet pair bits (``Polytope.piece``).  The
 vertices of S are the AND of the rows, and S is finite unless it holds an
 edge, whose vertices a and b lie in S.  The smallest face holding a and b
 has tight mask m_a & m_b; a face inside a union of finitely many faces
@@ -29,7 +29,6 @@ from . import __version__
 from .coeffs import build_modified_partition, structure_constant
 from .gc_polytope import Face, Polytope
 from .ladder import LadderDiagram
-from .pluecker import delta_uv
 from .weyl import (
     InputError,
     ParabolicShape,
@@ -101,8 +100,8 @@ def evaluate(
 
     Every piece is a translated Schubert variety u X^v, the target one too:
     X_w = w_0 X^{pi(w_0 w)}, so it comes first as the pair (w_0, pi(w_0 w)).
-    Each piece depends on (u, v) alone: its row is built once per polytope
-    by ``delta_uv`` and kept in its ``delta_cache`` under the two windows.
+    Each piece depends on (u, v) alone: its row is read through
+    ``poly.piece``, which builds it once per polytope.
     The vertices are listed first, so a shape with more vertices than
     ``gc_polytope.MAX_VERTICES`` raises UnsupportedShapeError from the
     count, before any piece is built.
@@ -112,13 +111,9 @@ def evaluate(
     w0 = longest_element(poly.n)
     pieces = [(w0, min_coset_rep(w0 * w, shape))] + list(zip(us, vs))
     inter = poly.vertex_bitsets()[0]
-    cache = poly.delta_cache
     masks: set[int] = set()
     for u, v in pieces:
-        key = (u.window, v.window)
-        row = cache.get(key)
-        if row is None:
-            row = cache[key] = delta_uv(poly, u, v)
+        row = poly.piece(u, v)
         inter &= row[0]
         masks |= row[1]
 

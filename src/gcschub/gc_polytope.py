@@ -83,9 +83,9 @@ tables, all read off the pair-bit map:
 * ``_divisors``, the divisor table: index tuple I -> the OR of the vertex
   bitsets of the facets on I's path, and the OR of their pair bits, one
   row per tuple, filled by ``divisor``;
-* ``delta_cache``: (u, v) windows -> the piece u X^v as one row, the AND
-  of the vertex bitsets of its divisors and the frozenset of their pair
-  masks, filled by ``certify.evaluate`` from ``pluecker.delta_uv``.
+* ``_pieces``, the piece table: (u, v) windows -> the piece u X^v as one
+  row, the AND of the vertex bitsets of its divisors and the frozenset of
+  their pair masks, filled by ``piece`` from ``pluecker.delta_uv``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row`` and ``weyl._inversions``.  They are pure functions of
@@ -104,6 +104,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+from . import pluecker
 from .ladder import (
     Cell,
     EdgeKey,
@@ -113,7 +114,7 @@ from .ladder import (
     path_of_partition,
     validate_lambda,
 )
-from .weyl import InputError, UnsupportedShapeError
+from .weyl import InputError, Permutation, UnsupportedShapeError
 
 MAX_VERTICES = 200_000
 """The most vertices ``Polytope.vertices`` lists, and the most lattice
@@ -239,8 +240,8 @@ class Polytope:
         self._facet_bits: dict[EdgeKey, int] = {}
         # index tuple -> (union, mask) of its divisor
         self._divisors: dict[Path, tuple[int, int]] = {}
-        # (u, v) windows -> (bits, masks) of u X^v, filled by certify.evaluate
-        self.delta_cache: dict[tuple, tuple[int, frozenset[int]]] = {}
+        # (u, v) windows -> (bits, masks) of u X^v, filled by piece
+        self._pieces: dict[tuple, tuple[int, frozenset[int]]] = {}
 
     def _node(self, cell: Cell) -> int:
         if cell in self.box_index:
@@ -425,6 +426,19 @@ class Polytope:
                 union |= table[e]
                 mask |= self._facets[e]
             row = self._divisors[path] = (union, mask)
+        return row
+
+    def piece(self, u: Permutation, v: Permutation) -> tuple[int, frozenset[int]]:
+        """The row of the piece u X^v, built once by ``pluecker.delta_uv``
+        and kept under the two windows.  A u or v of another rank than the
+        polytope's is an InputError."""
+        key = (u.window, v.window)
+        row = self._pieces.get(key)
+        if row is None:
+            for x in (u, v):
+                if x.n != self.n:
+                    raise InputError(f"{x} is not a permutation of rank {self.n}")
+            row = self._pieces[key] = pluecker.delta_uv(self, u, v)
         return row
 
     def vertex_masks_in(self, bits: int) -> list[int]:

@@ -19,15 +19,19 @@ A piece u X^v is cut out by the divisors u(I), for I vanishing on X^v.  Its
 shadow Delta(u, v) is the intersection over them of the union of the
 facets on each divisor path; the polytope's divisor table holds each union
 on vertex bitsets (``Polytope.divisor``), and ``delta_uv`` ANDs them into
-the piece's row, which ``certify.evaluate`` keeps in ``delta_cache``.
+the piece's row, which ``Polytope.piece`` keeps under the two windows.
 """
 
 from __future__ import annotations
 
 from operator import gt
+from typing import TYPE_CHECKING
 
-from .gc_polytope import Polytope
 from .weyl import Permutation
+
+if TYPE_CHECKING:
+    # gc_polytope imports this module to build its pieces
+    from .gc_polytope import Polytope
 
 
 def delta_uv(poly: Polytope, u: Permutation, v: Permutation) -> tuple[int, frozenset[int]]:

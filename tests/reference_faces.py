@@ -20,7 +20,8 @@ tight mask by a union-find forest of its tight pairs, the path order, and
 the vanishing set of X^v, a dict from each cut level to the index tuples I
 with p_I = 0, from which a piece's divisor set and row are built where
 ``pluecker.delta_uv`` builds the row in one pass over the paths, comparing
-each I with v's prefix step by step.  It also builds four faces by name:
+each I with v's prefix step by step, and ``piece_table`` reads the rows
+the polytope keeps.  It also builds four faces by name:
 the whole polytope, the facet of an effective edge by saturation, the face
 of a set of pinned boxes, and the face of a Kogan face.
 
@@ -315,6 +316,12 @@ def delta_uv_paths(poly: Polytope, u: Permutation, v: Permutation) -> frozenset[
     vanishing set of v."""
     vanishing = vanishing_schubert(poly.diagram, v)
     return frozenset(u.image(i) for paths in vanishing.values() for i in paths)
+
+
+def piece_table(poly: Polytope) -> dict[tuple, tuple[int, frozenset[int]]]:
+    """The rows the polytope keeps, under the (u, v) windows of each piece
+    that ``Polytope.piece`` built."""
+    return poly._pieces
 
 
 def divisor_row(poly: Polytope, paths) -> tuple[int, frozenset[int]]:

@@ -36,7 +36,7 @@ from gcschub.weyl import (
     parse_permutation,
 )
 from paper_checks import vertices_with_target_translation
-from reference_faces import delta_uv_by_faces, delta_uv_paths, divisor_row, vertex_bits
+from reference_faces import delta_uv_by_faces, delta_uv_paths, divisor_row, piece_table, vertex_bits
 
 
 def make(*cuts_n):
@@ -60,13 +60,11 @@ class TestEvaluate:
         assert cert.ok and cert.count == 1 == cert.oracle
         assert len(cert.vertices) == 1
 
-    def test_every_piece_cached_under_its_pair(self):
-        # X_w = w_0 X^{pi(w_0 w)}: the target piece is cached under the pair
-        # (w_0, pi(w_0 w)) like every factor, and a factor equal to it
-        # shares its entry; each entry is the row of u's image of the
-        # divisors of X^v, built here from the reference vanishing set of
-        # v: the AND of their vertex bitsets, which is the vertex set of the
-        # reference fold, and the set of their masks
+    def test_target_and_equal_factor_share_one_piece(self):
+        # X_w = w_0 X^{pi(w_0 w)}: the target piece is kept under the pair
+        # (w_0, pi(w_0 w)) like every factor, a factor equal to it shares
+        # its entry, and two pieces with one u and two v's are two entries,
+        # each the reference row of its pair
         poly = make(2, 4)
         idt = Permutation.identity(4)
         one = grassmannian_perm((1, 0), 2, 4)
@@ -75,12 +73,33 @@ class TestEvaluate:
         rep = min_coset_rep(w0 * eta, poly.shape)
         evaluate(poly, [one, one], eta, [one, idt])
         bottom = (w0.window, rep.window)
-        assert set(poly.delta_cache) == {bottom, (one.window, one.window),
-                                         (idt.window, one.window)}
+        assert set(piece_table(poly)) == {bottom, (one.window, one.window),
+                                          (idt.window, one.window)}
         evaluate(poly, [rep, idt], eta, [w0, idt])
-        assert set(poly.delta_cache) == {bottom, (one.window, one.window),
-                                         (idt.window, one.window), (idt.window, idt.window)}
-        for (uw, vw), row in poly.delta_cache.items():
+        assert set(piece_table(poly)) == {bottom, (one.window, one.window),
+                                          (idt.window, one.window), (idt.window, idt.window)}
+        for (uw, vw), row in piece_table(poly).items():
+            u, v = Permutation(uw), Permutation(vw)
+            assert row == divisor_row(poly, delta_uv_paths(poly, u, v)), (uw, vw)
+
+    @pytest.mark.parametrize("cuts_n, vs, w", [
+        ((2, 5), ["13245", "13245"], "14235"),
+        ((3, 6), ["124356", "124356"], "125346"),
+        ((1, 2, 3, 4), ["1243", "1342"], "2341"),
+        ((1, 3, 5), ["12435", "12435"], "12534"),
+    ], ids=["gr25", "gr36", "fl4", "shape135"])
+    def test_every_piece_cached_under_its_pair(self, cuts_n, vs, w):
+        # after one search, each entry is the row of u's image of the
+        # divisors of X^v, built here from the reference vanishing set of
+        # v: the AND of their vertex bitsets, which is the vertex set of the
+        # reference fold, and the set of their masks; on shape 1,3,5 no
+        # tuple within the budget certifies, so the search tries all 40
+        poly = make(*cuts_n)
+        n = poly.n
+        search(poly, [parse_permutation(v, n) for v in vs], parse_permutation(w, n), budget=40)
+        table = piece_table(poly)
+        assert len(table) >= 5
+        for (uw, vw), row in table.items():
             u, v = Permutation(uw), Permutation(vw)
             assert row == divisor_row(poly, delta_uv_paths(poly, u, v)), (uw, vw)
             assert row[0] == vertex_bits(poly, delta_uv_by_faces(poly, u, v)), (uw, vw)
@@ -249,7 +268,7 @@ class TestSearch:
         v = Permutation((1, 3, 2, 4))
         with pytest.raises(InputError, match="unknown search tiers"):
             search(poly, [v, v], Permutation((2, 3, 1, 4)), tiers=tiers)
-        assert poly.delta_cache == {}
+        assert piece_table(poly) == {}
 
     @pytest.mark.parametrize("tiers", [(2,), (1,), (3,), (2, 1, 3)])
     @pytest.mark.parametrize("cuts_n, vs, w", [
@@ -267,7 +286,7 @@ class TestSearch:
         n = poly.n
         with pytest.raises(InputError):
             search(poly, [parse_permutation(v, n) for v in vs], parse_permutation(w, n), tiers=tiers)
-        assert poly.delta_cache == {}
+        assert piece_table(poly) == {}
 
     @pytest.mark.parametrize("budget", [3000, 0])
     @pytest.mark.parametrize("tiers", [(1,), (2,), (3,), (2, 1, 3)])
@@ -280,7 +299,7 @@ class TestSearch:
         one = grassmannian_perm((1, 0), 2, 4)
         with pytest.raises(InputError, match="rank mismatch"):
             search(poly, [one, factor], grassmannian_perm((1, 1), 2, 4), budget=budget, tiers=tiers)
-        assert poly.delta_cache == {}
+        assert piece_table(poly) == {}
 
 
 @pytest.mark.parametrize("call", [

@@ -31,6 +31,7 @@ from reference_faces import (
     divisor_bits,
     evaluate_by_faces,
     pair_on_one_face_by_facets,
+    piece_table,
     vertex_bits,
 )
 
@@ -182,7 +183,7 @@ def test_shape_above_the_vertex_bound_is_refused_before_any_piece(monkeypatch):
     s = Permutation.transposition
     with pytest.raises(UnsupportedShapeError, match="3000736 vertices"):
         evaluate(poly, [s(1, 8)], s(1, 8), [Permutation.identity(8)])
-    assert poly.delta_cache == {}
+    assert piece_table(poly) == {}
     # the bound is the one of the vertex listing
     monkeypatch.setattr(gc_polytope, "MAX_VERTICES", 9)
     with pytest.raises(UnsupportedShapeError, match="10 vertices"):

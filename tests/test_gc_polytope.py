@@ -14,16 +14,19 @@ from gcschub.gc_polytope import (
 )
 from gcschub.ladder import LadderDiagram, validate_lambda
 from gcschub.kogan import enumerate_reduced
-from gcschub.weyl import ParabolicShape, Permutation, grassmannian_perm
+from gcschub.weyl import InputError, ParabolicShape, Permutation, grassmannian_perm
 from paper_checks import coordinate_point, value_of
 from reference_faces import (
     antichain,
     contains,
+    delta_uv_paths,
+    divisor_row,
     face_dimension_by_rank,
     face_from_pins,
     facet_face,
     intersect,
     meet,
+    piece_table,
     whole_face,
 )
 
@@ -111,6 +114,33 @@ class TestVertices:
         for face in (whole_face(GR24), Face(GR24, -1)):
             with pytest.raises(ValueError):
                 face.values
+
+
+class TestPieces:
+    def test_piece_is_built_once_under_both_windows(self):
+        # a second read returns the kept row, and one u with two v's is two
+        # rows, each the reference row of its pair
+        poly = make(2, 4)
+        idt = Permutation.identity(4)
+        one = grassmannian_perm((1, 0), 2, 4)
+        row = poly.piece(idt, one)
+        assert poly.piece(idt, one) is row
+        assert row == divisor_row(poly, delta_uv_paths(poly, idt, one))
+        assert poly.piece(idt, idt) == divisor_row(poly, delta_uv_paths(poly, idt, idt)) != row
+        assert set(piece_table(poly)) == {(idt.window, one.window), (idt.window, idt.window)}
+
+    @pytest.mark.parametrize("slot", ["u", "v"])
+    @pytest.mark.parametrize("other", [Permutation((2, 1, 3)), Permutation((1, 3, 2, 4, 5))],
+                             ids=["rank3", "rank5"])
+    def test_piece_refuses_a_permutation_of_another_rank(self, slot, other):
+        # on Gr(2,4), delta_uv alone gives (2,1,3) X^(1,3,2,4) a row,
+        # (62, {64}); piece refuses it, and nothing enters the table
+        poly = make(2, 4)
+        one = grassmannian_perm((1, 0), 2, 4)
+        u, v = (other, one) if slot == "u" else (one, other)
+        with pytest.raises(InputError, match="not a permutation of rank 4"):
+            poly.piece(u, v)
+        assert piece_table(poly) == {}
 
 
 class TestRegularAndVX:

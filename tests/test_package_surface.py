@@ -1,6 +1,8 @@
 """The package is what runs: every public function, method and property
 under ``src/gcschub`` is referred to by name somewhere in ``src/`` or
 ``bench/``.  A helper that only tests call belongs next to the tests.
+The polytope owns its piece table: only ``gc_polytope`` calls the builder
+``pluecker.delta_uv``, and ``certify`` reads rows through ``piece``.
 
 A name counts as referred to when some ``Name`` or ``Attribute`` node of
 those trees carries it.  Click commands are reached through their
@@ -48,16 +50,23 @@ def _public_definitions(tree: ast.Module):
                     yield owner, node
 
 
+def _referred(tree: ast.AST) -> set[str]:
+    """The names that the ``Name`` and ``Attribute`` nodes of a tree carry."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
 def unreferenced_names(root: str = ROOT) -> list[str]:
     """Every public definition of ``root/src/gcschub`` that no tree under
     ``root/src`` or ``root/bench`` refers to, as module.[Class.]name."""
     referred = set()
     for _, tree in _trees(os.path.join(root, "src"), os.path.join(root, "bench")):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referred.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referred.add(node.attr)
+        referred |= _referred(tree)
     out = []
     for path, tree in _trees(os.path.join(root, "src", "gcschub")):
         module = os.path.splitext(os.path.basename(path))[0]
@@ -72,6 +81,18 @@ def unreferenced_names(root: str = ROOT) -> list[str]:
 
 def test_every_public_name_is_used_by_the_package_or_the_bench():
     assert unreferenced_names() == []
+
+
+def test_the_polytope_owns_the_piece_table():
+    # a name counts as referred to when it is imported too
+    refs = {}
+    for path, tree in _trees(os.path.join(ROOT, "src")):
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for a in node.names}
+        refs[os.path.splitext(os.path.basename(path))[0]] = _referred(tree) | imported
+    assert {m for m, names in refs.items() if "delta_uv" in names} - {"pluecker"} == {"gc_polytope"}
+    assert [m for m, names in refs.items() if "delta_cache" in names] == []
+    assert "piece" in refs["certify"]
 
 
 def test_the_scan_sees_a_helper_that_only_tests_call(tmp_path):

@@ -135,6 +135,12 @@ MUTANTS = (
         ("tests/test_face_masks.py::test_divisor_table_matches_face_fold",),
     ),
     Mutant(
+        "piece-table-keyed-by-u", GC,
+        "        key = (u.window, v.window)\n",
+        "        key = u.window\n",
+        ("tests/test_gc_polytope.py::TestPieces::test_piece_is_built_once_under_both_windows",),
+    ),
+    Mutant(
         "evaluate-bottom-untranslated", "src/gcschub/certify.py",
         "    pieces = [(w0, min_coset_rep(",
         "    pieces = [(w0 * w0, min_coset_rep(",
