@@ -45,10 +45,10 @@ from .weyl import (
 
 MAX_GR2_N = 16
 """The largest n that ``sweep_gr2`` takes.  On one core of a 2-core Xeon
-under CPython 3.11.7, Gr(2,15) has 20,832 entries and took 5.9-6.8 s, and
-Gr(2,16) has 28,764 and took 9.9-13.1 s, each in a fresh process; the
+under CPython 3.11.7, Gr(2,15) has 20,832 entries and took 1.8-2.0 s, and
+Gr(2,16) has 28,764 and took 3.9-4.7 s, each in a fresh process; the
 reduced pairs live in Gr(d+2, n), whose polytopes grow with n, and
-Gr(2,20) was still running after 20 s."""
+Gr(2,20) outgrew a 2 GB address-space limit after 18 s."""
 
 
 @dataclass(frozen=True)
@@ -410,26 +410,36 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
     not of the triple itself.
 
     The constructive tier alone suffices; the later tiers are a fallback.
-    An n above ``MAX_GR2_N`` raises UnsupportedShapeError before any work.
+    Each reduced pair is searched once per sweep, and every entry checks
+    the certificate count against its own oracle value.  An n above
+    ``MAX_GR2_N`` raises UnsupportedShapeError before any work.
     """
     if n > MAX_GR2_N:
         raise UnsupportedShapeError(
             f"Gr(2,{n}) sweeps are not supported; at most n = {MAX_GR2_N} is swept"
         )
     parts = _box_partitions(2, n - 2)
+    # the partitions of each size, in the order of ``parts``, so that the
+    # loop below meets the degree-compatible triples in product order
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for p in parts:
+        by_size.setdefault(sum(p), []).append(p)
     polys: dict[int, Polytope] = {}
     # (partition, m) -> its Grassmannian permutation, built once per sweep
     perms: dict[tuple[tuple[int, ...], int], Permutation] = {}
+    # reduced problem -> its search result; search is deterministic, so a
+    # problem met again is not searched again
+    searched: dict[tuple, SearchResult] = {}
 
     def perm(mu: tuple[int, ...], m: int = 2) -> Permutation:
         if (mu, m) not in perms:
             perms[mu, m] = grassmannian_perm(mu, m, n)
         return perms[mu, m]
 
+    triples = ((lam, mu, eta) for lam in parts for mu in parts
+               for eta in by_size.get(sum(lam) + sum(mu), ()))
     entries = []
-    for lam, mu, eta in itertools.product(parts, repeat=3):
-        if sum(eta) != sum(lam) + sum(mu):
-            continue
+    for lam, mu, eta in triples:
         oracle = structure_constant([perm(lam), perm(mu)], perm(eta))
         red = reduce_gr2(lam, mu, eta, n)
         if red is None:
@@ -437,12 +447,14 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
                 raise AssertionError(f"reduction says zero but oracle {oracle} at {(lam, mu, eta)}")
             entries.append({"triple": (lam, mu, eta), "status": "zero", "N": 0})
             continue
-        m2, lam2, mu2, eta2 = red
-        if m2 not in polys:
-            polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
-        vs = [perm(lam2, m2), perm(mu2, m2)]
-        w = perm(eta2, m2)
-        res = search(polys[m2], vs, w, budget=budget, tiers=tiers)
+        res = searched.get(red)
+        if res is None:
+            m2, lam2, mu2, eta2 = red
+            if m2 not in polys:
+                polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
+            vs = [perm(lam2, m2), perm(mu2, m2)]
+            w = perm(eta2, m2)
+            res = searched[red] = search(polys[m2], vs, w, budget=budget, tiers=tiers)
         if not res.ok:
             entries.append({"triple": (lam, mu, eta), "status": "unresolved", "N": oracle})
             continue

@@ -7,19 +7,36 @@ over three tier helpers, a Bruhat pre-attempt written apart from the tier
 loop, and a tier 2 that builds every candidate before the first is tried
 and drops repeats with ``dict.fromkeys``.  Both must try the same tuples
 in the same order and return the same ``SearchResult``.
+
+It also keeps the Gr(2, n) sweep that ``certify.sweep_gr2`` replaced
+(``sweep_gr2``): every triple of the partition cube is visited, the
+degree-incompatible ones are skipped, and every nonzero entry is searched,
+however often its reduced pair recurs.  Both must give the same entries in
+the same order.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from gcschub.certify import Certificate, SearchResult, _all_perms, _block_shift, evaluate
+from gcschub.certify import (
+    Certificate,
+    SearchResult,
+    _all_perms,
+    _block_shift,
+    evaluate,
+    reduce_gr2,
+)
+from gcschub.coeffs import structure_constant
 from gcschub.gc_polytope import Polytope
+from gcschub.ladder import LadderDiagram
 from gcschub.weyl import (
     InputError,
+    ParabolicShape,
     Permutation,
     bruhat_leq,
     cyclic_shift,
+    grassmannian_perm,
     partition_of_perm,
 )
 
@@ -135,3 +152,32 @@ def search(
                 return result
     return result
 
+
+def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) -> list[dict]:
+    """The entries of the Gr(2, n) sweep, each nonzero one searched anew."""
+    parts = [p for p in itertools.product(range(n - 1), repeat=2) if p[0] >= p[1]]
+    polys: dict[int, Polytope] = {}
+    entries = []
+    for lam, mu, eta in itertools.product(parts, repeat=3):
+        if sum(eta) != sum(lam) + sum(mu):
+            continue
+        oracle = structure_constant(
+            [grassmannian_perm(lam, 2, n), grassmannian_perm(mu, 2, n)],
+            grassmannian_perm(eta, 2, n),
+        )
+        red = reduce_gr2(lam, mu, eta, n)
+        if red is None:
+            assert oracle == 0, (lam, mu, eta)
+            entries.append({"triple": (lam, mu, eta), "status": "zero", "N": 0})
+            continue
+        m2, lam2, mu2, eta2 = red
+        if m2 not in polys:
+            polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
+        vs = [grassmannian_perm(lam2, m2, n), grassmannian_perm(mu2, m2, n)]
+        res = search(polys[m2], vs, grassmannian_perm(eta2, m2, n), budget=budget, tiers=tiers)
+        if res.certificate is None:
+            entries.append({"triple": (lam, mu, eta), "status": "unresolved", "N": oracle})
+            continue
+        assert res.certificate.count == oracle, (lam, mu, eta, red)
+        entries.append({"triple": (lam, mu, eta), "status": "certified", "N": oracle})
+    return entries

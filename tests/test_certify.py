@@ -35,6 +35,7 @@ from gcschub.weyl import (
     min_coset_rep,
     parse_permutation,
 )
+import reference_search
 from paper_checks import vertices_with_target_translation
 from reference_faces import delta_uv_by_faces, delta_uv_paths, divisor_row, piece_table, vertex_bits
 
@@ -348,11 +349,25 @@ class TestChevalleySweeps:
 
 class TestGr2Reduction:
     def test_reduce_examples(self):
-        assert reduce_gr2((1, 0), (1, 0), (2, 1), 5) is None or True
+        # |eta| = 3 is not |lam| + |mu| = 2
+        assert reduce_gr2((1, 0), (1, 0), (2, 1), 5) is None
         red = reduce_gr2((2, 1), (1, 1), (3, 2), 5)
         assert red is not None
         m2, lam2, mu2, eta2 = red
         assert lam2[0] + mu2[0] == eta2[0]
+
+    @pytest.mark.parametrize("lam, mu, eta", [
+        ((1, 1), (1, 0), (3, 0)),  # d = -1: eta holds less than the common (1,1)
+        ((2, 0), (0, 0), (1, 1)),  # c = 1 < max(a, b) = 2
+    ])
+    def test_degree_compatible_zero(self, lam, mu, eta):
+        # an in-box eta has c <= eta[0] <= n - 2, so these zeros come from
+        # the other two conditions
+        n = 5
+        assert sum(eta) == sum(lam) + sum(mu)
+        assert reduce_gr2(lam, mu, eta, n) is None
+        vs = [grassmannian_perm(lam, 2, n), grassmannian_perm(mu, 2, n)]
+        assert structure_constant(vs, grassmannian_perm(eta, 2, n)) == 0
 
     def test_reduction_preserves_constant(self):
         n = 5
@@ -400,6 +415,87 @@ class TestGr2Reduction:
             sweep_gr2(certify.MAX_GR2_N + 1)
         with pytest.raises(Started):
             sweep_gr2(certify.MAX_GR2_N)
+
+
+def gr2_triples(n):
+    """The degree-compatible Gr(2, n) triples in the sweep's order."""
+    parts = [p for p in itertools.product(range(n - 1), repeat=2) if p[0] >= p[1]]
+    return [(lam, mu, eta) for lam, mu, eta in itertools.product(parts, repeat=3)
+            if sum(eta) == sum(lam) + sum(mu)]
+
+
+def count_searches(monkeypatch, search_with=search):
+    """Route the sweep's searches through ``search_with`` and list the
+    (shape, factor windows, target window) of each call."""
+    calls = []
+
+    def counted(poly, vs, w, **kwargs):
+        calls.append((str(poly.shape), tuple(v.window for v in vs), w.window))
+        return search_with(poly, vs, w, **kwargs)
+
+    monkeypatch.setattr(certify, "search", counted)
+    return calls
+
+
+class TestGr2SweepMemo:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_entries_match_the_reference_sweep(self, n):
+        assert list(sweep_gr2(n).entries) == reference_search.sweep_gr2(n)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_each_reduced_pair_is_searched_once(self, n, monkeypatch):
+        calls = count_searches(monkeypatch)
+        reduced = {reduce_gr2(*t, n) for t in gr2_triples(n)} - {None}
+        assert sweep_gr2(n).all_resolved
+        assert len(calls) == len(set(calls)) == len(reduced)
+        if n == 8:
+            assert len(calls) == 83
+
+    def test_the_memo_keys_the_whole_reduced_problem(self, monkeypatch):
+        # the real reduction fixes the target by the factors, as
+        # c - d = (a - d) + (b - d); this one lets it vary, and two
+        # problems with equal rank and factors but different targets
+        # are two searches
+        n = 6
+        real = certify.reduce_gr2
+
+        def reduce(lam, mu, eta, n):
+            red = real(lam, mu, eta, n)
+            if red is None or lam[1] == 0:
+                return red
+            m2, lam2, mu2, _ = red
+            return m2, lam2, mu2, (0,) * m2
+
+        monkeypatch.setattr(certify, "reduce_gr2", reduce)
+        calls = count_searches(monkeypatch, lambda *args, **kwargs: certify.SearchResult())
+        reduced = {reduce(*t, n) for t in gr2_triples(n)} - {None}
+        assert len({red[:3] for red in reduced}) < len(reduced)
+        sweep_gr2(n)
+        assert len(calls) == len(set(calls)) == len(reduced)
+
+    def test_an_entry_met_again_checks_its_own_oracle(self, monkeypatch):
+        # the first two-row triple whose reduced pair an earlier entry has
+        # searched; the sweep's oracle is off by one on it alone
+        n = 5
+        seen, target = set(), None
+        for t in gr2_triples(n):
+            red = reduce_gr2(*t, n)
+            if red in seen and t[0][1] > 0:
+                target = t
+                break
+            seen.add(red)
+        assert target is not None
+        lam, mu, eta = target
+        args = ([grassmannian_perm(lam, 2, n).window, grassmannian_perm(mu, 2, n).window],
+                grassmannian_perm(eta, 2, n).window)
+
+        def off_by_one(vs, w):
+            got = structure_constant(vs, w)
+            return got + 1 if ([v.window for v in vs], w.window) == args else got
+
+        monkeypatch.setattr(certify, "structure_constant", off_by_one)
+        with pytest.raises(AssertionError, match="reduced certificate count"):
+            sweep_gr2(n)
 
 
 class TestFlagSweep:
