@@ -308,6 +308,38 @@ def search(
 # -- sweeps ---------------------------------------------------------------------
 
 
+def _resolver(problem, budget: int, tiers: tuple[int, ...]):
+    """The resolver of one sweep: ``resolve(keys, oracle, where)`` is an
+    entry's (status, witness).  With no key the entry is zero, and an
+    oracle other than 0 raises AssertionError.  Otherwise the keys are
+    searched in order, each once per sweep, as search is deterministic;
+    the first certificate's count must equal the entry's oracle, and with
+    none the entry is unresolved.  ``problem(key)`` builds a key's
+    (polytope, factors, target) on a miss only."""
+    searched: dict[tuple, SearchResult] = {}
+
+    def resolve(keys, oracle: int, where) -> tuple[str, Certificate | None]:
+        if not keys:
+            if oracle != 0:
+                raise AssertionError(f"reduction says zero but oracle {oracle} at {where}")
+            return "zero", None
+        for key in keys:
+            res = searched.get(key)
+            if res is None:
+                poly, vs, w = problem(key)
+                res = searched[key] = search(poly, vs, w, budget=budget, tiers=tiers)
+            if res.ok:
+                if res.certificate.count != oracle:
+                    raise AssertionError(
+                        f"reduced certificate count {res.certificate.count} != oracle {oracle}"
+                        f" at {where}"
+                    )
+                return "certified", res.certificate
+        return "unresolved", None
+
+    return resolve
+
+
 @dataclass(frozen=True)
 class ClassReport:
     kind: str                  # "zero" | "certified" | "unresolved"
@@ -337,8 +369,9 @@ def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
     classes = build_modified_partition(n)
     shape = ParabolicShape.complete(n)
     poly = Polytope(LadderDiagram(shape))
-
-    def resolve(cls) -> ClassReport:
+    resolve = _resolver(lambda t: (poly, list(t[:-1]), t[-1]), budget, (1, 2, 3))
+    reports = []
+    for cls in classes:
         first = cls.members[0]
         constant = 0 if cls.kind == "zero" else structure_constant([first[0], first[1]], first[2])
         for (u, v, w) in cls.members:
@@ -347,26 +380,12 @@ def sweep_complete_flag(n: int, budget: int = 2000) -> SweepReport:
                 raise AssertionError(
                     f"class constant differs at {(u, v, w)}: {got} vs {constant}"
                 )
-        if cls.kind == "zero":
-            return ClassReport("zero", len(cls.members), first, None)
-        witness = None
-        candidates: list[tuple] = sorted(
+        candidates: list[tuple] = [] if cls.kind == "zero" else sorted(
             cls.members, key=lambda t: (length(t[-1]), t)
         ) + sorted(cls.extended, key=lambda t: (length(t[-1]), len(t), t))
-        for member in candidates:
-            *us_part, w = member
-            res = search(poly, list(us_part), w, budget=budget)
-            if res.ok:
-                witness = res.certificate
-                break
-        return ClassReport(
-            "certified" if witness else "unresolved",
-            len(cls.members),
-            first,
-            witness,
-        )
-
-    return SweepReport(shape, tuple(resolve(cls) for cls in classes))
+        kind, witness = resolve(candidates, constant, first)
+        reports.append(ClassReport(kind, len(cls.members), first, witness))
+    return SweepReport(shape, tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -403,100 +422,77 @@ def reduce_gr2(lam: tuple[int, int], mu: tuple[int, int], eta: tuple[int, int], 
     return m2, lam2, mu2, eta2
 
 
-def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) -> Gr2Report:
-    """Resolve every Gr(2, n) triple: reduce to a special pair and certify
-    it with the block-shift construction, or establish zero.  A certified
-    entry holds a certificate of the reduced special pair in Gr(d+2, n),
-    not of the triple itself.
-
-    The constructive tier alone suffices; the later tiers are a fallback.
-    Each reduced pair is searched once per sweep, and every entry checks
-    the certificate count against its own oracle value.  An n above
-    ``MAX_GR2_N`` raises UnsupportedShapeError before any work.
-    """
-    if n > MAX_GR2_N:
-        raise UnsupportedShapeError(
-            f"Gr(2,{n}) sweeps are not supported; at most n = {MAX_GR2_N} is swept"
-        )
-    parts = _box_partitions(2, n - 2)
+def _sweep_grassmannian(m: int, n: int, budget: int, tiers: tuple[int, ...]) -> Gr2Report:
+    """Resolve the degree-compatible triples of the m x (n - m) box, m = 1
+    or 2, in product order, each reduced to a problem (m2, lam2, mu2, eta2)
+    in Gr(m2, n): itself at m = 1, ``reduce_gr2``'s special pair or none at
+    m = 2."""
+    parts = _box_partitions(m, n - m)
     # the partitions of each size, in the order of ``parts``, so that the
     # loop below meets the degree-compatible triples in product order
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for p in parts:
         by_size.setdefault(sum(p), []).append(p)
     polys: dict[int, Polytope] = {}
-    # (partition, m) -> its Grassmannian permutation, built once per sweep
+    # (partition, level) -> its Grassmannian permutation, built once per sweep
     perms: dict[tuple[tuple[int, ...], int], Permutation] = {}
-    # reduced problem -> its search result; search is deterministic, so a
-    # problem met again is not searched again
-    searched: dict[tuple, SearchResult] = {}
 
-    def perm(mu: tuple[int, ...], m: int = 2) -> Permutation:
-        if (mu, m) not in perms:
-            perms[mu, m] = grassmannian_perm(mu, m, n)
-        return perms[mu, m]
+    def perm(mu: tuple[int, ...], level: int = m) -> Permutation:
+        if (mu, level) not in perms:
+            perms[mu, level] = grassmannian_perm(mu, level, n)
+        return perms[mu, level]
 
+    def problem(red):
+        m2, lam2, mu2, eta2 = red
+        if m2 not in polys:
+            polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
+        return polys[m2], [perm(lam2, m2), perm(mu2, m2)], perm(eta2, m2)
+
+    resolve = _resolver(problem, budget, tiers)
+    reduce = reduce_gr2 if m == 2 else lambda lam, mu, eta, n: (m, lam, mu, eta)
     triples = ((lam, mu, eta) for lam in parts for mu in parts
                for eta in by_size.get(sum(lam) + sum(mu), ()))
     entries = []
-    for lam, mu, eta in triples:
+    for triple in triples:
+        lam, mu, eta = triple
         oracle = structure_constant([perm(lam), perm(mu)], perm(eta))
-        red = reduce_gr2(lam, mu, eta, n)
-        if red is None:
-            if oracle != 0:
-                raise AssertionError(f"reduction says zero but oracle {oracle} at {(lam, mu, eta)}")
-            entries.append({"triple": (lam, mu, eta), "status": "zero", "N": 0})
-            continue
-        res = searched.get(red)
-        if res is None:
-            m2, lam2, mu2, eta2 = red
-            if m2 not in polys:
-                polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))
-            vs = [perm(lam2, m2), perm(mu2, m2)]
-            w = perm(eta2, m2)
-            res = searched[red] = search(polys[m2], vs, w, budget=budget, tiers=tiers)
-        if not res.ok:
-            entries.append({"triple": (lam, mu, eta), "status": "unresolved", "N": oracle})
-            continue
-        if res.certificate.count != oracle:
-            raise AssertionError(
-                f"reduced certificate count {res.certificate.count} != oracle {oracle}"
-            )
-        entries.append({"triple": (lam, mu, eta), "status": "certified", "N": oracle})
+        red = reduce(lam, mu, eta, n)
+        status, _ = resolve(() if red is None else (red,), oracle, triple)
+        entries.append({"triple": triple, "status": status, "N": oracle})
     return Gr2Report(tuple(entries))
 
 
-def sweep_gr1(n: int, budget: int = 500) -> Gr2Report:
-    """Projective space: every constant is Chevalley-type and certifies."""
-    shape = ParabolicShape((1,), n)
-    poly = Polytope(LadderDiagram(shape))
-    entries = []
-    for a in range(n):
-        for b in range(n):
-            c = a + b
-            if c > n - 1:
-                continue
-            vs = [grassmannian_perm((a,), 1, n), grassmannian_perm((b,), 1, n)]
-            w = grassmannian_perm((c,), 1, n)
-            res = search(poly, vs, w, budget=budget, tiers=(2, 1))
-            # c = a + b <= n - 1, so the constant is 1, and search raises
-            # on a count that differs from the oracle
-            status = "certified" if res.ok else "unresolved"
-            entries.append({"triple": ((a,), (b,), (c,)), "status": status,
-                            "N": res.certificate.count if res.ok else None})
-    return Gr2Report(tuple(entries))
+def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) -> Gr2Report:
+    """Resolve every Gr(2, n) triple: reduce to a special pair and certify
+    it with the block-shift construction, or establish zero.  A certified
+    entry holds a certificate of the reduced special pair in Gr(d+2, n),
+    not of the triple itself; every entry's N is its oracle value.
+
+    The constructive tier alone suffices; the later tiers are a fallback.
+    The sweep's resolver searches each reduced pair once and checks the
+    certificate count against every entry's own oracle value.  An n above
+    ``MAX_GR2_N`` raises UnsupportedShapeError before any work.
+    """
+    if n > MAX_GR2_N:
+        raise UnsupportedShapeError(
+            f"Gr(2,{n}) sweeps are not supported; at most n = {MAX_GR2_N} is swept"
+        )
+    return _sweep_grassmannian(2, n, budget, tiers)
 
 
 def sweep_conjecture(shape: ParabolicShape, budget: int = 2000):
     """Resolve every constant class of the shape, certified or zero.
 
-    Complete flags go through the modified-partition classes; Gr(1, n) and
-    Gr(2, n) through their reduction calculi.  Other shapes are not covered.
+    Complete flags search the members and split tuples of each
+    modified-partition class; Gr(1, n) and Gr(2, n) share one loop over
+    triples, reduced to themselves on Gr(1, n) and to special pairs on
+    Gr(2, n).  Each sweep searches a distinct problem once.  Other shapes
+    are not covered.
     """
     if shape.is_complete():
         return sweep_complete_flag(shape.n, budget=budget)
     if shape.is_grassmannian() and shape.cuts[0] == 1:
-        return sweep_gr1(shape.n, budget=budget)
+        return _sweep_grassmannian(1, shape.n, budget, (2, 1, 3))
     if shape.is_grassmannian() and shape.cuts[0] == 2:
         return sweep_gr2(shape.n, budget=budget)
     raise UnsupportedShapeError(

@@ -8,11 +8,14 @@ loop, and a tier 2 that builds every candidate before the first is tried
 and drops repeats with ``dict.fromkeys``.  Both must try the same tuples
 in the same order and return the same ``SearchResult``.
 
-It also keeps the Gr(2, n) sweep that ``certify.sweep_gr2`` replaced
-(``sweep_gr2``): every triple of the partition cube is visited, the
-degree-incompatible ones are skipped, and every nonzero entry is searched,
-however often its reduced pair recurs.  Both must give the same entries in
-the same order.
+It also keeps the sweeps that the package's one resolver replaced, each
+its own loop with its own search and checks.  ``sweep_gr2`` visits every
+triple of the partition cube, skips the degree-incompatible ones, and
+searches every nonzero entry, however often its reduced pair recurs.
+``sweep_gr1`` searches each Gr(1, n) triple (a, b, a + b) with tiers (2, 1)
+at budget 500, and ``sweep_complete_flag`` searches the members and split
+tuples of each class until one certifies.  Each must give the same entries
+or class reports in the same order as the package.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import itertools
 
 from gcschub.certify import (
     Certificate,
+    ClassReport,
     SearchResult,
     _all_perms,
     _block_shift,
     evaluate,
     reduce_gr2,
 )
-from gcschub.coeffs import structure_constant
+from gcschub.coeffs import build_modified_partition, structure_constant
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
 from gcschub.weyl import (
@@ -37,6 +41,7 @@ from gcschub.weyl import (
     bruhat_leq,
     cyclic_shift,
     grassmannian_perm,
+    length,
     partition_of_perm,
 )
 
@@ -181,3 +186,49 @@ def sweep_gr2(n: int, budget: int = 2000, tiers: tuple[int, ...] = (2, 1, 3)) ->
         assert res.certificate.count == oracle, (lam, mu, eta, red)
         entries.append({"triple": (lam, mu, eta), "status": "certified", "N": oracle})
     return entries
+
+
+def sweep_gr1(n: int, budget: int = 500) -> list[dict]:
+    """The entries of the Gr(1, n) sweep: every triple (a, b, a + b) with
+    a + b <= n - 1 has constant 1 and is searched."""
+    poly = Polytope(LadderDiagram(ParabolicShape((1,), n)))
+    entries = []
+    for a in range(n):
+        for b in range(n):
+            c = a + b
+            if c > n - 1:
+                continue
+            vs = [grassmannian_perm((a,), 1, n), grassmannian_perm((b,), 1, n)]
+            w = grassmannian_perm((c,), 1, n)
+            res = search(poly, vs, w, budget=budget, tiers=(2, 1))
+            status = "certified" if res.ok else "unresolved"
+            entries.append({"triple": ((a,), (b,), (c,)), "status": status,
+                            "N": res.certificate.count if res.ok else None})
+    return entries
+
+
+def sweep_complete_flag(n: int, budget: int = 2000) -> tuple[ClassReport, ...]:
+    """The class reports of the complete-flag sweep: each class checked
+    constant, and a nonzero one searched over its members, then its split
+    tuples, until one certifies."""
+    poly = Polytope(LadderDiagram(ParabolicShape.complete(n)))
+
+    def resolve(cls) -> ClassReport:
+        first = cls.members[0]
+        constant = 0 if cls.kind == "zero" else structure_constant([first[0], first[1]], first[2])
+        for (u, v, w) in cls.members:
+            assert structure_constant([u, v], w) == constant, (u, v, w)
+        if cls.kind == "zero":
+            return ClassReport("zero", len(cls.members), first, None)
+        witness = None
+        candidates = sorted(cls.members, key=lambda t: (length(t[-1]), t)) + sorted(
+            cls.extended, key=lambda t: (length(t[-1]), len(t), t))
+        for *us_part, w in candidates:
+            res = search(poly, list(us_part), w, budget=budget)
+            if res.ok:
+                witness = res.certificate
+                break
+        return ClassReport("certified" if witness else "unresolved", len(cls.members),
+                           first, witness)
+
+    return tuple(resolve(cls) for cls in build_modified_partition(n))

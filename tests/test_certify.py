@@ -15,7 +15,7 @@ from gcschub.certify import (
     store_append,
     store_read,
     sweep_complete_flag,
-    sweep_gr1,
+    sweep_conjecture,
     sweep_gr2,
 )
 from gcschub.coeffs import build_modified_partition, structure_constant
@@ -338,10 +338,11 @@ class TestChevalleySweeps:
                 res = search(poly, vs, w, tiers=(2,))
                 assert res.ok and res.certificate.count == 1, (m, n, mu, eta)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(3, 7))
     def test_gr1_sweep_certifies_every_triple(self, n):
-        # every triple (a, b, a + b) with a + b <= n - 1 has constant 1
-        report = sweep_gr1(n)
+        # every triple (a, b, a + b) with a + b <= n - 1 has constant 1;
+        # n starts at 3, as the shape (1) of rank 2 is a complete flag
+        report = sweep_conjecture(ParabolicShape((1,), n))
         assert len(report.entries) == n * (n + 1) // 2 and report.all_resolved
         for e in report.entries:
             assert (e["status"], e["N"]) == ("certified", 1), e
@@ -515,6 +516,71 @@ class TestFlagSweep:
         assert rep.all_resolved
         assert sorted(c.kind for c in rep.classes) == ["certified", "zero"]
         assert sum(c.size for c in rep.classes) == 74199
+
+
+class TestSweepResolver:
+    """Every sweep resolves its entries through one memoised resolver; the
+    reference sweeps in ``reference_search`` are the loops it replaced."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_gr1_entries_match_the_reference_sweep(self, n):
+        report = sweep_conjecture(ParabolicShape((1,), n))
+        assert list(report.entries) == reference_search.sweep_gr1(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_class_reports_match_the_reference_sweep(self, n):
+        def plain(reports):
+            return [(c.kind, c.size, c.representative, c.witness and c.witness.to_json())
+                    for c in reports]
+
+        assert plain(sweep_complete_flag(n).classes) == plain(reference_search.sweep_complete_flag(n))
+
+    def test_a_class_goes_on_to_its_next_candidate(self, monkeypatch):
+        # the first candidate of the nonzero Fl3 class finds nothing, and
+        # the second one, the next member by target length, certifies it
+        def first_fails(poly, vs, w, **kwargs):
+            return certify.SearchResult() if len(calls) == 1 else search(poly, vs, w, **kwargs)
+
+        calls = count_searches(monkeypatch, first_fails)
+        (cls,) = [c for c in build_modified_partition(3) if c.kind == "regular"]
+        second = sorted(cls.members, key=lambda t: (length(t[-1]), t))[1]
+        report = sweep_complete_flag(3)
+        assert len(calls) == 2
+        (certified,) = [c for c in report.classes if c.kind != "zero"]
+        assert certified.kind == "certified"
+        assert (certified.witness.vs, certified.witness.w) == (second[:2], second[2])
+
+    def test_an_unresolved_entry_keeps_its_oracle(self, monkeypatch):
+        # no search in Gr(3, 5) certifies, so every entry reduced there is
+        # left unresolved, and its N is still its own nonzero oracle value
+        n = 5
+
+        def none_in_gr35(poly, vs, w, **kwargs):
+            if poly.shape.cuts == (3,):
+                return certify.SearchResult()
+            return search(poly, vs, w, **kwargs)
+
+        count_searches(monkeypatch, none_in_gr35)
+        report = sweep_gr2(n)
+        assert not report.all_resolved
+        unresolved = 0
+        for e in report.entries:
+            red = reduce_gr2(*e["triple"], n)
+            lam, mu, eta = (grassmannian_perm(p, 2, n) for p in e["triple"])
+            assert e["N"] == structure_constant([lam, mu], eta)
+            if red is not None and red[0] == 3:
+                assert e["status"] == "unresolved" and e["N"] > 0, e
+                unresolved += 1
+            else:
+                assert e["status"] in ("certified", "zero"), e
+        assert unresolved > 0
+
+    def test_a_zero_reduction_of_a_nonzero_constant_raises(self, monkeypatch):
+        monkeypatch.setattr(certify, "reduce_gr2", lambda lam, mu, eta, n: None)
+        calls = count_searches(monkeypatch)
+        with pytest.raises(AssertionError, match="reduction says zero"):
+            sweep_gr2(4)
+        assert calls == []
 
 
 # the regular Fl4 members (v_1, v_2; w) that no translation of the factors

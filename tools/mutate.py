@@ -156,40 +156,34 @@ MUTANTS = (
         # the real reduction's target is (a-d)+(b-d), fixed by the factors,
         # so the named test reduces with a target that varies on its own
         "gr2-memo-keyed-without-target", "src/gcschub/certify.py",
-        "        res = searched.get(red)\n"
-        "        if res is None:\n"
-        "            m2, lam2, mu2, eta2 = red\n"
-        "            if m2 not in polys:\n"
-        "                polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))\n"
-        "            vs = [perm(lam2, m2), perm(mu2, m2)]\n"
-        "            w = perm(eta2, m2)\n"
-        "            res = searched[red] = search(",
-        "        res = searched.get(red[:3])\n"
-        "        if res is None:\n"
-        "            m2, lam2, mu2, eta2 = red\n"
-        "            if m2 not in polys:\n"
-        "                polys[m2] = Polytope(LadderDiagram(ParabolicShape((m2,), n)))\n"
-        "            vs = [perm(lam2, m2), perm(mu2, m2)]\n"
-        "            w = perm(eta2, m2)\n"
-        "            res = searched[red[:3]] = search(",
+        "            res = searched.get(key)\n"
+        "            if res is None:\n"
+        "                poly, vs, w = problem(key)\n"
+        "                res = searched[key] = search(",
+        "            res = searched.get(key[:3])\n"
+        "            if res is None:\n"
+        "                poly, vs, w = problem(key)\n"
+        "                res = searched[key[:3]] = search(",
         ("tests/test_certify.py::TestGr2SweepMemo::test_the_memo_keys_the_whole_reduced_problem",),
     ),
     Mutant(
         "gr2-count-check-on-miss-only", "src/gcschub/certify.py",
-        "            res = searched[red] = search(polys[m2], vs, w, budget=budget, tiers=tiers)\n"
-        "        if not res.ok:\n"
-        "            entries.append({\"triple\": (lam, mu, eta), \"status\": \"unresolved\", \"N\": oracle})\n"
-        "            continue\n"
-        "        if res.certificate.count != oracle:\n",
-        "            res = searched[red] = search(polys[m2], vs, w, budget=budget, tiers=tiers)\n"
-        "            checked = True\n"
-        "        else:\n"
-        "            checked = False\n"
-        "        if not res.ok:\n"
-        "            entries.append({\"triple\": (lam, mu, eta), \"status\": \"unresolved\", \"N\": oracle})\n"
-        "            continue\n"
-        "        if checked and res.certificate.count != oracle:\n",
+        "                res = searched[key] = search(poly, vs, w, budget=budget, tiers=tiers)\n"
+        "            if res.ok:\n"
+        "                if res.certificate.count != oracle:\n",
+        "                res = searched[key] = search(poly, vs, w, budget=budget, tiers=tiers)\n"
+        "                checked = True\n"
+        "            else:\n"
+        "                checked = False\n"
+        "            if res.ok:\n"
+        "                if checked and res.certificate.count != oracle:\n",
         ("tests/test_certify.py::TestGr2SweepMemo::test_an_entry_met_again_checks_its_own_oracle",),
+    ),
+    Mutant(
+        "sweep-resolve-stops-after-first-candidate", "src/gcschub/certify.py",
+        "        for key in keys:\n",
+        "        for key in keys[:1]:\n",
+        ("tests/test_certify.py::TestSweepResolver::test_a_class_goes_on_to_its_next_candidate",),
     ),
     Mutant(
         "tier2-yields-repeats", "src/gcschub/certify.py",
