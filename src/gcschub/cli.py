@@ -281,14 +281,15 @@ def sweep(shape, budget, out, detail, fmt):
 def polytope(shape, fmt):
     """Dimension, facet and vertex counts of the polytope."""
     poly = Polytope(LadderDiagram(shape))
+    verts = poly.vertices()
     data = {
         "shape": str(shape),
         "dim": poly.dim,
         "facets": poly.facet_count,
-        "vertices": len(poly.vertices()),
+        "vertices": len(verts),
     }
     if shape.is_complete():
-        data["regular_vertices"] = sum(1 for v in poly.vertices() if poly.is_regular(v))
+        data["regular_vertices"] = sum(1 for v in verts if poly.is_regular(v))
     _emit(data, fmt)
 
 

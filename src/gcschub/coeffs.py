@@ -126,76 +126,54 @@ def structure_constant(us: list[Permutation], w: Permutation) -> int:
 # -- Littlewood-Richardson oracle ------------------------------------------------
 
 
-def _contains(eta: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    return all(e >= m for e, m in zip(eta, mu)) and len(eta) >= len(mu)
-
-
-def lr_coefficient(mu: tuple[int, ...], nu: tuple[int, ...], eta: tuple[int, ...]) -> int:
-    """Count Littlewood-Richardson tableaux of shape eta/mu and content nu:
-    semistandard fillings whose reverse reading word is a lattice word.
-
-    Shapes are small here, so fillings are enumerated row by row and the
-    lattice condition is checked on the finished tableau.
-    """
-    mu = tuple(v for v in mu if v)
-    nu = tuple(v for v in nu if v)
-    eta = tuple(v for v in eta if v)
-    if sum(eta) != sum(mu) + sum(nu):
-        return 0
-    if len(mu) > len(eta) or not _contains(eta, mu):
-        return 0
-    if not nu:
-        return 1 if eta == mu else 0
-    mu = mu + (0,) * (len(eta) - len(mu))
-    grid: list[list[int]] = [[0] * part for part in eta]
-    return _lr_fillings(eta, mu, nu, grid, [0] * (len(nu) + 1), 0, mu[0])
-
-
-def _lr_fillings(eta, mu, nu, grid: list[list[int]], counts: list[int], r: int, c: int) -> int:
-    """Number of Littlewood-Richardson tableaux that complete ``grid``,
-    filled before cell (r, c) of eta/mu with ``counts[v]`` entries v."""
-    rows = len(eta)
-    if r == rows:
-        return int(_lattice_ok(eta, mu, grid, len(nu)))
-    if c == eta[r]:
-        return _lr_fillings(eta, mu, nu, grid, counts, r + 1, mu[r + 1] if r + 1 < rows else 0)
-    left = grid[r][c - 1] if c > mu[r] else 1
-    # cells inside mu hold 0, so they impose no column constraint
-    above = grid[r - 1][c] if r > 0 and c < eta[r - 1] else 0
-    lo = max(left, above + 1) if above else max(left, 1)
-    total = 0
-    for v in range(lo, len(nu) + 1):
-        if counts[v] == nu[v - 1]:
-            continue
-        counts[v] += 1
-        grid[r][c] = v
-        total += _lr_fillings(eta, mu, nu, grid, counts, r, c + 1)
-        grid[r][c] = 0
-        counts[v] -= 1
-    return total
-
-
-def _lattice_ok(eta, mu, grid: list[list[int]], nvals: int) -> bool:
-    """Whether the reverse reading word of the filled tableau is a lattice
-    word."""
-    running = [0] * (nvals + 1)
-    for r in range(len(eta)):
-        for c in range(eta[r] - 1, mu[r] - 1, -1):
-            v = grid[r][c]
-            running[v] += 1
-            if v > 1 and running[v] > running[v - 1]:
-                return False
-    return True
-
-
 def gr_structure_constant(
     mu: tuple[int, ...], nu: tuple[int, ...], eta: tuple[int, ...], m: int, n: int
 ) -> int:
-    """LR coefficient filtered to partitions inside the m x (n-m) box."""
+    """The Littlewood-Richardson coefficient of sigma^eta in sigma^mu *
+    sigma^nu on Gr(m, n): the number of semistandard fillings of eta/mu with
+    content nu whose reverse reading word is a lattice word.
+
+    The cells are filled in reverse reading order, rows top to bottom and
+    each row right to left, so the entries placed so far are the word read
+    so far and the lattice condition is one test per entry.  A partition
+    that is not weakly decreasing inside the m x (n-m) box is an InputError.
+    """
     for part in (mu, nu, eta):
-        if len(part) > m or (part and part[0] > n - m):
-            raise ValueError(f"partition {part} does not fit in {m}x{n - m}")
-    return lr_coefficient(mu, nu, eta)
+        chain = (n - m, *part, 0)
+        if len(part) > m or any(a < b for a, b in zip(chain, chain[1:])):
+            raise InputError(f"{part} is not a partition inside the {m}x{n - m} box")
+    nu = tuple(v for v in nu if v)
+    mu = tuple(mu) + (0,) * (m - len(mu))
+    eta = tuple(eta) + (0,) * (m - len(eta))
+    if sum(eta) != sum(mu) + sum(nu) or any(e < u for e, u in zip(eta, mu)):
+        return 0
+    cells = [(r, c) for r in range(m) for c in range(eta[r] - 1, mu[r] - 1, -1)]
+    # cells inside mu stay 0, so a cell under one starts at 1
+    grid = [[0] * e for e in eta]
+    return _lr_count(nu, grid, cells, [0] * (len(nu) + 1), 0)
+
+
+def _lr_count(nu, grid: list[list[int]], cells, counts: list[int], k: int) -> int:
+    """Number of Littlewood-Richardson tableaux that complete ``grid``,
+    filled at ``cells[:k]`` with ``counts[v]`` entries v.  Every count stays
+    within nu and the sizes match, so a complete filling has content nu."""
+    if k == len(cells):
+        return 1
+    r, c = cells[k]
+    row = grid[r]
+    # greater than the entry above, at most the entry to the right; both
+    # were written earlier on this branch, so no cell is ever reset
+    hi = row[c + 1] if c + 1 < len(row) else len(nu)
+    total = 0
+    for v in range(grid[r - 1][c] + 1 if r else 1, hi + 1):
+        # the content of v is used up, or v would outnumber v - 1 in the word
+        if counts[v] == nu[v - 1] or (v > 1 and counts[v] == counts[v - 1]):
+            continue
+        counts[v] += 1
+        row[c] = v
+        total += _lr_count(nu, grid, cells, counts, k + 1)
+        counts[v] -= 1
+    return total
 
 
 # -- the Chevalley rule --------------------------------------------------------

@@ -93,8 +93,7 @@ permutation windows, shared by every polytope, so they stay process-wide.
 After the Fl5 partition and its 74,199 oracle calls they held 476, 8,165
 and 120 entries, and clearing the two ``coeffs`` caches freed 1.98 MiB.
 ``certify._all_perms`` holds S_n in search order once per n, from the
-first search that reaches tier 1 or 3, and ``ladder._check_lambda``
-remembers up to 256 weights that passed ``validate_lambda``.
+first search that reaches tier 1 or 3.
 """
 
 from __future__ import annotations
@@ -444,7 +443,7 @@ class Polytope:
     def vertex_masks_in(self, bits: int) -> list[int]:
         """The tight masks of the vertices whose bits are set, sorted by
         values."""
-        masks = self._vertices
+        masks = self._vertex_masks()
         out = []
         while bits:
             low = bits & -bits

@@ -25,7 +25,6 @@ left block corner.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .weyl import InputError, ParabolicShape, grassmannian_perm
 
@@ -209,13 +208,7 @@ def psi(pattern: Pattern) -> Pattern:
 
 def validate_lambda(shape: ParabolicShape, lam: tuple[int, ...]) -> None:
     """lam must be weakly decreasing, constant on blocks and strictly
-    decreasing across cuts.  A passing (shape, lam) is remembered; a
-    failing one raises InputError on every call."""
-    _check_lambda(shape, tuple(lam))
-
-
-@lru_cache(maxsize=256)
-def _check_lambda(shape: ParabolicShape, lam: tuple[int, ...]) -> None:
+    decreasing across cuts; otherwise InputError."""
     if len(lam) != shape.n:
         raise InputError(f"lambda needs {shape.n} entries: {lam}")
     b = shape.bounds

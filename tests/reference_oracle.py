@@ -7,7 +7,10 @@ by divided differences, multiplied as sparse polynomials and written back in
 the Schubert basis by peeling colex-leading monomials, so that tests can
 compare the two.  It also keeps the lexicographically smallest reduced
 word of a permutation, and the commuting-support factorization replayed
-from that word, which ``gcschub.weyl.star_factorize`` reads off the window.
+from that word, which ``gcschub.weyl.star_factorize`` reads off the window,
+and the Littlewood-Richardson rule that enumerates every semistandard
+filling before it checks the lattice condition on the finished tableau,
+which ``gcschub.coeffs.gr_structure_constant`` checks entry by entry.
 
 Polynomials are sparse dicts mapping exponent tuples (trailing zeros
 trimmed) to integer coefficients.  Products of S_n classes can involve basis
@@ -242,3 +245,68 @@ def constant_by_descents(us: list[Permutation], w: Permutation) -> int:
     for i in reversed(reduced_word(w)):
         poly = divided_difference(poly, i)
     return poly.get((), 0)
+
+
+# -- Littlewood-Richardson tableaux, filtered after the fact --------------------
+
+
+def _contains(eta: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    return all(e >= m for e, m in zip(eta, mu)) and len(eta) >= len(mu)
+
+
+def lr_coefficient(mu: tuple[int, ...], nu: tuple[int, ...], eta: tuple[int, ...]) -> int:
+    """Count Littlewood-Richardson tableaux of shape eta/mu and content nu:
+    semistandard fillings whose reverse reading word is a lattice word.
+
+    Fillings are enumerated row by row and the lattice condition is checked
+    on the finished tableau.
+    """
+    mu = tuple(v for v in mu if v)
+    nu = tuple(v for v in nu if v)
+    eta = tuple(v for v in eta if v)
+    if sum(eta) != sum(mu) + sum(nu):
+        return 0
+    if len(mu) > len(eta) or not _contains(eta, mu):
+        return 0
+    if not nu:
+        return 1 if eta == mu else 0
+    mu = mu + (0,) * (len(eta) - len(mu))
+    grid: list[list[int]] = [[0] * part for part in eta]
+    return _lr_fillings(eta, mu, nu, grid, [0] * (len(nu) + 1), 0, mu[0])
+
+
+def _lr_fillings(eta, mu, nu, grid: list[list[int]], counts: list[int], r: int, c: int) -> int:
+    """Number of Littlewood-Richardson tableaux that complete ``grid``,
+    filled before cell (r, c) of eta/mu with ``counts[v]`` entries v."""
+    rows = len(eta)
+    if r == rows:
+        return int(_lattice_ok(eta, mu, grid, len(nu)))
+    if c == eta[r]:
+        return _lr_fillings(eta, mu, nu, grid, counts, r + 1, mu[r + 1] if r + 1 < rows else 0)
+    left = grid[r][c - 1] if c > mu[r] else 1
+    # cells inside mu hold 0, so they impose no column constraint
+    above = grid[r - 1][c] if r > 0 and c < eta[r - 1] else 0
+    lo = max(left, above + 1) if above else max(left, 1)
+    total = 0
+    for v in range(lo, len(nu) + 1):
+        if counts[v] == nu[v - 1]:
+            continue
+        counts[v] += 1
+        grid[r][c] = v
+        total += _lr_fillings(eta, mu, nu, grid, counts, r, c + 1)
+        grid[r][c] = 0
+        counts[v] -= 1
+    return total
+
+
+def _lattice_ok(eta, mu, grid: list[list[int]], nvals: int) -> bool:
+    """Whether the reverse reading word of the filled tableau is a lattice
+    word."""
+    running = [0] * (nvals + 1)
+    for r in range(len(eta)):
+        for c in range(eta[r] - 1, mu[r] - 1, -1):
+            v = grid[r][c]
+            running[v] += 1
+            if v > 1 and running[v] > running[v - 1]:
+                return False
+    return True

@@ -10,10 +10,10 @@ from gcschub.coeffs import (
     build_modified_partition,
     chevalley,
     gr_structure_constant,
-    lr_coefficient,
     structure_constant,
 )
 from gcschub.weyl import (
+    InputError,
     Permutation,
     bruhat_leq,
     grassmannian_perm,
@@ -24,6 +24,7 @@ from reference_oracle import (
     code,
     constant_by_descents,
     expand_product,
+    lr_coefficient,
     perm_from_code,
     schubert_poly,
     structure_constant_reference,
@@ -268,11 +269,31 @@ class TestRowTable:
 
 class TestLROracle:
     def test_small_values(self):
-        assert lr_coefficient((1,), (1,), (2,)) == 1
-        assert lr_coefficient((1,), (1,), (1, 1)) == 1
-        assert lr_coefficient((), (2, 1), (2, 1)) == 1
-        assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
-        assert lr_coefficient((1,), (1,), (3,)) == 0
+        assert gr_structure_constant((1,), (1,), (2,), 2, 4) == 1
+        assert gr_structure_constant((1,), (1,), (1, 1), 2, 4) == 1
+        assert gr_structure_constant((), (2, 1), (2, 1), 2, 4) == 1
+        assert gr_structure_constant((2, 1), (2, 1), (3, 2, 1), 3, 6) == 2
+        assert gr_structure_constant((1,), (1,), (3,), 2, 5) == 0
+
+    def test_matches_reference(self):
+        # the one-pass count against the enumerate-then-filter reference, on
+        # every degree-compatible triple of three boxes and on short,
+        # unpadded partitions: rows inside mu, an empty eta, a mu longer
+        # than eta
+        checked = 0
+        for m, n in ((2, 8), (3, 7), (4, 8)):
+            parts = box_partitions(m, n - m)
+            for mu in parts:
+                for nu in parts:
+                    for eta in parts:
+                        if sum(eta) == sum(mu) + sum(nu):
+                            checked += 1
+                            assert gr_structure_constant(mu, nu, eta, m, n) == lr_coefficient(
+                                mu, nu, eta), (mu, nu, eta, m, n)
+        assert checked == 12259
+        short = [(), (1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (3, 2, 1)]
+        for mu, nu, eta in itertools.product(short, repeat=3):
+            assert gr_structure_constant(mu, nu, eta, 3, 6) == lr_coefficient(mu, nu, eta), (mu, nu, eta)
 
     @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7)])
     def test_agrees_with_schubert_oracle(self, m, n):
@@ -290,6 +311,12 @@ class TestLROracle:
     def test_box_guard(self):
         with pytest.raises(ValueError):
             gr_structure_constant((3, 0), (1, 0), (3, 1), 2, 4)
+
+    @pytest.mark.parametrize("part", [(3, 0), (1, 1, 1), (1, 2), (1, -1)])
+    def test_partition_outside_box_is_input_error(self, part):
+        for args in ((part, (1,), (2, 1)), ((1,), part, (2, 1)), ((1,), (1,), part)):
+            with pytest.raises(InputError, match="not a partition inside the 2x2 box"):
+                gr_structure_constant(*args, 2, 4)
 
 
 class TestRules:

@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 from gcschub.certify import search
-from gcschub.coeffs import lr_coefficient
+from gcschub.coeffs import gr_structure_constant
 from gcschub import gc_polytope
 from gcschub.gc_polytope import (
     Face,
@@ -100,6 +100,14 @@ class TestVertices:
             assert list(table) == list(poly.diagram.effective_edges)
             for e, bits in table.items():
                 assert poly.vertex_masks_in(bits) == [v.mask for v in verts if e in v.facets()], e
+
+    def test_vertex_masks_in_on_a_fresh_polytope(self):
+        # the first call lists the vertices itself
+        bits = 0b101101
+        got = make(2, 4).vertex_masks_in(bits)
+        verts = make(2, 4).vertices()
+        assert got == [v.mask for i, v in enumerate(verts) if bits >> i & 1]
+        assert len(got) == 4
 
     def test_positive_dimension_is_not_a_vertex(self):
         f = GR24.named_face((1, 0))
@@ -369,7 +377,7 @@ def test_no_reference_cycles():
         return poly
 
     def lr():
-        assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+        assert gr_structure_constant((2, 1), (2, 1), (3, 2, 1), 3, 6) == 2
 
     def fl4_kogan():
         assert enumerate_reduced(FL4.diagram, Permutation((4, 3, 2, 1)), dual=True)

@@ -429,6 +429,18 @@ MUTANTS = (
         "    if False:\n",
         COEFFS_TESTS,
     ),
+    Mutant(
+        "lr-drop-lattice-test", COEFFS,
+        "        if counts[v] == nu[v - 1] or (v > 1 and counts[v] == counts[v - 1]):\n",
+        "        if counts[v] == nu[v - 1]:\n",
+        ("tests/test_coeffs.py::TestLROracle::test_matches_reference",),
+    ),
+    Mutant(
+        "lr-column-entry-may-equal-above", COEFFS,
+        "    for v in range(grid[r - 1][c] + 1 if r else 1, hi + 1):\n",
+        "    for v in range(max(grid[r - 1][c], 1) if r else 1, hi + 1):\n",
+        ("tests/test_coeffs.py::TestLROracle::test_matches_reference",),
+    ),
 )
 
 
