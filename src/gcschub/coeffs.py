@@ -8,14 +8,17 @@ sweeps, closed under the triple symmetries and extended by the
 commuting-support splitting, built on integer tables of S_n.
 
 The first oracle reads a constant off a lazily memoised row table: the row
-of (u, y) is the Schubert expansion of S_u * S_y truncated to S_n, keyed by
-full windows.  A row is filled by the transition, which writes S_u as
-x_r * S_v plus classes of the length of u, and by Monk's rule for x_r *
-S_z.  A two-factor constant is one row lookup; products of three or more
-factors fold left over rows.  Truncation is exact: a nonzero c_{x,y}^z has
-x <= z in Bruhat order, S_n is a lower Bruhat ideal of S_infinity, and
-every Monk term lies above the class it multiplies, so a class outside S_n
-never feeds a class inside it.  The polynomial oracle the table replaced
+of {u, y} is the Schubert expansion of S_u * S_y truncated to S_n, one row
+per unordered pair of full windows.  Products commute, so every read asks
+for the smaller window first, and the row is filled by the transition on
+that window, which writes S_u as x_r * S_v plus classes of the length of
+u, and by Monk's rule for x_r * S_z.  A two-factor constant is one row
+lookup with no separate degree test: a row is homogeneous of degree
+l(u) + l(y), so a target of another length reads 0.  Products of three or
+more factors fold left over rows.  Truncation is exact: a nonzero
+c_{x,y}^z has x <= z in Bruhat order, S_n is a lower Bruhat ideal of
+S_infinity, and every Monk term lies above the class it multiplies, so a
+class outside S_n never feeds a class inside it.  The polynomial oracle the table replaced
 is kept in ``tests/reference_oracle.py`` as the reference.
 """
 
@@ -65,23 +68,24 @@ def _monk(z: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]
 @lru_cache(maxsize=None)
 def _row(u: tuple[int, ...], y: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """S_u * S_y truncated to S_n, as {window: coefficient}; shared, so
-    never mutated.  For u other than the identity, the transition takes r
-    the last descent of u, s the largest j > r with u(j) < u(r) and
-    v = u t_rs: S_u = x_r * S_v + the sum of S_{v t_qr} over the q < r
-    where v t_qr is as long as u, which are the negative terms of Monk's
-    rule for x_r * S_v."""
+    never mutated.  Every read asks for u <= y as tuples, so each unordered
+    pair has one row, and the identity, the smallest window, is always u.
+    For u other than the identity, the transition takes r the last descent
+    of u, s the largest j > r with u(j) < u(r) and v = u t_rs: S_u =
+    x_r * S_v + the sum of S_{v t_qr} over the q < r where v t_qr is as
+    long as u, which are the negative terms of Monk's rule for x_r * S_v."""
     r = next((i for i in range(len(u) - 1, 0, -1) if u[i - 1] > u[i]), 0)
     if not r:
         return {y: 1}
     s = max(j for j in range(r + 1, len(u) + 1) if u[j - 1] < u[r - 1])
     v = _swap(u, r, s)
     out: dict[tuple[int, ...], int] = {}
-    for z, c in _row(v, y).items():
+    for z, c in (_row(v, y) if v < y else _row(y, v)).items():
         for t, sign in _monk(z, r):
             out[t] = out.get(t, 0) + sign * c
     for t, sign in _monk(v, r):
         if sign < 0:
-            for z, c in _row(t, y).items():
+            for z, c in (_row(t, y) if t < y else _row(y, t)).items():
                 out[z] = out.get(z, 0) + c
     row = {z: c for z, c in out.items() if c}
     if any(c < 0 for c in row.values()):
@@ -95,11 +99,11 @@ def _fold(windows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
     windows give that shared row itself, so callers never mutate it."""
     if len(windows) == 1:
         return {windows[0]: 1}
-    acc = _row(windows[0], windows[1])
+    acc = _row(*sorted(windows[:2]))
     for y in windows[2:]:
         nxt: dict[tuple[int, ...], int] = {}
         for z, c in acc.items():
-            for t, d in _row(z, y).items():
+            for t, d in (_row(z, y) if z < y else _row(y, z)).items():
                 nxt[t] = nxt.get(t, 0) + c * d
         acc = nxt
     return acc
@@ -110,14 +114,17 @@ def structure_constant(us: list[Permutation], w: Permutation) -> int:
     target = w.window
     n = len(target)
     windows = []
-    degree = 0
     for u in us:
         x = u.window
         if len(x) != n:
             raise InputError("all permutations must share one rank")
         windows.append(x)
-        degree += _inversions(x)
-    if degree != _inversions(target):
+    if len(windows) == 2:
+        # a row is homogeneous of degree l(x) + l(y), so a target of
+        # another length reads 0
+        x, y = windows
+        return (_row(x, y) if x < y else _row(y, x)).get(target, 0)
+    if sum(map(_inversions, windows)) != _inversions(target):
         return 0
     # the empty product is the class of the identity
     return _fold(windows or [tuple(range(1, n + 1))]).get(target, 0)
@@ -310,9 +317,18 @@ def build_modified_partition(n: int, bound: int = 5) -> list[TripleClass]:
     below, conj, w0_left = tab.below, tab.conj, tab.w0_left
     for t, (u, v, w) in enumerate(triples):
         if below[w] >> u & below[w] >> v & 1:
-            # the swap, the w0-conjugation and the w0 symmetry
-            partners = [first[w][v] + rank[u], first[conj[w]][conj[u]] + rank[conj[v]],
-                        first[w0_left[v]][u] + rank[w0_left[w]]]
+            # the w0 symmetry (u, v, w) -> (u, w0 w, w0 v) need not keep
+            # Bruhat compatibility, so it is merged from every triple
+            partners = [first[w0_left[v]][u] + rank[w0_left[w]]]
+            # the swap and the w0-conjugation are involutions that keep it,
+            # so each of their pairs is met from both ends and is merged
+            # from one: the swap where u < v, the conjugation where the
+            # partner comes later
+            if u < v:
+                partners.append(first[w][v] + rank[u])
+            c = first[conj[w]][conj[u]] + rank[conj[v]]
+            if c > t:
+                partners.append(c)
             # where u and v both ascend at s_i, the constant moves to
             # (u s_i, v, w s_i) if w ascends too, and vanishes if w descends
             both = ascents[u] & ascents[v]

@@ -90,8 +90,8 @@ tables, all read off the pair-bit map:
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row`` and ``weyl._inversions``.  They are pure functions of
 permutation windows, shared by every polytope, so they stay process-wide.
-After the Fl5 partition and its 74,199 oracle calls they held 476, 8,165
-and 120 entries, and clearing the two ``coeffs`` caches freed 1.98 MiB.
+After the Fl5 partition and its 74,199 oracle calls they held 447, 4,118
+and 120 entries, and clearing the two ``coeffs`` caches freed 0.89 MiB.
 ``certify._all_perms`` holds S_n in search order once per n, from the
 first search that reaches tier 1 or 3.
 """

@@ -171,20 +171,27 @@ def oracle_calls(draw):
 
 
 class TestOracleFastPath:
-    """``structure_constant`` (one pass over the factors for the rank and
-    degree checks, then the row fold) against the polynomial reference, for
-    zero to three factors and any target."""
+    """``structure_constant`` (one pass over the factors for the rank check,
+    then one row lookup for two factors, or the degree check and the row
+    fold) against the polynomial reference, for zero to three factors and
+    any target."""
 
-    # the pinned examples have nonzero constants, so a degree check that
-    # misses a factor fails on them whatever Hypothesis draws
+    # the first three pinned examples have nonzero constants, so a degree
+    # check that misses a factor fails on them whatever Hypothesis draws;
+    # the last two give two factors, which make no degree check, a target
+    # of the wrong length
     @settings(max_examples=200, deadline=None)
     @given(oracle_calls())
     @example(([s(2, 3)], s(2, 3)))
     @example(([s(2, 3), s(1, 3)], Permutation((3, 1, 2))))
     @example(([s(1, 4), s(2, 4), s(3, 4)], Permutation.from_word([1, 2, 3], 4)))
+    @example(([s(2, 3), s(1, 3)], s(1, 3)))
+    @example(([s(1, 3), s(2, 3)], longest_element(3)))
     def test_matches_reference(self, call):
+        # products commute, so the reversed factors read the same constant
         us, w = call
-        assert structure_constant(us, w) == structure_constant_reference(us, w)
+        assert structure_constant(us[::-1], w) == structure_constant(us, w) == (
+            structure_constant_reference(us, w))
 
     @settings(max_examples=100, deadline=None)
     @given(oracle_calls(), st.data())
@@ -223,6 +230,21 @@ class TestRowTable:
     def test_sampled_products_match_reference(self, product):
         us, n = product
         assert coeffs._fold([u.window for u in us]) == truncated_product(us, n)
+
+    def test_one_row_per_unordered_pair(self):
+        # the order of the factors changes the cost of a lookup, never its
+        # value, so only the number of rows shows that {u, y} is filled once
+        coeffs._row.cache_clear()
+        try:
+            triples = all_triples(4)
+            assert len(triples) == 1115
+            for u, v, w in triples:
+                structure_constant([u, v], w)
+            pairs = sum(1 for u, y in itertools.combinations_with_replacement(S4, 2)
+                        if length(u) + length(y) <= 6)
+            assert coeffs._row.cache_info().currsize == pairs
+        finally:
+            coeffs._row.cache_clear()
 
     def test_no_factor_and_one_factor(self):
         e, s1, s2 = Permutation.identity(4), s(1, 4), s(2, 4)

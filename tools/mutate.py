@@ -337,8 +337,6 @@ MUTANTS = (
         "            elif a > b:\n",
         ("tests/test_coeffs.py::TestModifiedPartition::test_matches_reference",
          "tests/test_coeffs.py::TestModifiedPartition::test_matches_closure_reference"),
-        equivalent="for n <= 5 the partition has two classes, the regular one holding "
-        "triple 0 and the zero one the sentinel, so the largest roots list them in the same order",
     ),
     Mutant(
         "partition-link-smaller-root-under-larger", COEFFS,
@@ -365,8 +363,8 @@ MUTANTS = (
     ),
     Mutant(
         "partition-drop-w0-symmetry", COEFFS,
-        ",\n                        first[w0_left[v]][u] + rank[w0_left[w]]]\n",
-        "]\n",
+        "            partners = [first[w0_left[v]][u] + rank[w0_left[w]]]\n",
+        "            partners = []\n",
         COEFFS_TESTS,
         equivalent="for n <= 5 the other moves already give the same classes "
         "(2 on S_5); kept as a symmetry of the constants",
@@ -381,7 +379,7 @@ MUTANTS = (
         "row-drop-transition-sum", COEFFS,
         "    for t, sign in _monk(v, r):\n"
         "        if sign < 0:\n"
-        "            for z, c in _row(t, y).items():\n"
+        "            for z, c in (_row(t, y) if t < y else _row(y, t)).items():\n"
         "                out[z] = out.get(z, 0) + c\n",
         "",
         COEFFS_TESTS,
@@ -419,9 +417,17 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-degree-skips-last-factor", COEFFS,
-        "        degree += _inversions(x)\n",
-        "        degree += _inversions(x) if len(windows) < len(us) else 0\n",
+        "    if sum(map(_inversions, windows)) != _inversions(target):\n",
+        "    if sum(map(_inversions, windows[:-1])) != _inversions(target):\n",
         ("tests/test_coeffs.py::TestOracleFastPath::test_matches_reference",),
+    ),
+    Mutant(
+        # the order of the factors never changes a value, only the number
+        # of rows filled, so only the row count can kill this one
+        "oracle-row-key-unordered", COEFFS,
+        "        return (_row(x, y) if x < y else _row(y, x)).get(target, 0)\n",
+        "        return _row(x, y).get(target, 0)\n",
+        ("tests/test_coeffs.py::TestRowTable::test_one_row_per_unordered_pair",),
     ),
     Mutant(
         "row-drop-positivity-check", COEFFS,
