@@ -63,6 +63,21 @@ Every face is built one way, from an equality system on cells through
 ``face_from_atoms``, which saturates it; the named faces pin boxes to a
 block value by merging them with a forced cell of that value.
 
+A Schubert variety is cut out of the ambient product of projective spaces
+by coordinate hyperplanes: at each cut level l the Plücker coordinate p_I
+vanishes on X^v iff the path of I does not run above the path of
+sort(v([1..l])).  Only X^v is computed directly: X_w is a translated
+Schubert variety too, X_w = w_0 X^{pi(w_0 w)} (Brion, Lectures on the
+geometry of flag varieties, 2005), so its divisors are those of
+X^{pi(w_0 w)} translated by w_0, and its shadow is Delta(w_0, pi(w_0 w)).
+An index tuple I, sorted in 1..n, is also the positive path whose
+horizontal steps are at I (``ladder.Path``), so the divisor {p_I = 0} and
+the facets on its path are read off the same tuple.  Translating by u
+sends p_I to p_{u(I)}, the sorted image ``u.image(I)``; Plücker signs are
+dropped since only vanishing matters.  A piece u X^v is cut out by the
+divisors u(I), for I vanishing on X^v, and its shadow Delta(u, v) is the
+intersection over them of the union of the facets on each divisor path.
+
 A face refers to its polytope, so the polytope caches masks and keys, never
 faces, and reference counting alone frees it.  Each polytope owns these
 caches, which live as long as it does; ``__init__`` builds the first three
@@ -85,7 +100,8 @@ tables, all read off the pair-bit map:
   row per tuple, filled by ``divisor``;
 * ``_pieces``, the piece table: (u, v) windows -> the piece u X^v as one
   row, the AND of the vertex bitsets of its divisors and the frozenset of
-  their pair masks, filled by ``piece`` from ``pluecker.delta_uv``.
+  their pair masks, filled by ``piece``, which builds a missing row
+  through ``_piece_of``.
 
 The other caches are the unbounded ``lru_cache``s ``coeffs._monk``,
 ``coeffs._row`` and ``weyl._inversions``.  They are pure functions of
@@ -103,7 +119,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from . import pluecker
 from .ladder import (
     Cell,
     EdgeKey,
@@ -428,8 +443,8 @@ class Polytope:
         return row
 
     def piece(self, u: Permutation, v: Permutation) -> tuple[int, frozenset[int]]:
-        """The row of the piece u X^v, built once by ``pluecker.delta_uv``
-        and kept under the two windows.  A u or v of another rank than the
+        """The row of the piece u X^v, built once by ``_piece_of`` and kept
+        under the two windows.  A u or v of another rank than the
         polytope's is an InputError."""
         key = (u.window, v.window)
         row = self._pieces.get(key)
@@ -437,8 +452,25 @@ class Polytope:
             for x in (u, v):
                 if x.n != self.n:
                     raise InputError(f"{x} is not a permutation of rank {self.n}")
-            row = self._pieces[key] = pluecker.delta_uv(self, u, v)
+            row = self._pieces[key] = self._piece_of(u, v)
         return row
+
+    def _piece_of(self, u: Permutation, v: Permutation) -> tuple[int, frozenset[int]]:
+        """The row of the piece u X^v, for a minimal coset representative v:
+        the vertex bitset of Delta(u, v), the AND of the unions of its divisors
+        u(I), and the set of their masks of facet pair bits.  At each cut level
+        l, I and v({1..l}) have l steps each, and I vanishes when its path runs
+        below that of v({1..l}) at some step."""
+        bits = self.vertex_bitsets()[0]
+        masks = set()
+        for level in self.shape.cuts:
+            ref = v.image(range(1, level + 1))
+            for i in self.diagram.paths_at_level(level):
+                if any(map(operator.gt, ref, i)):
+                    union, mask = self.divisor(u.image(i))
+                    bits &= union
+                    masks.add(mask)
+        return bits, frozenset(masks)
 
     def vertex_masks_in(self, bits: int) -> list[int]:
         """The tight masks of the vertices whose bits are set, sorted by

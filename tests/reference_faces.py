@@ -19,7 +19,7 @@ facet count of a vertex, the flag test on its cell values, the key of a
 tight mask by a union-find forest of its tight pairs, the path order, and
 the vanishing set of X^v, a dict from each cut level to the index tuples I
 with p_I = 0, from which a piece's divisor set and row are built where
-``pluecker.delta_uv`` builds the row in one pass over the paths, comparing
+``Polytope.piece`` builds the row in one pass over the paths, comparing
 each I with v's prefix step by step, and ``piece_table`` reads the rows
 the polytope keeps.  It also builds four faces by name:
 the whole polytope, the facet of an effective edge by saturation, the face

@@ -189,7 +189,6 @@ def test_criterion_4_vertex_counts():
 
 
 def test_criterion_5_degeneration_combinatorics():
-    from gcschub.pluecker import delta_uv
     from reference_faces import delta_uv_by_faces, divisor_bits, fold_paths_by_faces, vertex_bits
 
     # each shadow as maximal faces by the reference fold, and as the vertex
@@ -200,13 +199,13 @@ def test_criterion_5_degeneration_combinatorics():
             w = grassmannian_perm(mu, 2, n)
             fu = delta_uv_by_faces(poly, Permutation.identity(n), w)
             assert fu == (poly.named_face(mu),)
-            piece = delta_uv(poly, Permutation.identity(n), w)
+            piece = poly.piece(Permutation.identity(n), w)
             assert piece[0] == vertex_bits(poly, fu)
             w0 = longest_element(n)
             rep = min_coset_rep(w0 * w, poly.shape)
             fv = delta_uv_by_faces(poly, w0, rep)
             assert fv == (poly.named_face(mu, dual=True),)
-            assert delta_uv(poly, w0, rep)[0] == vertex_bits(poly, fv)
+            assert poly.piece(w0, rep)[0] == vertex_bits(poly, fv)
     poly5 = make(2, 5)
     for k in (1, 2, 3):
         paths = [

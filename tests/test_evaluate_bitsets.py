@@ -15,7 +15,6 @@ from gcschub.certify import Certificate, _candidates, _pair_on_one_face, evaluat
 from gcschub.coeffs import build_modified_partition
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
-from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     ParabolicShape,
     Permutation,
@@ -111,7 +110,7 @@ def test_every_piece_holds_the_vertices_of_the_reference_faces(cuts_n):
     reps = [v for v in perms(poly.n) if poly.shape.in_min_coset_reps(v)]
     for u, v in itertools.product(perms(poly.n), reps):
         faces = delta_uv_by_faces(poly, u, v)
-        assert delta_uv(poly, u, v)[0] == vertex_bits(poly, faces), (u, v)
+        assert poly.piece(u, v)[0] == vertex_bits(poly, faces), (u, v)
 
 
 @pytest.mark.parametrize("cuts_n", [(2, 5), (3, 6), (1, 2, 3, 4), (1, 3, 5)], ids=str)
@@ -171,7 +170,7 @@ def test_sampled_tuples(cuts_n):
         check_same(poly, vs, w, us)
         for u, v in zip(us, vs):
             faces = delta_uv_by_faces(poly, u, v)
-            assert delta_uv(poly, u, v)[0] == vertex_bits(poly, faces), (u, v)
+            assert poly.piece(u, v)[0] == vertex_bits(poly, faces), (u, v)
 
     check()
 

@@ -141,7 +141,7 @@ class TestPieces:
     @pytest.mark.parametrize("other", [Permutation((2, 1, 3)), Permutation((1, 3, 2, 4, 5))],
                              ids=["rank3", "rank5"])
     def test_piece_refuses_a_permutation_of_another_rank(self, slot, other):
-        # on Gr(2,4), delta_uv alone gives (2,1,3) X^(1,3,2,4) a row,
+        # on Gr(2,4), the builder _piece_of alone gives (2,1,3) X^(1,3,2,4) a row,
         # (62, {64}); piece refuses it, and nothing enters the table
         poly = make(2, 4)
         one = grassmannian_perm((1, 0), 2, 4)

@@ -12,7 +12,6 @@ from gcschub.kogan import (
     word_positions,
 )
 from gcschub.ladder import LadderDiagram
-from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     InputError,
     ParabolicShape,
@@ -228,7 +227,7 @@ class TestDegenerationUnions:
         assert fu2 == delta_bottom(P6, W_REF)
         # the package's shadows hold exactly the vertices of the two unions
         w0 = longest_element(6)
-        piece = delta_uv(P6, Permutation.identity(6), V_REF)
+        piece = P6.piece(Permutation.identity(6), V_REF)
         assert piece[0] == vertex_bits(P6, fu)
-        bottom = delta_uv(P6, w0, min_coset_rep(w0 * W_REF, P6.shape))
+        bottom = P6.piece(w0, min_coset_rep(w0 * W_REF, P6.shape))
         assert bottom[0] == vertex_bits(P6, fu2)

@@ -1,8 +1,9 @@
 """The package is what runs: every public function, method and property
 under ``src/gcschub`` is referred to by name somewhere in ``src/`` or
 ``bench/``.  A helper that only tests call belongs next to the tests.
-The polytope owns its piece table: only ``gc_polytope`` calls the builder
-``pluecker.delta_uv``, and ``certify`` reads rows through ``piece``.
+The polytope owns its piece table: only ``gc_polytope`` names the builder
+``_piece_of`` and the tables ``_pieces`` and ``_divisors``, and ``certify``
+reads rows through ``piece``.
 
 A name counts as referred to when some ``Name`` or ``Attribute`` node of
 those trees carries it.  Click commands are reached through their
@@ -90,7 +91,8 @@ def test_the_polytope_owns_the_piece_table():
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for a in node.names}
         refs[os.path.splitext(os.path.basename(path))[0]] = _referred(tree) | imported
-    assert {m for m, names in refs.items() if "delta_uv" in names} - {"pluecker"} == {"gc_polytope"}
+    for name in ("_piece_of", "_pieces", "_divisors"):
+        assert [m for m, names in refs.items() if name in names] == ["gc_polytope"], name
     assert [m for m, names in refs.items() if "delta_cache" in names] == []
     assert "piece" in refs["certify"]
 

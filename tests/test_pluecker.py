@@ -4,7 +4,6 @@ import pytest
 
 from gcschub.gc_polytope import Polytope
 from gcschub.ladder import LadderDiagram
-from gcschub.pluecker import delta_uv
 from gcschub.weyl import (
     ParabolicShape,
     Permutation,
@@ -168,13 +167,13 @@ class TestVanishing:
 
 class TestDeltaUV:
     """Each shadow twice: its maximal faces by the reference fold, and the
-    vertex bitset of the row ``delta_uv`` returns."""
+    vertex bitset of the row ``Polytope.piece`` returns."""
 
     def test_id_id_is_whole(self):
         idt = Permutation.identity(4)
         fu = delta_uv_by_faces(P24, idt, idt)
         assert fu == (whole_face(P24),)
-        assert delta_uv(P24, idt, idt)[0] == vertex_bits(P24, fu)
+        assert P24.piece(idt, idt)[0] == vertex_bits(P24, fu)
 
     def test_F_mu_for_all_mu(self):
         for (m, n, poly) in ((2, 4, P24), (2, 5, P25)):
@@ -182,7 +181,7 @@ class TestDeltaUV:
                 v = grassmannian_perm(mu, m, n)
                 fu = delta_uv_by_faces(poly, Permutation.identity(n), v)
                 assert fu == (poly.named_face(mu),), (mu, fu)
-                piece = delta_uv(poly, Permutation.identity(n), v)
+                piece = poly.piece(Permutation.identity(n), v)
                 assert piece[0] == vertex_bits(poly, fu)
 
     def test_Fvee_eta_for_all_eta(self):
@@ -193,7 +192,7 @@ class TestDeltaUV:
                 rep = min_coset_rep(w0 * w, poly.shape)
                 fu = delta_uv_by_faces(poly, w0, rep)
                 assert fu == (poly.named_face(eta, dual=True),), (eta, fu)
-                assert delta_uv(poly, w0, rep)[0] == vertex_bits(poly, fu)
+                assert poly.piece(w0, rep)[0] == vertex_bits(poly, fu)
 
     @pytest.mark.parametrize("cuts_n, step", [
         ((2, 5), 1), ((1, 2, 3, 4), 1), ((1, 3, 5), 1), ((3, 6), 7)], ids=str)
@@ -210,7 +209,7 @@ class TestDeltaUV:
         folds = {}
         for u, v in list(itertools.product(perms, reps))[::step]:
             paths = frozenset().union(*translated(u, vanishing[v]).values())
-            row = delta_uv(poly, u, v)
+            row = poly.piece(u, v)
             assert row == divisor_row(poly, paths), (u, v)
             if paths not in folds:
                 folds[paths] = vertex_bits(

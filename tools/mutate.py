@@ -103,7 +103,7 @@ MUTANTS = (
         ("tests/test_evaluate_bitsets.py::test_pair_scan_matches_facet_reference",),
     ),
     Mutant(
-        "row-skips-one-divisor", "src/gcschub/pluecker.py",
+        "row-skips-one-divisor", GC,
         "                bits &= union\n",
         "                bits &= union if masks else bits\n",
         ("tests/test_certify.py::TestEvaluate::test_every_piece_cached_under_its_pair",),
@@ -301,22 +301,21 @@ MUTANTS = (
         ("tests/test_ladder.py",),
     ),
     Mutant(
-        "delta-uv-ignores-translation", "src/gcschub/pluecker.py",
-        "poly.divisor(u.image(i))",
-        "poly.divisor(i)",
+        "delta-uv-ignores-translation", GC,
+        "self.divisor(u.image(i))",
+        "self.divisor(i)",
         ("tests/test_pluecker.py::TestDeltaUV::test_row_matches_reference_vanishing_set_and_face_fold",),
     ),
     Mutant(
-        "vanishing-keeps-paths-below", "src/gcschub/pluecker.py",
-        "            if any(map(gt, ref, i)):\n",
-        "            if any(map(gt, i, ref)):\n",
+        "vanishing-keeps-paths-below", GC,
+        "                if any(map(operator.gt, ref, i)):\n",
+        "                if any(map(operator.gt, i, ref)):\n",
         ("tests/test_pluecker.py::TestDeltaUV::test_F_mu_for_all_mu",),
     ),
     Mutant(
-        # ge is not imported by the module, so the mutant spells it out
-        "vanishing-step-not-strict", "src/gcschub/pluecker.py",
-        "            if any(map(gt, ref, i)):\n",
-        "            if any(map(lambda a, b: a >= b, ref, i)):\n",
+        "vanishing-step-not-strict", GC,
+        "                if any(map(operator.gt, ref, i)):\n",
+        "                if any(map(operator.ge, ref, i)):\n",
         ("tests/test_pluecker.py::TestDeltaUV::test_row_matches_reference_vanishing_set_and_face_fold",),
     ),
     Mutant(
